@@ -21,7 +21,10 @@ DEFAULT_THINK_MARKERS = ("<think>", "</think>")
 # Maximal syntactic run: bracketed integers joined by > or = with optional
 # whitespace. Greedy matching makes every finditer hit maximal.
 _RANKING_RUN = re.compile(r"\[\d+\](?:\s*[>=]\s*\[\d+\])*")
-_TOKEN = re.compile(r"\[(\d+)\]|([>=])")
+# More significant digits than any candidate list needs. int() refuses
+# strings past sys.get_int_max_str_digits(), so longer ones are never
+# converted.
+_MAX_ALIAS_DIGITS = 18
 
 
 @dataclass(frozen=True)
@@ -32,33 +35,44 @@ class RankingPatternMatch:
     ranking: Ranking
 
 
+def _alias(digits: str) -> int:
+    """The integer a bracketed identifier spells, leading zeros of any
+    script ignored; 0, which no candidate has, when it is too long to be
+    an alias."""
+    if len(digits) > _MAX_ALIAS_DIGITS:
+        start = 0
+        while start < len(digits) and int(digits[start]) == 0:
+            start += 1
+        if len(digits) - start > _MAX_ALIAS_DIGITS:
+            return 0
+        digits = digits[start:] or "0"
+    return int(digits)
+
+
 def _parse_run(run_text: str, universe: CandidateSet) -> Ranking | None:
     """Interpret one syntactic run against the candidate universe.
 
     Returns None when fewer than two distinct in-universe identifiers
     survive discarding and de-duplication.
     """
-    n = len(universe)
-    groups: list[list[str]] = []
-    current: list[str] = []
+    docs = universe.docs
+    n = len(docs)
+    groups: list[tuple[str, ...]] = []
     seen: set[int] = set()
-    for m in _TOKEN.finditer(run_text):
-        if m.group(2) is not None:
-            if m.group(2) == ">":
-                if current:
-                    groups.append(current)
-                current = []
-            continue
-        alias = int(m.group(1))
-        if not 1 <= alias <= n or alias in seen:
-            continue
-        seen.add(alias)
-        current.append(universe.docs[alias - 1].doc_id)
-    if current:
-        groups.append(current)
+    # Without whitespace the run reads "[a]>[b]=[c]...": drop the outer
+    # brackets and split at the separators.
+    for part in "".join(run_text.split())[1:-1].split("]>["):
+        group = []
+        for digits in part.split("]=["):
+            alias = _alias(digits)
+            if 1 <= alias <= n and alias not in seen:
+                seen.add(alias)
+                group.append(docs[alias - 1].doc_id)
+        if group:
+            groups.append(tuple(group))
     if len(seen) < 2:
         return None
-    return Ranking(groups=tuple(tuple(g) for g in groups))
+    return Ranking(groups=tuple(groups))
 
 
 def extract_rankings(text: str, universe: CandidateSet) -> list[RankingPatternMatch]:
@@ -82,15 +96,23 @@ def repair_ranking(ranking: Ranking, universe: CandidateSet) -> Ranking:
     return Ranking(groups=ranking.groups + tail)
 
 
-def parse_final_ranking(text: str, universe: CandidateSet) -> tuple[Ranking, float] | None:
+def parse_final_ranking(
+    text: str,
+    universe: CandidateSet,
+    matches: list[RankingPatternMatch] | None = None,
+) -> tuple[Ranking, float] | None:
     """Take the last ranking statement as the model's decision and repair it
     to a total ranking.
+
+    `matches` is `extract_rankings(text, universe)` when the caller has
+    already computed it; the text is scanned only when it is None.
 
     Returns (ranking, coverage) where coverage is the fraction of the
     universe the statement mentioned before repair, or None when the text
     contains no ranking statement at all.
     """
-    matches = extract_rankings(text, universe)
+    if matches is None:
+        matches = extract_rankings(text, universe)
     if not matches:
         return None
     last = matches[-1].ranking
@@ -120,7 +142,7 @@ def split_reasoning(
                 return reasoning, answer
     last_run = None
     for m in _RANKING_RUN.finditer(raw_text):
-        if len(_TOKEN.findall(m.group(0))) >= 3:  # two items plus a separator
+        if m.group(0).count("[") >= 2:  # two items, so a separator between them
             last_run = m
     if last_run is None:
         return raw_text, ""
@@ -137,6 +159,12 @@ def _char_class(c: str) -> str:
     return "other"
 
 
+# Every ASCII character mapped to the first letter of its _char_class.
+_ASCII_CLASS = str.maketrans({chr(i): _char_class(chr(i))[0] for i in range(128)})
+# A token starts wherever a non-whitespace class follows a different one.
+_TOKEN_STARTS = tuple(prev + cls for cls in "ado" for prev in "wado" if prev != cls)
+
+
 def count_tokens(text: str, endpoint_count: int | None = None) -> int:
     """Token length of a generation.
 
@@ -144,12 +172,16 @@ def count_tokens(text: str, endpoint_count: int | None = None) -> int:
     returns it verbatim; negative counts are corrupt and rejected.
     Otherwise approximates: the text is split at whitespace and at
     letter/digit/punctuation class boundaries, and the surviving runs are
-    counted. Deterministic, no model tokenizer involved.
+    counted. Deterministic, no model tokenizer involved. ASCII text takes a
+    fast path that counts the same runs from a string of class letters.
     """
     if endpoint_count is not None:
         if endpoint_count < 0:
             raise ValueError(f"endpoint-reported token count is negative: {endpoint_count}")
         return endpoint_count
+    if text.isascii():
+        classes = "w" + text.translate(_ASCII_CLASS)
+        return sum(map(classes.count, _TOKEN_STARTS))
     count = 0
     prev = "ws"
     for c in text:

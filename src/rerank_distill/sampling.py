@@ -26,7 +26,7 @@ import requests
 import yaml
 
 from .errors import BackendUnreachableError, ConfigError, MalformedResponseError, TransportError
-from .models import CandidateSet, Qrels, Query, SamplingConfig, TrajectorySample
+from .models import CandidateSet, Qrels, Query, Ranking, SamplingConfig, TrajectorySample
 from .parsing import DEFAULT_THINK_MARKERS, count_tokens, extract_rankings, parse_final_ranking, split_reasoning
 
 logger = logging.getLogger(__name__)
@@ -429,72 +429,57 @@ def sample_trajectories(
             f"all {config.k_samples} samples for query {query.id} failed after retries"
         )
 
-    samples = []
-    for sample_index, (kind, payload) in zip(indices, outcomes):
-        if kind == "ok":
-            assert isinstance(payload, GenerationResult)
-            samples.append(_parse_sample(query.id, sample_index, payload, candidates,
-                                          think_markers, token_mode, prompt_hash))
-        else:
-            samples.append(TrajectorySample(
-                query_id=query.id,
-                sample_index=sample_index,
-                raw_text="",
-                reasoning_text="",
-                final_ranking=None,
-                ranking_sequence=(),
-                token_len=0,
-                token_len_source="approximated",
-                valid=False,
-                error=str(payload),
-                prompt_hash=prompt_hash,
-            ))
-    return samples
+    return [
+        _parse_sample(query.id, sample_index, payload, candidates, think_markers, token_mode, prompt_hash)
+        for sample_index, (_kind, payload) in zip(indices, outcomes)
+    ]
 
 
 def _parse_sample(
     query_id: str,
     sample_index: int,
-    result: GenerationResult,
+    outcome: GenerationResult | str,
     candidates: CandidateSet,
     think_markers: tuple[str, str],
     token_mode: str,
     prompt_hash: str,
 ) -> TrajectorySample:
-    reasoning, _answer = split_reasoning(result.raw_text, think_markers)
-    sequence = tuple(m.ranking for m in extract_rankings(result.raw_text, candidates))
-    parsed = parse_final_ranking(result.raw_text, candidates)
-    if token_mode == "auto" and result.endpoint_token_count is not None:
-        token_len = count_tokens(result.raw_text, endpoint_count=result.endpoint_token_count)
-        source: Literal["endpoint-reported", "approximated"] = "endpoint-reported"
+    """Parse one generation, scanning it for ranking statements once.
+    `outcome` is the error message when the backend call failed."""
+    raw_text = reasoning = ""
+    sequence: tuple[Ranking, ...] = ()
+    final_ranking = coverage = None
+    token_len = 0
+    source: Literal["endpoint-reported", "approximated"] = "approximated"
+    error: str | None = None
+    if isinstance(outcome, str):
+        error = outcome
     else:
-        token_len = count_tokens(result.raw_text)
-        source = "approximated"
-    if parsed is None:
-        return TrajectorySample(
-            query_id=query_id,
-            sample_index=sample_index,
-            raw_text=result.raw_text,
-            reasoning_text=reasoning,
-            final_ranking=None,
-            ranking_sequence=sequence,
-            token_len=token_len,
-            token_len_source=source,
-            valid=False,
-            error="no parseable ranking in generation",
-            prompt_hash=prompt_hash,
-        )
-    final_ranking, coverage = parsed
+        raw_text = outcome.raw_text
+        reasoning, _answer = split_reasoning(raw_text, think_markers)
+        matches = extract_rankings(raw_text, candidates)
+        sequence = tuple(m.ranking for m in matches)
+        parsed = parse_final_ranking(raw_text, candidates, matches=matches)
+        if token_mode == "auto" and outcome.endpoint_token_count is not None:
+            token_len = count_tokens(raw_text, endpoint_count=outcome.endpoint_token_count)
+            source = "endpoint-reported"
+        else:
+            token_len = count_tokens(raw_text)
+        if parsed is None:
+            error = "no parseable ranking in generation"
+        else:
+            final_ranking, coverage = parsed
     return TrajectorySample(
         query_id=query_id,
         sample_index=sample_index,
-        raw_text=result.raw_text,
+        raw_text=raw_text,
         reasoning_text=reasoning,
         final_ranking=final_ranking,
         ranking_sequence=sequence,
         token_len=token_len,
         token_len_source=source,
-        valid=True,
+        valid=final_ranking is not None,
         coverage=coverage,
+        error=error,
         prompt_hash=prompt_hash,
     )

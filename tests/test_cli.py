@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +8,19 @@ from rerank_distill.cli import main
 from rerank_distill.io import read_report, read_samples
 
 from conftest import write_pipeline_workspace
+
+
+# sha256 of each output of run_pipeline(seed=77) over
+# write_pipeline_workspace(n_queries=5).
+GOLDEN_DIGESTS = {
+    "samples": "54ecf62f2df9e3156e9876be068376be4f952b913034100cb31ca0e2522999c9",
+    "scored": "f2277898df564653d0eea5717e40af32c7ad471ce720c2145890cfa3d57fdcbb",
+    "report": "4388d82e33c73f0ffffd9c0568278d2620df5f9648caab71b1241d68556c8faa",
+    "corpus": "ddcb2fda58ff78fb21070bac056d5c6463d559d44c7519d50426b1c390ce1df6",
+    "stats": "7d47a4f65b3459c999c1afa1e1091cdcd9b1fce015ec044bec5502e67151f0d7",
+    "redundancy": "05ac8dc40a5bad2db745b547413a4a4031b37a47427abe78a73073ec20a4ee6d",
+    "merged": "5c69071a4c821bdb28a048bb9d1eae45a3a60ee20ed9dee4365047d59088e502",
+}
 
 
 @pytest.fixture
@@ -188,3 +203,13 @@ class TestPipelineStages:
         assert main(["analyze-redundancy", "--samples", outs["scored"],
                      "--model-tag", "t", "--format", "csv", "--out", str(csv_out)]) == 0
         assert csv_out.read_text().splitlines()[0] == "model_tag,avg_trr,avg_mor"
+
+
+def test_golden_digests(tmp_path):
+    """Every stage output of a fixed mock run, pinned byte for byte. A
+    change that moves one of these digests changes the pipeline's output and
+    must say so."""
+    paths = write_pipeline_workspace(tmp_path, n_queries=5)
+    outs = run_pipeline(tmp_path, paths, tmp_path / "out", seed=77)
+    got = {name: hashlib.sha256(Path(path).read_bytes()).hexdigest() for name, path in outs.items()}
+    assert got == GOLDEN_DIGESTS

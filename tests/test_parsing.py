@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -54,8 +55,35 @@ class TestExtractRankings:
 
     def test_whitespace_variants(self):
         universe = make_universe(4)
-        for text in ("[1]>[2]", "[1] >[2]", "[1]\n> [2]", "[1]  =  [2]"):
+        for text in ("[1]>[2]", "[1] >[2]", "[1]\n> [2]", "[1]  =  [2]", "[1]\t=\u3000[2]", "[1]\x1c>\xa0[2]"):
             assert len(extract_rankings(text, universe)) == 1
+            assert extract_rankings(text, universe)[0].span == (0, len(text))
+
+    def test_tie_with_hallucinated_and_repeated_members(self):
+        matches = extract_rankings("[9] = [1] > [1] = [2]", make_universe(3))
+        assert matches[0].ranking.groups == (("1",), ("2",))
+        matches = extract_rankings("[9] = [1] > [1] = [2]", make_universe(9))
+        assert matches[0].ranking.groups == (("9", "1"), ("2",))
+
+    def test_tie_group_that_drops_entirely(self):
+        matches = extract_rankings("[1] > [98] = [99] = [1] > [2]", make_universe(3))
+        assert matches[0].ranking.groups == (("1",), ("2",))
+
+    def test_overlong_identifier_is_dropped(self):
+        # int() refuses strings past 4300 digits; such an id is out of range
+        matches = extract_rankings("[1] > [" + "9" * 5000 + "] > [2]", make_universe(5))
+        assert [m.ranking.groups for m in matches] == [(("1",), ("2",))]
+
+    def test_leading_zeros_are_aliases(self):
+        universe = make_universe(5)
+        for padded in ("0002", "0" * 5000 + "2", "\u0660" * 5000 + "2"):
+            matches = extract_rankings(f"[{padded}] > [1]", universe)
+            assert matches[0].ranking.groups == (("2",), ("1",))
+        assert extract_rankings("[" + "0" * 5000 + "] > [1]", universe) == []
+
+    def test_non_ascii_digits_are_aliases(self):
+        matches = extract_rankings("[\u0663] > [1]", make_universe(5))
+        assert matches[0].ranking.groups == (("3",), ("1",))
 
     def test_spans_are_ascending_and_non_overlapping(self):
         text = "[1] > [2] mid [3] > [1] = [2] tail [2] > [3]"
@@ -137,6 +165,45 @@ class TestCountTokens:
         assert count_tokens("a1b") == 3
         assert count_tokens("<think>ok</think>") == 7
 
+    def test_class_rule_outside_plain_ascii(self):
+        assert count_tokens("a\x1cb") == 2  # \x1c-\x1f are whitespace to str.isspace
+        assert count_tokens("x\x1f\x1d9") == 2
+        assert count_tokens("2\xb2") == 1  # superscript two is a digit, though not a decimal
+        assert count_tokens("x\xb2") == 2
+        assert count_tokens("a\u3000b") == 2
+        assert count_tokens("7\u0663 [\u0663]") == 4
+        assert count_tokens("caf\xe9 42") == 2
+
+
+def _char_class_tokens(text: str) -> int:
+    """Reference token count: a token starts at each non-whitespace
+    character whose class (whitespace, letter, digit, other, as the str
+    predicates decide) differs from the previous character's."""
+    def cls(c):
+        return "ws" if c.isspace() else "alpha" if c.isalpha() else "digit" if c.isdigit() else "other"
+
+    classes = ["ws"] + [cls(c) for c in text]
+    return sum(1 for prev, cur in zip(classes, classes[1:]) if cur != "ws" and cur != prev)
+
+
+def _reference_parse_run(run_text, universe):
+    """Token-by-token reading of one ranking run, kept as the reference
+    for the parser."""
+    groups, current, seen = [], [], set()
+    for m in re.finditer(r"\[(\d+)\]|([>=])", run_text):
+        if m.group(2) == ">":
+            if current:
+                groups.append(tuple(current))
+            current = []
+        elif m.group(1) is not None:
+            alias = int(m.group(1))
+            if 1 <= alias <= len(universe) and alias not in seen:
+                seen.add(alias)
+                current.append(universe.docs[alias - 1].doc_id)
+    if current:
+        groups.append(tuple(current))
+    return groups if len(seen) >= 2 else None
+
 
 class TestProperties:
     @settings(max_examples=200)
@@ -166,6 +233,34 @@ class TestProperties:
             ranking, coverage = result
             assert sorted(ranking.flatten()) == sorted(universe.doc_ids)
             assert 0 < coverage <= 1
+
+    @settings(max_examples=500)
+    @given(st.one_of(st.text(), st.text(alphabet=st.characters(max_codepoint=127))))
+    def test_count_tokens_matches_char_class_rule(self, text):
+        assert count_tokens(text) == _char_class_tokens(text)
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.lists(
+            st.tuples(
+                st.sampled_from([">", "=", " > ", " = ", "\n>\t", "\u3000=\x1c"]),
+                st.one_of(st.integers(min_value=0, max_value=15).map(str),
+                          st.sampled_from(["007", "\u0663", "00", "99999999999999999999"])),
+            ),
+            min_size=1, max_size=16,
+        ),
+    )
+    def test_parse_matches_token_reference(self, n, items):
+        universe = make_universe(n)
+        text = "".join(f"{sep}[{digits}]" for sep, digits in items)[len(items[0][0]):]
+        matches = extract_rankings(text, universe)
+        expected = _reference_parse_run(text, universe)
+        if expected is None:
+            assert matches == []
+        else:
+            assert [m.ranking.groups for m in matches] == [tuple(expected)]
+            assert matches[0].span == (0, len(text))
 
     @settings(max_examples=100)
     @given(st.text(alphabet=st.sampled_from(list("[]>=12345 ab\n")), max_size=80))

@@ -13,7 +13,8 @@ from rerank_distill.errors import (
     TransportError,
 )
 from rerank_distill.metrics import ndcg_at_k
-from rerank_distill.models import SamplingConfig
+from rerank_distill import parsing, sampling
+from rerank_distill.models import Ranking, SamplingConfig, TrajectorySample
 from rerank_distill.sampling import (
     GenerationBackend,
     GenerationRequest,
@@ -176,6 +177,49 @@ class TestSampleTrajectories:
         samples = sample_trajectories(make_query(), make_universe(3),
                                       config(k_samples=6, max_in_flight=6), Jittery())
         assert [s.sample_index for s in samples] == [1, 2, 3, 4, 5, 6]
+
+    def test_failed_and_unparseable_samples(self):
+        class Mixed(GenerationBackend):
+            def generate(self, request):
+                if request.sample_index == 1:
+                    raise TransportError("endpoint timed out")
+                if request.sample_index == 2:
+                    return GenerationResult("no ranking here [2]", None, "stop", 0)
+                return GenerationResult("[2] > [1]", 9, "stop", 0)
+
+        failed, unparsed, ok = sample_trajectories(make_query(), make_universe(3), config(), Mixed())
+        prompt_hash = failed.prompt_hash
+        assert prompt_hash
+        assert failed == TrajectorySample(
+            query_id="q1", sample_index=1, raw_text="", reasoning_text="", final_ranking=None,
+            ranking_sequence=(), token_len=0, token_len_source="approximated", valid=False,
+            error="endpoint timed out", prompt_hash=prompt_hash)
+        assert unparsed == TrajectorySample(
+            query_id="q1", sample_index=2, raw_text="no ranking here [2]",
+            reasoning_text="no ranking here [2]", final_ranking=None, ranking_sequence=(),
+            token_len=6, token_len_source="approximated", valid=False,
+            error="no parseable ranking in generation", prompt_hash=prompt_hash)
+        assert ok == TrajectorySample(
+            query_id="q1", sample_index=3, raw_text="[2] > [1]", reasoning_text="",
+            final_ranking=Ranking(groups=(("2",), ("1",), ("3",))),
+            ranking_sequence=(Ranking(groups=(("2",), ("1",))),), token_len=9,
+            token_len_source="endpoint-reported", valid=True, coverage=2 / 3,
+            prompt_hash=prompt_hash)
+
+    def test_one_ranking_scan_per_generation(self, monkeypatch):
+        calls = []
+        original = parsing.extract_rankings
+
+        def counting(text, universe):
+            calls.append(text)
+            return original(text, universe)
+
+        monkeypatch.setattr(sampling, "extract_rankings", counting)
+        monkeypatch.setattr(parsing, "extract_rankings", counting)
+        profile = MockProfile(modes=(MockMode(restatements=2, revert_loops=1),))
+        samples = sample_trajectories(make_query(), make_universe(5), config(k_samples=4), MockBackend(profile))
+        assert all(s.valid for s in samples)
+        assert calls == [s.raw_text for s in samples]
 
     def test_prompt_hash_attached(self):
         samples = sample_trajectories(make_query(), make_universe(3), config(), MockBackend())
