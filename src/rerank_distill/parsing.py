@@ -150,18 +150,30 @@ def split_reasoning(
 
 
 def _char_class(c: str) -> str:
+    """One letter per token class: whitespace, alpha, digit or other."""
     if c.isspace():
-        return "ws"
+        return "w"
     if c.isalpha():
-        return "alpha"
+        return "a"
     if c.isdigit():
-        return "digit"
-    return "other"
+        return "d"
+    return "o"
 
 
-# Every ASCII character mapped to the first letter of its _char_class.
-_ASCII_CLASS = str.maketrans({chr(i): _char_class(chr(i))[0] for i in range(128)})
+class _ClassTable(dict):
+    """Code point -> `_char_class` letter, for `str.translate`. Each code
+    point is classified the first time a text contains it, so the table
+    holds only code points already seen."""
+
+    def __missing__(self, code_point: int) -> str:
+        cls = self[code_point] = _char_class(chr(code_point))
+        return cls
+
+
+_CLASS_TABLE = _ClassTable()
 # A token starts wherever a non-whitespace class follows a different one.
+# Each pair has two different letters, so its occurrences never overlap
+# and str.count finds every one.
 _TOKEN_STARTS = tuple(prev + cls for cls in "ado" for prev in "wado" if prev != cls)
 
 
@@ -172,24 +184,15 @@ def count_tokens(text: str, endpoint_count: int | None = None) -> int:
     returns it verbatim; negative counts are corrupt and rejected.
     Otherwise approximates: the text is split at whitespace and at
     letter/digit/punctuation class boundaries, and the surviving runs are
-    counted. Deterministic, no model tokenizer involved. ASCII text takes a
-    fast path that counts the same runs from a string of class letters.
+    counted. Deterministic, no model tokenizer involved. The runs are
+    counted as class changes in the text's string of class letters.
     """
     if endpoint_count is not None:
         if endpoint_count < 0:
             raise ValueError(f"endpoint-reported token count is negative: {endpoint_count}")
         return endpoint_count
-    if text.isascii():
-        classes = "w" + text.translate(_ASCII_CLASS)
-        return sum(map(classes.count, _TOKEN_STARTS))
-    count = 0
-    prev = "ws"
-    for c in text:
-        cls = _char_class(c)
-        if cls != "ws" and cls != prev:
-            count += 1
-        prev = cls
-    return count
+    classes = "w" + text.translate(_CLASS_TABLE)
+    return sum(map(classes.count, _TOKEN_STARTS))
 
 
 def render_ranking(ranking: Ranking, universe: CandidateSet) -> str:
