@@ -73,7 +73,7 @@ def _load_candidates(args, config: PipelineConfig) -> dict[str, rio.CandidateSet
         raise ConfigError("no passage corpus given (use --corpus or paths.corpus in the config)")
     run = rio.read_run(run_path, depth=args.depth)
     texts = rio.read_corpus_texts(corpus_path)
-    return rio.candidates_from_run(run, texts, retriever_tag=args.retriever_tag)
+    return rio.candidates_from_run(run, texts)
 
 
 def cmd_sample(args) -> int:
@@ -166,7 +166,7 @@ def cmd_build_corpus(args) -> int:
         per_query[qid] = (queries[qid], candidates[qid], qsamples)
 
     records, stats, retention_rate = build_corpus(per_query)
-    rio.write_sft_corpus(records, template, args.out, allow_empty=args.allow_empty or not records)
+    rio.write_sft_corpus(records, template, args.out)
     stats_out = args.stats or str(Path(args.out).with_suffix(".stats.json"))
     rio.write_report(rio.filter_stats_report(stats, retention_rate), stats_out, format="json")
     print(f"corpus: {len(records)} records from {len(per_query)} queries "
@@ -271,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--qrels", default=None, help="lets the mock backend target grade-aware orderings")
     p.add_argument("--template", default=None, help="prompt template path (default: packaged)")
-    p.add_argument("--retriever-tag", default="firststage")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("evaluate", help="score samples against qrels and emit an eval report")
@@ -292,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="SFT corpus JSONL to write")
     p.add_argument("--stats", default=None, help="filter stats JSON (default: <out>.stats.json)")
     p.add_argument("--template", default=None)
-    p.add_argument("--allow-empty", action="store_true")
-    p.add_argument("--retriever-tag", default="firststage")
     p.set_defaults(func=cmd_build_corpus)
 
     p = sub.add_parser("analyze-redundancy", help="per-sample TRR/MOR plus model averages")

@@ -64,10 +64,12 @@ class PipelineConfig:
                 raise ConfigError(f"configured path {key!r} does not exist: {path}")
 
     def sampling_config(self, profile: str, seed: int | None = None) -> SamplingConfig:
+        """The named profile's settings over the built-in ones of the same
+        name; a profile of another name starts from distill's."""
         if profile not in self.profiles:
             raise ConfigError(f"unknown sampling profile {profile!r}; have {sorted(self.profiles)}")
-        settings = dict(DEFAULT_PROFILES.get(profile, DEFAULT_PROFILES["distill"]))
-        settings.update(self.profiles[profile])
+        settings = {**DEFAULT_PROFILES.get(profile, DEFAULT_PROFILES["distill"]),
+                    **_mapping(self.profiles[profile], f"sampling profile {profile!r}")}
         try:
             return SamplingConfig(
                 endpoint_url=self.endpoint.url,
@@ -77,6 +79,15 @@ class PipelineConfig:
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid sampling profile {profile!r}: {exc}") from None
+
+
+def _mapping(value: object, what: str) -> Mapping:
+    """A config section; a missing or null one is empty."""
+    if value is None:
+        return {}
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{what} must be a mapping, got {type(value).__name__}")
+    return value
 
 
 def _interpolate(value: object) -> object:
@@ -116,29 +127,24 @@ def load_config(path: str | None) -> PipelineConfig:
     raw = _interpolate(raw)
 
     try:
-        endpoint = EndpointSettings(**raw.get("endpoint", {}))
+        endpoint = EndpointSettings(**_mapping(raw.get("endpoint"), "endpoint section"))
     except TypeError as exc:
         raise ConfigError(f"invalid endpoint section: {exc}") from None
-    profiles = dict(DEFAULT_PROFILES)
-    for name, settings in (raw.get("profiles") or {}).items():
-        merged = dict(profiles.get(name, {}))
-        merged.update(settings or {})
-        profiles[name] = merged
     markers = raw.get("think_markers", list(DEFAULT_THINK_MARKERS))
     if not isinstance(markers, (list, tuple)) or len(markers) != 2:
         raise ConfigError("think_markers must be an [open, close] pair")
     try:
-        mock = _mock_profile(raw.get("mock", {}))
+        mock = _mock_profile(_mapping(raw.get("mock"), "mock section"))
     except TypeError as exc:
         raise ConfigError(f"invalid mock section: {exc}") from None
 
     return PipelineConfig(
         endpoint=endpoint,
-        profiles=profiles,
+        profiles={**DEFAULT_PROFILES, **_mapping(raw.get("profiles"), "profiles section")},
         prompt_template=raw.get("prompt_template"),
         tokenizer_mode=raw.get("tokenizer_mode", "auto"),
         think_markers=(str(markers[0]), str(markers[1])),
-        paths=dict(raw.get("paths") or {}),
+        paths=dict(_mapping(raw.get("paths"), "paths section")),
         mock=mock,
         seed=raw.get("seed"),
     )

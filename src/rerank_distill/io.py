@@ -12,7 +12,7 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError, ParseError
@@ -34,6 +34,8 @@ logger = logging.getLogger(__name__)
 SAMPLES_SCHEMA_VERSION = 1
 SFT_FORMAT = "sft-chat-messages"
 SFT_VERSION = 1
+# A sample-store record is these fields plus schema_version.
+SAMPLE_FIELDS = tuple(f.name for f in fields(TrajectorySample))
 
 
 @dataclass(frozen=True)
@@ -162,11 +164,7 @@ def read_corpus_texts(path: str) -> dict[str, str]:
     return texts
 
 
-def candidates_from_run(
-    run: Mapping[str, Sequence[str]],
-    texts: Mapping[str, str],
-    retriever_tag: str = "firststage",
-) -> dict[str, CandidateSet]:
+def candidates_from_run(run: Mapping[str, Sequence[str]], texts: Mapping[str, str]) -> dict[str, CandidateSet]:
     """Join a run's doc lists with passage texts into CandidateSets."""
     out: dict[str, CandidateSet] = {}
     for qid in sorted(run):
@@ -175,7 +173,7 @@ def candidates_from_run(
             if doc_id not in texts:
                 raise ConfigError(f"passage text for doc {doc_id!r} (query {qid!r}) not found in corpus file")
             docs.append(CandidateDoc(doc_id=doc_id, text=texts[doc_id]))
-        out[qid] = CandidateSet(query_id=qid, docs=tuple(docs), retriever_tag=retriever_tag)
+        out[qid] = CandidateSet(query_id=qid, docs=tuple(docs))
     return out
 
 
@@ -195,22 +193,10 @@ def write_samples(samples: Sequence[TrajectorySample], path: str) -> None:
     """One JSON object per line; an empty sample list yields an empty file."""
     with open(path, "w", encoding="utf-8") as fh:
         for sample in samples:
-            record = {
-                "schema_version": SAMPLES_SCHEMA_VERSION,
-                "query_id": sample.query_id,
-                "sample_index": sample.sample_index,
-                "raw_text": sample.raw_text,
-                "reasoning_text": sample.reasoning_text,
-                "final_ranking": _ranking_to_lists(sample.final_ranking),
-                "ranking_sequence": [_ranking_to_lists(r) for r in sample.ranking_sequence],
-                "token_len": sample.token_len,
-                "token_len_source": sample.token_len_source,
-                "score": sample.score,
-                "valid": sample.valid,
-                "coverage": sample.coverage,
-                "error": sample.error,
-                "prompt_hash": sample.prompt_hash,
-            }
+            record = {name: getattr(sample, name) for name in SAMPLE_FIELDS}
+            record["final_ranking"] = _ranking_to_lists(sample.final_ranking)
+            record["ranking_sequence"] = [_ranking_to_lists(r) for r in sample.ranking_sequence]
+            record["schema_version"] = SAMPLES_SCHEMA_VERSION
             fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
 
 
@@ -231,24 +217,11 @@ def read_samples(path: str) -> list[TrajectorySample]:
                     path, line_no,
                 )
             try:
-                samples.append(TrajectorySample(
-                    query_id=record["query_id"],
-                    sample_index=record["sample_index"],
-                    raw_text=record["raw_text"],
-                    reasoning_text=record["reasoning_text"],
-                    final_ranking=(
-                        _ranking_from_lists(record["final_ranking"])
-                        if record["final_ranking"] is not None else None
-                    ),
-                    ranking_sequence=tuple(_ranking_from_lists(g) for g in record["ranking_sequence"]),
-                    token_len=record["token_len"],
-                    token_len_source=record["token_len_source"],
-                    score=record["score"],
-                    valid=record["valid"],
-                    coverage=record["coverage"],
-                    error=record["error"],
-                    prompt_hash=record["prompt_hash"],
-                ))
+                values = {name: record[name] for name in SAMPLE_FIELDS}
+                if values["final_ranking"] is not None:
+                    values["final_ranking"] = _ranking_from_lists(values["final_ranking"])
+                values["ranking_sequence"] = tuple(_ranking_from_lists(g) for g in values["ranking_sequence"])
+                samples.append(TrajectorySample(**values))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"invalid sample record: {exc}", path, line_no) from None
     return samples
@@ -256,21 +229,15 @@ def read_samples(path: str) -> list[TrajectorySample]:
 
 # --- SFT corpus -----------------------------------------------------------------
 
-def write_sft_corpus(
-    corpus: Sequence[DistillationRecord],
-    template: PromptTemplate,
-    path: str,
-    allow_empty: bool = False,
-) -> None:
+def write_sft_corpus(corpus: Sequence[DistillationRecord], template: PromptTemplate, path: str) -> None:
     """One chat-schema JSON object per record: the system+user prompt the
     target was sampled under, plus the target text as the assistant turn.
 
-    The first line is a version header. Records whose stored prompt hash
-    does not match the prompt rebuilt from `template` are rejected: that
-    corpus would pair targets with prompts the teacher never saw.
+    The first line is a version header; an empty corpus is that line alone.
+    Records whose stored prompt hash does not match the prompt rebuilt from
+    `template` are rejected: that corpus would pair targets with prompts the
+    teacher never saw.
     """
-    if not corpus and not allow_empty:
-        raise ValueError("refusing to write an empty corpus (pass allow_empty to override)")
     header = {"format": SFT_FORMAT, "version": SFT_VERSION, "template": template.name}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True, ensure_ascii=False) + "\n")

@@ -12,7 +12,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import replace
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .models import (
     EvalReport,
@@ -107,22 +107,13 @@ def length_normalized_nll(batch: Sequence[Sequence[float]]) -> float:
     return -total / len(batch)
 
 
-def attach_scores(
-    samples: Sequence[TrajectorySample],
-    qrels: Qrels,
-    metric: Callable[[Ranking, Qrels, str], float] | None = None,
-) -> list[TrajectorySample]:
-    """Score every valid sample's final ranking; invalid samples pass through.
-
-    The metric defaults to nDCG@10 but is injectable so cutoff or metric
-    variants can be studied without touching the filter.
-    """
-    if metric is None:
-        metric = ndcg_at_k
+def attach_scores(samples: Sequence[TrajectorySample], qrels: Qrels) -> list[TrajectorySample]:
+    """Score every valid sample's final ranking with nDCG@10; invalid
+    samples pass through."""
     scored = []
     for sample in samples:
         if sample.valid and sample.final_ranking is not None:
-            value = metric(sample.final_ranking, qrels, sample.query_id)
+            value = ndcg_at_k(sample.final_ranking, qrels, sample.query_id)
             scored.append(replace(sample, score=value))
         else:
             scored.append(sample)

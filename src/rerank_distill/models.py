@@ -48,7 +48,6 @@ class CandidateSet:
 
     query_id: str
     docs: tuple[CandidateDoc, ...]
-    retriever_tag: str = ""
 
     def __post_init__(self) -> None:
         if len(self.docs) < 1:

@@ -106,6 +106,21 @@ class TestPipelineStages:
         assert code == 1
         assert "k_samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, message", [
+        ("profiles: {distill: [1, 2]}", "sampling profile 'distill' must be a mapping, got list"),
+        ("profiles: [1, 2]", "profiles section must be a mapping, got list"),
+        ("mock: x", "mock section must be a mapping, got str"),
+        ("paths: [1, 2]", "paths section must be a mapping, got list"),
+    ])
+    def test_non_mapping_config_section_is_config_error(self, workspace, capsys, section, message):
+        tmp_path, paths = workspace
+        (tmp_path / "bad.yaml").write_text(section + "\n")
+        code = main(["sample", "--topics", paths["topics"], "--run-file", paths["run"],
+                     "--corpus", paths["corpus"], "--config", str(tmp_path / "bad.yaml"),
+                     "--out", str(tmp_path / "s.jsonl")])
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_missing_required_flag_is_exit_1(self, workspace, capsys):
         code = main(["sample", "--topics", "t.tsv"])
         assert code == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import random
@@ -158,13 +159,12 @@ class TestTopicsAndCorpus:
         p = tmp_path / "corpus.tsv"
         p.write_text("dA\tfirst passage\ndB\tsecond passage\n")
         texts = read_corpus_texts(str(p))
-        sets = candidates_from_run({"q1": ["dB", "dA"]}, texts, retriever_tag="bm25")
+        sets = candidates_from_run({"q1": ["dB", "dA"]}, texts)
         assert sets["q1"].doc_ids == ("dB", "dA")
-        assert sets["q1"].retriever_tag == "bm25"
 
     def test_missing_passage_text_rejected(self):
         with pytest.raises(ConfigError, match="dX"):
-            candidates_from_run({"q1": ["dX"]}, {}, retriever_tag="t")
+            candidates_from_run({"q1": ["dX"]}, {})
 
 
 def make_sample(idx, **overrides):
@@ -211,6 +211,31 @@ class TestSamples:
         p.write_text(json.dumps(record) + "\n")
         with pytest.raises(ParseError, match="schema version mismatch"):
             read_samples(str(p))
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(TrajectorySample)])
+    def test_missing_field_names_the_line(self, tmp_path, name):
+        p = tmp_path / "samples.jsonl"
+        write_samples([make_sample(1), make_sample(2)], str(p))
+        first, second = p.read_text().splitlines()
+        record = json.loads(second)
+        del record[name]
+        p.write_text(first + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(ParseError, match=rf":2: invalid sample record: '{name}'"):
+            read_samples(str(p))
+
+    def test_unknown_key_is_ignored(self, tmp_path):
+        p = tmp_path / "samples.jsonl"
+        write_samples([make_sample(1)], str(p))
+        record = json.loads(p.read_text())
+        record["finish_reason"] = "stop"
+        p.write_text(json.dumps(record) + "\n")
+        assert read_samples(str(p)) == [make_sample(1)]
+
+    def test_record_is_the_sample_fields_plus_schema_version(self, tmp_path):
+        p = tmp_path / "samples.jsonl"
+        write_samples([make_sample(1)], str(p))
+        names = {f.name for f in dataclasses.fields(TrajectorySample)}
+        assert set(json.loads(p.read_text())) == names | {"schema_version"}
 
     def test_writer_is_deterministic(self, tmp_path):
         samples = [make_sample(1), make_sample(2)]
@@ -259,13 +284,12 @@ class TestSftCorpus:
         assert body["messages"][2]["content"] == "reasoned [1] > [2]"
         assert len(lines) == 2
 
-    def test_empty_corpus_needs_flag(self, tmp_path):
+    def test_empty_corpus_writes_the_header_only(self, tmp_path):
         _, template = self._record()
         p = tmp_path / "corpus.jsonl"
-        with pytest.raises(ValueError, match="empty corpus"):
-            write_sft_corpus([], template, str(p))
-        write_sft_corpus([], template, str(p), allow_empty=True)
-        assert len(p.read_text().splitlines()) == 1  # header only
+        write_sft_corpus([], template, str(p))
+        assert [json.loads(line) for line in p.read_text().splitlines()] == [
+            {"format": "sft-chat-messages", "template": template.name, "version": 1}]
 
     def test_template_mismatch_rejected(self, tmp_path):
         record, template = self._record()

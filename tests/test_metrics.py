@@ -228,3 +228,17 @@ class TestAttachScores:
         scored = attach_scores([valid, invalid], qrels)
         assert scored[0].score == 1.0
         assert scored[1].score is None
+
+    def test_metric_is_looked_up_at_call_time(self, monkeypatch):
+        # The benchmark's traced run wraps metrics.ndcg_at_k in place; a
+        # default argument bound at import would bypass the wrapper.
+        from rerank_distill import metrics
+        from rerank_distill.models import TrajectorySample
+        calls = []
+        monkeypatch.setattr(metrics, "ndcg_at_k", lambda ranking, qrels, qid: calls.append(qid) or 0.5)
+        sample = TrajectorySample(
+            query_id="q1", sample_index=1, raw_text="[1] > [2]", reasoning_text="",
+            final_ranking=strict_ranking(["1", "2"]), ranking_sequence=(),
+            token_len=3, token_len_source="approximated")
+        assert attach_scores([sample], Qrels(judgments={}))[0].score == 0.5
+        assert calls == ["q1"]

@@ -206,6 +206,21 @@ class TestSampleTrajectories:
             token_len_source="endpoint-reported", valid=True, coverage=2 / 3,
             prompt_hash=prompt_hash)
 
+    def test_approximate_mode_ignores_the_endpoint_count(self):
+        class Reported(GenerationBackend):
+            def generate(self, request):
+                return GenerationResult("[2] > [1]", 9, "stop", 0)
+
+        [sample] = sample_trajectories(make_query(), make_universe(3), config(k_samples=1), Reported(),
+                                       token_mode="approximate")
+        assert parsing.count_tokens("[2] > [1]") != 9
+        assert sample == TrajectorySample(
+            query_id="q1", sample_index=1, raw_text="[2] > [1]", reasoning_text="",
+            final_ranking=Ranking(groups=(("2",), ("1",), ("3",))),
+            ranking_sequence=(Ranking(groups=(("2",), ("1",))),),
+            token_len=parsing.count_tokens("[2] > [1]"), token_len_source="approximated",
+            valid=True, coverage=2 / 3, prompt_hash=sample.prompt_hash)
+
     def test_one_ranking_scan_per_generation(self, monkeypatch):
         calls = []
         original = parsing.extract_rankings
