@@ -15,6 +15,7 @@ import argparse
 import logging
 import sys
 from collections import defaultdict
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import io as rio
@@ -88,14 +89,17 @@ def cmd_sample(args) -> int:
     if missing:
         raise ConfigError(f"run file contains queries absent from the topics file: {missing}")
 
-    all_samples = []
-    failed_queries = []
-    for i, qid in enumerate(sorted(candidates), start=1):
-        cand = candidates[qid]
-        if len(cand) < args.depth:
-            logger.warning("query %s has only %d candidates (requested depth %d)", qid, len(cand), args.depth)
-        try:
-            samples = sample_trajectories(
+    # One worker per query in flight, each sending its K requests in turn;
+    # results are read in submission order, so the store stays in query order.
+    pool = ThreadPoolExecutor(max_workers=sampling_config.max_in_flight)
+    try:
+        futures = {}
+        for qid in sorted(candidates):
+            cand = candidates[qid]
+            if len(cand) < args.depth:
+                logger.warning("query %s has only %d candidates (requested depth %d)", qid, len(cand), args.depth)
+            futures[qid] = pool.submit(
+                sample_trajectories,
                 queries[qid],
                 cand,
                 sampling_config,
@@ -104,13 +108,21 @@ def cmd_sample(args) -> int:
                 think_markers=config.think_markers,
                 token_mode=config.tokenizer_mode,
             )
-        except BackendUnreachableError as exc:
-            logger.error("query %s failed: %s", qid, exc)
-            failed_queries.append(qid)
-            continue
-        all_samples.extend(samples)
-        logger.info("sampled query %s (%d/%d): %d/%d valid",
-                    qid, i, len(candidates), sum(s.valid for s in samples), len(samples))
+        all_samples = []
+        failed_queries = []
+        for i, (qid, future) in enumerate(futures.items(), start=1):
+            try:
+                samples = future.result()
+            except BackendUnreachableError as exc:
+                logger.error("query %s failed: %s", qid, exc)
+                failed_queries.append(qid)
+                continue
+            all_samples.extend(samples)
+            logger.info("sampled query %s (%d/%d): %d/%d valid",
+                        qid, i, len(candidates), sum(s.valid for s in samples), len(samples))
+    finally:
+        # An exception above leaves queued queries unsent.
+        pool.shutdown(cancel_futures=True)
 
     rio.write_samples(all_samples, args.out)
     print(f"wrote {len(all_samples)} samples for {len(candidates) - len(failed_queries)} queries to {args.out}")

@@ -12,7 +12,7 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError, ParseError
@@ -36,21 +36,6 @@ SFT_FORMAT = "sft-chat-messages"
 SFT_VERSION = 1
 # A sample-store record is these fields plus schema_version.
 SAMPLE_FIELDS = tuple(f.name for f in fields(TrajectorySample))
-
-
-@dataclass(frozen=True)
-class RunEntry:
-    """One TREC run line: a retrieved doc with its rank and score."""
-
-    query_id: str
-    doc_id: str
-    rank: int
-    score: float
-    tag: str
-
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError("rank is 1-based and must be >= 1")
 
 
 # --- TREC qrels ---------------------------------------------------------------
@@ -93,7 +78,7 @@ def read_run(path: str, depth: int) -> dict[str, list[str]]:
     sorted by rank and truncated to `depth`."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    entries: dict[str, list[RunEntry]] = {}
+    entries: dict[str, list[tuple[int, float, str]]] = {}
     seen: set[tuple[str, str]] = set()
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -102,7 +87,7 @@ def read_run(path: str, depth: int) -> dict[str, list[str]]:
             parts = line.split()
             if len(parts) != 6:
                 raise ParseError(f"expected 6 fields, got {len(parts)}", path, line_no)
-            qid, _, doc_id, rank_text, score_text, tag = parts
+            qid, _, doc_id, rank_text, score_text, _ = parts
             if (qid, doc_id) in seen:
                 raise ParseError(f"duplicate doc {doc_id!r} for query {qid!r}", path, line_no)
             seen.add((qid, doc_id))
@@ -111,17 +96,19 @@ def read_run(path: str, depth: int) -> dict[str, list[str]]:
                 score = float(score_text)
             except ValueError:
                 raise ParseError(f"non-numeric rank/score {rank_text!r}/{score_text!r}", path, line_no) from None
-            entries.setdefault(qid, []).append(RunEntry(qid, doc_id, rank, score, tag))
+            if rank < 1:
+                raise ParseError(f"rank is 1-based and must be >= 1, got {rank}", path, line_no)
+            entries.setdefault(qid, []).append((rank, score, doc_id))
     result: dict[str, list[str]] = {}
     for qid in sorted(entries):
-        ordered = sorted(entries[qid], key=lambda e: e.rank)
-        ranks = [e.rank for e in ordered]
+        ordered = sorted(entries[qid], key=lambda e: e[0])
+        ranks = [rank for rank, _, _ in ordered]
         if ranks != list(range(1, len(ranks) + 1)):
             logger.warning("%s: query %s ranks are not contiguous 1..%d", path, qid, len(ranks))
-        scores = [e.score for e in ordered]
+        scores = [score for _, score, _ in ordered]
         if any(a <= b for a, b in zip(scores, scores[1:])):
             logger.warning("%s: query %s scores are not strictly descending", path, qid)
-        result[qid] = [e.doc_id for e in ordered[:depth]]
+        result[qid] = [doc_id for _, _, doc_id in ordered[:depth]]
     return result
 
 
@@ -210,6 +197,8 @@ def read_samples(path: str) -> list[TrajectorySample]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"corrupted sample record: {exc.msg}", path, line_no) from None
+            if not isinstance(record, dict):
+                raise ParseError("invalid sample record: not a JSON object", path, line_no)
             version = record.get("schema_version")
             if version != SAMPLES_SCHEMA_VERSION:
                 raise ParseError(

@@ -170,6 +170,8 @@ class _ClassTable(dict):
         return cls
 
 
+# Shared by sampling worker threads: a store only ever writes the same
+# letter for the same code point, and a dict store is atomic.
 _CLASS_TABLE = _ClassTable()
 # A token starts wherever a non-whitespace class follows a different one.
 # Each pair has two different letters, so its occurrences never overlap

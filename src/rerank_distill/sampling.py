@@ -2,10 +2,10 @@
 
 Two interchangeable generation backends: an HTTP client speaking the
 chat-completions wire protocol, and a deterministic mock for tests and
-offline pipeline runs. `sample_trajectories` draws K generations per query
-under a bounded-concurrency contract and parses each one into a
-TrajectorySample; output order is always sample_index order, regardless of
-completion order.
+offline pipeline runs. `sample_trajectories` draws a query's K generations
+one after another and parses each one into a TrajectorySample as it returns,
+in sample_index order. It starts no threads: the `sample` stage decides how
+many queries are sampled at once.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import os
 import random
 import time
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Literal, Mapping, Sequence
@@ -388,17 +387,19 @@ def sample_trajectories(
     think_markers: tuple[str, str] = DEFAULT_THINK_MARKERS,
     token_mode: Literal["auto", "approximate"] = "auto",
 ) -> list[TrajectorySample]:
-    """Draw K stochastic trajectories for one query and parse each one.
+    """Draw K stochastic trajectories for one query, one request at a time,
+    and parse each generation as soon as it returns.
 
-    At most `config.max_in_flight` requests are outstanding at any instant.
     Individual failures become invalid samples carrying the error string;
-    only a query where every sample fails at the transport level raises.
+    only a query where every sample fails at the transport level raises
+    BackendUnreachableError. Any other exception from the backend propagates.
     """
     template = template or default_template()
     messages = tuple(build_prompt(query, candidates, template))
     prompt_hash = hash_messages(messages)
-
-    def run_one(sample_index: int) -> tuple[str, GenerationResult | str]:
+    samples = []
+    transport_failures = 0
+    for sample_index in range(1, config.k_samples + 1):
         request = GenerationRequest(
             query_id=query.id,
             sample_index=sample_index,
@@ -411,28 +412,24 @@ def sample_trajectories(
             seed=config.seed,
         )
         try:
-            return "ok", backend.generate(request)
+            outcome: GenerationResult | str = backend.generate(request)
         except TransportError as exc:
             logger.error("query %s sample %d: transport failure: %s", query.id, sample_index, exc)
-            return "transport", str(exc)
+            outcome = str(exc)
+            transport_failures += 1
         except MalformedResponseError as exc:
             logger.error("query %s sample %d: malformed response: %s", query.id, sample_index, exc)
-            return "malformed", str(exc)
+            outcome = str(exc)
+        samples.append(
+            _parse_sample(query.id, sample_index, outcome, candidates, think_markers, token_mode, prompt_hash)
+        )
 
-    indices = range(1, config.k_samples + 1)
-    with ThreadPoolExecutor(max_workers=config.max_in_flight) as executor:
-        outcomes = list(executor.map(run_one, indices))
-
-    if all(kind == "transport" for kind, _ in outcomes):
+    if transport_failures == config.k_samples:
         raise BackendUnreachableError(
             f"endpoint {config.endpoint_url or type(backend).__name__} unreachable: "
             f"all {config.k_samples} samples for query {query.id} failed after retries"
         )
-
-    return [
-        _parse_sample(query.id, sample_index, payload, candidates, think_markers, token_mode, prompt_hash)
-        for sample_index, (_kind, payload) in zip(indices, outcomes)
-    ]
+    return samples
 
 
 def _parse_sample(

@@ -1,13 +1,18 @@
 import hashlib
 import json
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
+from rerank_distill import cli
 from rerank_distill.cli import main
+from rerank_distill.errors import TransportError
 from rerank_distill.io import read_report, read_samples
+from rerank_distill.sampling import GenerationBackend
 
-from conftest import write_pipeline_workspace
+from conftest import MIXED_MODES_YAML, write_pipeline_workspace
 
 
 # sha256 of each output of run_pipeline(seed=77) over
@@ -96,6 +101,17 @@ class TestPipelineStages:
                      "--corpus", paths["corpus"], "--out", str(tmp_path / "s.jsonl")])
         assert code == 1
         assert "nope.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["[1]", '"x"', "3", "null"])
+    def test_sample_line_that_is_not_an_object_is_parse_error(self, tmp_path, capsys, line):
+        samples = tmp_path / "s.jsonl"
+        samples.write_text(line + "\n")
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text("q1 0 d1 1\n")
+        code = main(["evaluate", "--samples", str(samples), "--qrels", str(qrels),
+                     "--out", str(tmp_path / "eval.json")])
+        assert code == 1
+        assert "s.jsonl:1: invalid sample record: not a JSON object" in capsys.readouterr().err
 
     def test_k_zero_is_config_error(self, workspace, capsys):
         tmp_path, paths = workspace
@@ -228,3 +244,118 @@ def test_golden_digests(tmp_path):
     outs = run_pipeline(tmp_path, paths, tmp_path / "out", seed=77)
     got = {name: hashlib.sha256(Path(path).read_bytes()).hexdigest() for name, path in outs.items()}
     assert got == GOLDEN_DIGESTS
+
+
+def route_backend(monkeypatch, generate):
+    """Send every request the `sample` stage makes through
+    `generate(inner, request)`, where `inner` is the backend the CLI built."""
+    factory = cli._backend_for
+
+    class Routed(GenerationBackend):
+        def __init__(self, inner):
+            self.inner = inner
+
+        def generate(self, request):
+            return generate(self.inner, request)
+
+    monkeypatch.setattr(cli, "_backend_for", lambda args, config: Routed(factory(args, config)))
+
+
+class InFlight:
+    """A `generate` for route_backend that holds each request for `delay_s`
+    and records the peak number of requests outstanding at once."""
+
+    def __init__(self, delay_s):
+        self.delay_s = delay_s
+        self.lock = threading.Lock()
+        self.now = self.peak = 0
+
+    def __call__(self, inner, request):
+        with self.lock:
+            self.now += 1
+            self.peak = max(self.peak, self.now)
+        try:
+            time.sleep(self.delay_s)
+            return inner.generate(request)
+        finally:
+            with self.lock:
+                self.now -= 1
+
+
+def sample_workspace(tmp_path, n_queries, profile=""):
+    return write_pipeline_workspace(tmp_path, n_queries=n_queries, n_docs=8,
+                                    config_extra=MIXED_MODES_YAML + profile)
+
+
+def sample_stage(paths, out, *extra):
+    return main(["sample", "--topics", paths["topics"], "--run-file", paths["run"],
+                 "--corpus", paths["corpus"], "--config", paths["config"], "--qrels", paths["qrels"],
+                 "--depth", "8", "--backend", "mock", "--seed", "11", "--out", str(out), *extra])
+
+
+class TestSampleStage:
+    """The stage's one pool: queries are sampled concurrently, a query's K
+    requests one after another."""
+
+    def test_requests_in_flight_are_bounded_by_max_in_flight(self, tmp_path, monkeypatch):
+        paths = sample_workspace(tmp_path, 6, "profiles: {distill: {k_samples: 2, max_in_flight: 3}}\n")
+        in_flight = InFlight(0.03)
+        route_backend(monkeypatch, in_flight)
+        assert sample_stage(paths, tmp_path / "s.jsonl") == 0
+        assert 2 <= in_flight.peak <= 3
+        assert len(read_samples(str(tmp_path / "s.jsonl"))) == 12
+
+    def test_eval_profile_samples_queries_concurrently(self, tmp_path, monkeypatch):
+        paths = sample_workspace(tmp_path, 8)
+        in_flight = InFlight(0.03)
+        route_backend(monkeypatch, in_flight)
+        assert sample_stage(paths, tmp_path / "s.jsonl", "--profile", "eval") == 0
+        assert 1 < in_flight.peak <= 4  # the eval profile: K=1, max_in_flight 4
+
+    def test_store_does_not_depend_on_completion_order(self, tmp_path, monkeypatch):
+        paths = sample_workspace(tmp_path, 6, "profiles: {distill: {k_samples: 3, max_in_flight: 3}}\n")
+        assert sample_stage(paths, tmp_path / "plain.jsonl") == 0
+
+        def earlier_queries_slower(inner, request):
+            time.sleep(0.01 * (7 - int(request.query_id[1:])))
+            return inner.generate(request)
+
+        route_backend(monkeypatch, earlier_queries_slower)
+        assert sample_stage(paths, tmp_path / "slow.jsonl") == 0
+        assert (tmp_path / "slow.jsonl").read_bytes() == (tmp_path / "plain.jsonl").read_bytes()
+
+    def test_unreachable_query_is_reported_and_the_rest_written(self, tmp_path, monkeypatch, capsys):
+        paths = sample_workspace(tmp_path, 4, "profiles: {distill: {k_samples: 2, max_in_flight: 3}}\n")
+        assert sample_stage(paths, tmp_path / "all.jsonl") == 0
+
+        def q002_down(inner, request):
+            if request.query_id == "q002":
+                raise TransportError("q002 endpoint timed out")
+            return inner.generate(request)
+
+        route_backend(monkeypatch, q002_down)
+        capsys.readouterr()
+        assert sample_stage(paths, tmp_path / "s.jsonl") == 2
+        assert "1 queries failed at the backend: ['q002']" in capsys.readouterr().err
+        expected = [line for line in (tmp_path / "all.jsonl").read_text().splitlines()
+                    if json.loads(line)["query_id"] != "q002"]
+        assert (tmp_path / "s.jsonl").read_text().splitlines() == expected
+        assert [(s.query_id, s.sample_index) for s in read_samples(str(tmp_path / "s.jsonl"))] == [
+            (q, k) for q in ("q001", "q003", "q004") for k in (1, 2)]
+
+    def test_unexpected_error_stops_the_stage_without_sending_queued_queries(self, tmp_path, monkeypatch):
+        paths = sample_workspace(tmp_path, 8, "profiles: {distill: {k_samples: 2, max_in_flight: 2}}\n")
+        generated = set()
+
+        def q001_broken(inner, request):
+            if request.query_id == "q001":
+                raise RuntimeError("unexpected backend bug")
+            time.sleep(0.05)
+            generated.add(request.query_id)
+            return inner.generate(request)
+
+        route_backend(monkeypatch, q001_broken)
+        with pytest.raises(RuntimeError, match="unexpected backend bug"):
+            sample_stage(paths, tmp_path / "s.jsonl")
+        assert len(generated) <= 2
+        assert not (tmp_path / "s.jsonl").exists()

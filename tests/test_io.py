@@ -124,6 +124,13 @@ class TestRun:
         with pytest.raises(ParseError, match=r":1: expected 6 fields"):
             read_run(str(p), depth=10)
 
+    @pytest.mark.parametrize("rank", ["0", "-3"])
+    def test_rank_below_one_names_the_line(self, tmp_path, rank):
+        p = tmp_path / "run.txt"
+        p.write_text(f"q1 Q0 dA 1 0.9 t\nq1 Q0 dB {rank} 0.5 t\n")
+        with pytest.raises(ParseError, match=rf"run.txt:2: rank is 1-based and must be >= 1, got {rank}"):
+            read_run(str(p), depth=10)
+
     def test_gapped_ranks_warn(self, tmp_path, caplog):
         p = tmp_path / "run.txt"
         p.write_text("q1 Q0 dA 1 0.9 t\nq1 Q0 dB 5 0.5 t\n")

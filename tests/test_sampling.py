@@ -1,7 +1,6 @@
 import hashlib
 import json
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -149,34 +148,6 @@ class TestSampleTrajectories:
         samples = sample_trajectories(make_query(), make_universe(3), config(), FlakyBackend())
         assert [s.valid for s in samples] == [True, False, True]
         assert "bad payload" in samples[1].error
-
-    def test_bounded_concurrency(self):
-        lock = threading.Lock()
-        state = {"in_flight": 0, "peak": 0}
-
-        class Instrumented(GenerationBackend):
-            def generate(self, request):
-                with lock:
-                    state["in_flight"] += 1
-                    state["peak"] = max(state["peak"], state["in_flight"])
-                time.sleep(0.02)
-                with lock:
-                    state["in_flight"] -= 1
-                return MockBackend().generate(request)
-
-        sample_trajectories(make_query(), make_universe(3),
-                            config(k_samples=12, max_in_flight=3), Instrumented())
-        assert 1 <= state["peak"] <= 3
-
-    def test_output_order_is_stable_under_jitter(self):
-        class Jittery(GenerationBackend):
-            def generate(self, request):
-                time.sleep(0.03 if request.sample_index % 2 else 0.0)
-                return MockBackend().generate(request)
-
-        samples = sample_trajectories(make_query(), make_universe(3),
-                                      config(k_samples=6, max_in_flight=6), Jittery())
-        assert [s.sample_index for s in samples] == [1, 2, 3, 4, 5, 6]
 
     def test_failed_and_unparseable_samples(self):
         class Mixed(GenerationBackend):
