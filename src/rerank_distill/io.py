@@ -12,8 +12,8 @@ import csv
 import json
 import logging
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import fields
-from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError, ParseError
 from .models import (
@@ -36,6 +36,9 @@ SFT_FORMAT = "sft-chat-messages"
 SFT_VERSION = 1
 # A sample-store record is these fields plus schema_version.
 SAMPLE_FIELDS = tuple(f.name for f in fields(TrajectorySample))
+# A record is a fresh tree built from a frozen sample, so it has no cycles
+# to look for.
+_SAMPLE_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, check_circular=False)
 
 
 # --- TREC qrels ---------------------------------------------------------------
@@ -166,29 +169,50 @@ def candidates_from_run(run: Mapping[str, Sequence[str]], texts: Mapping[str, st
 
 # --- sample store ---------------------------------------------------------------
 
-def _ranking_to_lists(ranking: Ranking | None) -> list[list[str]] | None:
-    if ranking is None:
-        return None
-    return [list(group) for group in ranking.groups]
-
-
-def _ranking_from_lists(groups: list[list[str]]) -> Ranking:
-    return Ranking(groups=tuple(tuple(g) for g in groups))
-
-
 def write_samples(samples: Sequence[TrajectorySample], path: str) -> None:
-    """One JSON object per line; an empty sample list yields an empty file."""
+    """One JSON object per line; an empty sample list yields an empty file.
+    A ranking is stored as its list of tie groups."""
     with open(path, "w", encoding="utf-8") as fh:
         for sample in samples:
             record = {name: getattr(sample, name) for name in SAMPLE_FIELDS}
-            record["final_ranking"] = _ranking_to_lists(sample.final_ranking)
-            record["ranking_sequence"] = [_ranking_to_lists(r) for r in sample.ranking_sequence]
+            final = sample.final_ranking
+            record["final_ranking"] = None if final is None else final.groups
+            record["ranking_sequence"] = [r.groups for r in sample.ranking_sequence]
             record["schema_version"] = SAMPLES_SCHEMA_VERSION
-            fh.write(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+            fh.write(_SAMPLE_ENCODER.encode(record) + "\n")
+
+
+_LIST_ONLY = frozenset((list,))
+_BAD_RANKING = "a ranking must be a list of tie groups, each a list of doc-id strings"
+
+
+def _decode_ranking(groups: object, decoded: dict[tuple, Ranking]) -> Ranking:
+    """The Ranking a stored list of tie groups spells.
+
+    `decoded` maps the tuple form of each list already read to its Ranking,
+    so each distinct ranking is checked and built once. A string group has
+    the tuple form of the list of its characters, and a JSON object that of
+    the list of its keys, so the list shape is checked on every call,
+    before the lookup.
+    """
+    if type(groups) is not list or not _LIST_ONLY.issuperset(map(type, groups)):
+        raise ValueError(_BAD_RANKING)
+    key = tuple(map(tuple, groups))
+    ranking = decoded.get(key)
+    if ranking is None:
+        try:
+            "".join(map("".join, key))  # a TypeError unless every doc id is a string
+        except TypeError:
+            raise ValueError(_BAD_RANKING) from None
+        ranking = decoded[key] = Ranking(groups=key)
+    return ranking
 
 
 def read_samples(path: str) -> list[TrajectorySample]:
+    """Every sample in a store written by `write_samples`. Samples that
+    state the same ranking share one Ranking object."""
     samples: list[TrajectorySample] = []
+    decoded: dict[tuple, Ranking] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -208,8 +232,8 @@ def read_samples(path: str) -> list[TrajectorySample]:
             try:
                 values = {name: record[name] for name in SAMPLE_FIELDS}
                 if values["final_ranking"] is not None:
-                    values["final_ranking"] = _ranking_from_lists(values["final_ranking"])
-                values["ranking_sequence"] = tuple(_ranking_from_lists(g) for g in values["ranking_sequence"])
+                    values["final_ranking"] = _decode_ranking(values["final_ranking"], decoded)
+                values["ranking_sequence"] = tuple([_decode_ranking(g, decoded) for g in values["ranking_sequence"]])
                 samples.append(TrajectorySample(**values))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"invalid sample record: {exc}", path, line_no) from None

@@ -75,14 +75,30 @@ def _parse_run(run_text: str, universe: CandidateSet) -> Ranking | None:
     return Ranking(groups=tuple(groups))
 
 
-def extract_rankings(text: str, universe: CandidateSet) -> list[RankingPatternMatch]:
+def extract_rankings(
+    text: str,
+    universe: CandidateSet,
+    parsed_runs: dict[str, Ranking | None] | None = None,
+) -> list[RankingPatternMatch]:
     """Find every ranking statement in `text`, in ascending span order.
 
     Spans are the full syntactic runs, so they never overlap.
+
+    `parsed_runs` maps run text to what it parses to under `universe` (a
+    Ranking, or None when it is not one), and gains every run seen here.
+    Passing the same dict for several texts over one candidate list parses
+    each distinct run once; it must not be shared with another candidate
+    list, under which the same text names other docs.
     """
+    if parsed_runs is None:
+        parsed_runs = {}
     matches = []
     for m in _RANKING_RUN.finditer(text):
-        ranking = _parse_run(m.group(0), universe)
+        run = m.group(0)
+        if run in parsed_runs:
+            ranking = parsed_runs[run]
+        else:
+            ranking = parsed_runs[run] = _parse_run(run, universe)
         if ranking is not None:
             matches.append(RankingPatternMatch(span=m.span(), ranking=ranking))
     return matches
@@ -90,9 +106,12 @@ def extract_rankings(text: str, universe: CandidateSet) -> list[RankingPatternMa
 
 def repair_ranking(ranking: Ranking, universe: CandidateSet) -> Ranking:
     """Make `ranking` total over `universe` by appending every unmentioned
-    candidate, in original candidate order, as trailing singleton groups."""
+    candidate, in original candidate order, as trailing singleton groups.
+    A ranking that already mentions every candidate is returned as is."""
     mentioned = set(ranking.flatten())
     tail = tuple((d.doc_id,) for d in universe.docs if d.doc_id not in mentioned)
+    if not tail:
+        return ranking
     return Ranking(groups=ranking.groups + tail)
 
 

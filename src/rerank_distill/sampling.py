@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import random
+import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -153,6 +154,10 @@ class HttpChatBackend(GenerationBackend):
     retried with exponential backoff up to `max_retries`; other failures are
     not retried. Bearer auth comes from the environment variable named in
     `auth_env`, when given.
+
+    Without an injected `session`, each thread that calls `generate` gets
+    its own `requests.Session`: a Session is not documented as thread-safe.
+    An injected session is used as given, from every thread.
     """
 
     def __init__(
@@ -172,7 +177,8 @@ class HttpChatBackend(GenerationBackend):
         self.timeout_s = timeout_s
         self.max_retries = max_retries
         self.backoff_base_s = backoff_base_s
-        self._session = session or requests.Session()
+        self._session = session
+        self._thread_sessions = threading.local()
         self._sleep = sleep
         self._headers = {"Content-Type": "application/json"}
         if auth_env:
@@ -191,13 +197,14 @@ class HttpChatBackend(GenerationBackend):
         }
         if request.seed is not None:
             payload["seed"] = derive_seed(request.seed, request.query_id, request.sample_index)
+        session = self._session or self._thread_session()
         last_error: TransportError | None = None
         for attempt in range(self.max_retries + 1):
             if attempt > 0:
                 self._sleep(self.backoff_base_s * 2 ** (attempt - 1))
             started = time.monotonic()
             try:
-                response = self._session.post(
+                response = session.post(
                     self.endpoint_url, json=payload, headers=self._headers, timeout=self.timeout_s,
                 )
             except (requests.Timeout, requests.ConnectionError) as exc:
@@ -216,6 +223,12 @@ class HttpChatBackend(GenerationBackend):
             return self._parse_response(response, latency_ms)
         assert last_error is not None
         raise last_error
+
+    def _thread_session(self) -> requests.Session:
+        session = getattr(self._thread_sessions, "session", None)
+        if session is None:
+            session = self._thread_sessions.session = requests.Session()
+        return session
 
     def _parse_response(self, response: requests.Response, latency_ms: int) -> GenerationResult:
         try:
@@ -390,13 +403,18 @@ def sample_trajectories(
     """Draw K stochastic trajectories for one query, one request at a time,
     and parse each generation as soon as it returns.
 
-    Individual failures become invalid samples carrying the error string;
-    only a query where every sample fails at the transport level raises
-    BackendUnreachableError. Any other exception from the backend propagates.
+    Individual failures, and generations cut off at `max_tokens`, become
+    invalid samples carrying the error string; only a query where every
+    sample fails at the transport level raises BackendUnreachableError. Any
+    other exception from the backend propagates. Ranking statements that
+    recur across the K generations are parsed once.
     """
     template = template or default_template()
     messages = tuple(build_prompt(query, candidates, template))
     prompt_hash = hash_messages(messages)
+    # One per query: under another candidate list the same run text names
+    # other docs.
+    parsed_runs: dict[str, Ranking | None] = {}
     samples = []
     transport_failures = 0
     for sample_index in range(1, config.k_samples + 1):
@@ -421,7 +439,8 @@ def sample_trajectories(
             logger.error("query %s sample %d: malformed response: %s", query.id, sample_index, exc)
             outcome = str(exc)
         samples.append(
-            _parse_sample(query.id, sample_index, outcome, candidates, think_markers, token_mode, prompt_hash)
+            _parse_sample(query.id, sample_index, outcome, candidates, think_markers, token_mode, prompt_hash,
+                          parsed_runs)
         )
 
     if transport_failures == config.k_samples:
@@ -440,9 +459,12 @@ def _parse_sample(
     think_markers: tuple[str, str],
     token_mode: str,
     prompt_hash: str,
+    parsed_runs: dict[str, Ranking | None],
 ) -> TrajectorySample:
     """Parse one generation, scanning it for ranking statements once.
-    `outcome` is the error message when the backend call failed."""
+    `outcome` is the error message when the backend call failed. A
+    generation cut off at `max_tokens` keeps its ranking sequence and token
+    length but is invalid: its last statement is not a decision."""
     raw_text = reasoning = ""
     sequence: tuple[Ranking, ...] = ()
     final_ranking = coverage = None
@@ -454,7 +476,7 @@ def _parse_sample(
     else:
         raw_text = outcome.raw_text
         reasoning, _answer = split_reasoning(raw_text, think_markers)
-        matches = extract_rankings(raw_text, candidates)
+        matches = extract_rankings(raw_text, candidates, parsed_runs)
         sequence = tuple(m.ranking for m in matches)
         parsed = parse_final_ranking(raw_text, candidates, matches=matches)
         if token_mode == "auto" and outcome.endpoint_token_count is not None:
@@ -462,7 +484,9 @@ def _parse_sample(
             source = "endpoint-reported"
         else:
             token_len = count_tokens(raw_text)
-        if parsed is None:
+        if outcome.finish_reason == "length":
+            error = "truncated at max_tokens"
+        elif parsed is None:
             error = "no parseable ranking in generation"
         else:
             final_ranking, coverage = parsed

@@ -230,6 +230,44 @@ class TestSamples:
         with pytest.raises(ParseError, match=rf":2: invalid sample record: '{name}'"):
             read_samples(str(p))
 
+    @pytest.mark.parametrize("field, value", [
+        ("final_ranking", ["D1", "X2"]),
+        ("final_ranking", [{"D": 0, "1": 0}, {"X": 0, "2": 0}]),
+        ("final_ranking", [[1, 2]]),
+        ("final_ranking", "D1"),
+        ("final_ranking", [[]]),
+        ("final_ranking", [["1"], ["1"]]),
+        ("ranking_sequence", [["D1", "X2"]]),
+        ("ranking_sequence", [[["1", None]]]),
+    ])
+    def test_malformed_ranking_names_the_line(self, tmp_path, field, value):
+        # Line 1 holds [["D", "1"], ["X", "2"]], whose tuple form is also
+        # that of the string groups "D1" and "X2" and of the dict groups.
+        first_sample = make_sample(1, final_ranking=Ranking(groups=(("D", "1"), ("X", "2"))))
+        p = tmp_path / "samples.jsonl"
+        write_samples([first_sample, make_sample(2)], str(p))
+        first, second = p.read_text().splitlines()
+        record = json.loads(second)
+        record[field] = value
+        p.write_text(first + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(ParseError, match=r":2: invalid sample record: "):
+            read_samples(str(p))
+
+    def test_one_ranking_object_per_distinct_ranking(self, tmp_path):
+        one_two, two_one = Ranking(groups=(("1",), ("2",))), Ranking(groups=(("2",), ("1",)))
+        samples = [
+            make_sample(1, final_ranking=one_two, ranking_sequence=(one_two, two_one, one_two)),
+            make_sample(2, final_ranking=Ranking(groups=(("1",), ("2",))), ranking_sequence=(two_one,)),
+            make_sample(3, final_ranking=None, valid=False, ranking_sequence=(two_one, one_two), score=None),
+        ]
+        p = tmp_path / "samples.jsonl"
+        write_samples(samples, str(p))
+        read = read_samples(str(p))
+        assert read == samples
+        rankings = [r for s in read for r in (s.final_ranking, *s.ranking_sequence) if r is not None]
+        assert len(rankings) == 8
+        assert len({id(r) for r in rankings}) == 2
+
     def test_unknown_key_is_ignored(self, tmp_path):
         p = tmp_path / "samples.jsonl"
         write_samples([make_sample(1)], str(p))

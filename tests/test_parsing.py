@@ -85,6 +85,15 @@ class TestExtractRankings:
         matches = extract_rankings("[\u0663] > [1]", make_universe(5))
         assert matches[0].ranking.groups == (("3",), ("1",))
 
+    def test_parsed_runs_parse_each_distinct_run_once(self):
+        universe = make_universe(3)
+        parsed_runs = {}
+        first = extract_rankings("[2] > [1] then [9] > [1] then [2] > [1]", universe, parsed_runs)
+        second = extract_rankings("at last [2] > [1]", universe, parsed_runs)
+        assert parsed_runs == {"[2] > [1]": Ranking(groups=(("2",), ("1",))), "[9] > [1]": None}
+        assert len(first) == 2
+        assert first[0].ranking is first[1].ranking is second[0].ranking is parsed_runs["[2] > [1]"]
+
     def test_spans_are_ascending_and_non_overlapping(self):
         text = "[1] > [2] mid [3] > [1] = [2] tail [2] > [3]"
         matches = extract_rankings(text, make_universe(3))
@@ -111,6 +120,12 @@ class TestParseFinalRanking:
 
     def test_unparseable_is_invalid(self):
         assert parse_final_ranking("nothing to see", make_universe(3)) is None
+
+    def test_complete_statement_is_its_own_repair(self):
+        [match] = extract_rankings("[3] = [1] > [2]", make_universe(3))
+        ranking, coverage = parse_final_ranking("[3] = [1] > [2]", make_universe(3), matches=[match])
+        assert ranking is match.ranking
+        assert coverage == 1.0
 
     def test_last_match_wins(self):
         text = "first guess [1] > [2] > [3] but finally [3] > [2] > [1]"

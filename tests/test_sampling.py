@@ -13,7 +13,7 @@ from rerank_distill.errors import (
 )
 from rerank_distill.metrics import ndcg_at_k
 from rerank_distill import parsing, sampling
-from rerank_distill.models import Ranking, SamplingConfig, TrajectorySample
+from rerank_distill.models import CandidateDoc, CandidateSet, Ranking, SamplingConfig, TrajectorySample
 from rerank_distill.sampling import (
     GenerationBackend,
     GenerationRequest,
@@ -192,13 +192,56 @@ class TestSampleTrajectories:
             token_len=parsing.count_tokens("[2] > [1]"), token_len_source="approximated",
             valid=True, coverage=2 / 3, prompt_hash=sample.prompt_hash)
 
+    def test_truncated_generation_is_invalid_and_keeps_its_sequence(self):
+        class CutOff(GenerationBackend):
+            def generate(self, request):
+                return GenerationResult("[2] > [1] and then [1] > [3", 9, "length", 0)
+
+        [sample] = sample_trajectories(make_query(), make_universe(3), config(k_samples=1), CutOff())
+        assert sample == TrajectorySample(
+            query_id="q1", sample_index=1, raw_text="[2] > [1] and then [1] > [3",
+            reasoning_text="", final_ranking=None,
+            ranking_sequence=(Ranking(groups=(("2",), ("1",))),), token_len=9,
+            token_len_source="endpoint-reported", valid=False, coverage=None,
+            error="truncated at max_tokens", prompt_hash=sample.prompt_hash)
+
+    def test_same_text_under_other_candidates_names_other_docs(self):
+        class SameText(GenerationBackend):
+            def generate(self, request):
+                return GenerationResult("[2] > [1]", None, "stop", 0)
+
+        def universe(query_id, prefix):
+            docs = tuple(CandidateDoc(doc_id=f"{prefix}{i}", text=f"passage {i}") for i in (1, 2))
+            return CandidateSet(query_id=query_id, docs=docs)
+
+        first = sample_trajectories(make_query("q1"), universe("q1", "a"), config(k_samples=2), SameText())
+        second = sample_trajectories(make_query("q2"), universe("q2", "b"), config(k_samples=2), SameText())
+        assert [s.final_ranking.groups for s in first] == [(("a2",), ("a1",))] * 2
+        assert [s.final_ranking.groups for s in second] == [(("b2",), ("b1",))] * 2
+
+    def test_recurring_statements_are_parsed_once_per_query(self, monkeypatch):
+        runs = []
+        original = parsing._parse_run
+
+        def counting(run_text, universe):
+            runs.append(run_text)
+            return original(run_text, universe)
+
+        monkeypatch.setattr(parsing, "_parse_run", counting)
+        profile = MockProfile(modes=(MockMode(restatements=2, revert_loops=2),))
+        samples = sample_trajectories(make_query(), make_universe(5), config(k_samples=4), MockBackend(profile))
+        stated = [r for s in samples for r in s.ranking_sequence]
+        assert len(stated) > len(set(stated))
+        assert sorted(runs) == sorted(set(runs))
+        assert len({id(r) for r in stated}) == len(set(stated))
+
     def test_one_ranking_scan_per_generation(self, monkeypatch):
         calls = []
         original = parsing.extract_rankings
 
-        def counting(text, universe):
+        def counting(text, universe, *args, **kwargs):
             calls.append(text)
-            return original(text, universe)
+            return original(text, universe, *args, **kwargs)
 
         monkeypatch.setattr(sampling, "extract_rankings", counting)
         monkeypatch.setattr(parsing, "extract_rankings", counting)
@@ -256,6 +299,31 @@ def _request(seed=None):
                              top_p=0.95, max_tokens=100, seed=seed)
 
 
+class _FakeResponse:
+    status_code = 200
+
+    def json(self):
+        return {"choices": [{"message": {"content": "[1] > [2]"}, "finish_reason": "stop"}]}
+
+
+def _generate_from_two_threads(backend):
+    """Two generate calls on each of two threads that are alive at once."""
+    both_started = threading.Barrier(2, timeout=10)
+    results = []
+
+    def work():
+        both_started.wait()
+        results.extend(backend.generate(_request()) for _ in range(2))
+
+    threads = [threading.Thread(target=work) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 4
+
+
 class TestHttpChatBackend:
     def test_wire_protocol_fields_and_usage(self, http_endpoint, monkeypatch):
         url, handler = http_endpoint
@@ -305,6 +373,42 @@ class TestHttpChatBackend:
                                   timeout_s=0.2, sleep=lambda s: None)
         with pytest.raises(TransportError):
             backend.generate(_request())
+
+    def test_each_thread_gets_its_own_session(self, monkeypatch):
+        made = []
+
+        class RecordingSession:
+            def __init__(self):
+                made.append(self)
+                self.threads = set()
+
+            def post(self, url, **kwargs):
+                self.threads.add(threading.get_ident())
+                return _FakeResponse()
+
+        monkeypatch.setattr(sampling.requests, "Session", RecordingSession)
+        backend = HttpChatBackend("http://x.example/v1", sleep=lambda s: None)
+        _generate_from_two_threads(backend)
+        assert len(made) == 2
+        assert [len(session.threads) for session in made] == [1, 1]
+        assert made[0].threads != made[1].threads
+
+    def test_injected_session_is_used_from_every_thread(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(sampling.requests, "Session", lambda: made.append(1))
+
+        class SharedSession:
+            def __init__(self):
+                self.threads = set()
+
+            def post(self, url, **kwargs):
+                self.threads.add(threading.get_ident())
+                return _FakeResponse()
+
+        shared = SharedSession()
+        _generate_from_two_threads(HttpChatBackend("http://x.example/v1", session=shared))
+        assert made == []
+        assert len(shared.threads) == 2
 
     def test_missing_auth_env_fails_fast(self):
         with pytest.raises(ConfigError, match="NOT_A_REAL_VAR"):
