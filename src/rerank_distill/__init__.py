@@ -9,7 +9,7 @@ repeat ratio, multi-occurrence ratio) and length-vs-quality reports
 quantify how much reasoning the traces actually needed.
 """
 
-from .distill import build_corpus, efficient_set, query_stats, select_target, valid_subset
+from .distill import build_corpus, efficient_set, query_stats, retention_rate, select_target, valid_subset
 from .metrics import (
     aggregate_report,
     attach_scores,
@@ -98,6 +98,7 @@ __all__ = [
     "redundancy_metrics",
     "render_ranking",
     "repair_ranking",
+    "retention_rate",
     "sample_trajectories",
     "select_target",
     "split_reasoning",

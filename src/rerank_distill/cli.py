@@ -3,7 +3,9 @@ analyze-redundancy -> report.
 
 Stages communicate only through files, so the expensive sampling stage runs
 once and the filtering/analysis stages iterate offline. Rerunning any stage
-with identical inputs and seed produces byte-identical outputs.
+with identical inputs and seed produces byte-identical outputs. Each stage
+holds one query's samples at a time, and writes each output file through a
+temp file that takes the output's place only once it is complete.
 
 Exit codes: 0 success, 1 validation or config error, 2 runtime/backend
 failure.
@@ -14,13 +16,13 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from collections import defaultdict
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import io as rio
 from .config import PipelineConfig, load_config
-from .distill import build_corpus
+from .distill import build_corpus, retention_rate
 from .errors import BackendError, BackendUnreachableError, ConfigError, ParseError
 from .metrics import aggregate_report, attach_scores, length_buckets, redundancy_metrics
 from .sampling import (
@@ -89,16 +91,17 @@ def cmd_sample(args) -> int:
     if missing:
         raise ConfigError(f"run file contains queries absent from the topics file: {missing}")
 
-    # One worker per query in flight, each sending its K requests in turn;
-    # results are read in submission order, so the store stays in query order.
+    # One worker per query in flight, each sending its K requests in turn.
+    # Results are written in submission order, so the store stays in query
+    # order, and each query's future leaves the queue once it is written.
     pool = ThreadPoolExecutor(max_workers=sampling_config.max_in_flight)
     try:
-        futures = {}
+        pending = deque()
         for qid in sorted(candidates):
             cand = candidates[qid]
             if len(cand) < args.depth:
                 logger.warning("query %s has only %d candidates (requested depth %d)", qid, len(cand), args.depth)
-            futures[qid] = pool.submit(
+            pending.append((qid, pool.submit(
                 sample_trajectories,
                 queries[qid],
                 cand,
@@ -107,25 +110,27 @@ def cmd_sample(args) -> int:
                 template=template,
                 think_markers=config.think_markers,
                 token_mode=config.tokenizer_mode,
-            )
-        all_samples = []
+            )))
+        written = 0
         failed_queries = []
-        for i, (qid, future) in enumerate(futures.items(), start=1):
-            try:
-                samples = future.result()
-            except BackendUnreachableError as exc:
-                logger.error("query %s failed: %s", qid, exc)
-                failed_queries.append(qid)
-                continue
-            all_samples.extend(samples)
-            logger.info("sampled query %s (%d/%d): %d/%d valid",
-                        qid, i, len(candidates), sum(s.valid for s in samples), len(samples))
+        with rio.atomic_write(args.out) as fh:
+            while pending:
+                qid, future = pending.popleft()
+                try:
+                    samples = future.result()
+                except BackendUnreachableError as exc:
+                    logger.error("query %s failed: %s", qid, exc)
+                    failed_queries.append(qid)
+                    continue
+                rio.write_samples(samples, fh)
+                written += len(samples)
+                logger.info("sampled query %s (%d/%d): %d/%d valid", qid, len(candidates) - len(pending),
+                            len(candidates), sum(s.valid for s in samples), len(samples))
     finally:
         # An exception above leaves queued queries unsent.
         pool.shutdown(cancel_futures=True)
 
-    rio.write_samples(all_samples, args.out)
-    print(f"wrote {len(all_samples)} samples for {len(candidates) - len(failed_queries)} queries to {args.out}")
+    print(f"wrote {written} samples for {len(candidates) - len(failed_queries)} queries to {args.out}")
     if failed_queries:
         print(f"{len(failed_queries)} queries failed at the backend: {failed_queries}", file=sys.stderr)
         return 2
@@ -133,78 +138,78 @@ def cmd_sample(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    samples = rio.read_samples(args.samples)
     qrels = rio.read_qrels(args.qrels)
-    scored = attach_scores(samples, qrels)
     scored_out = args.scored_out or str(Path(args.samples).with_suffix(".scored.jsonl"))
-    rio.write_samples(scored, scored_out)
-
     # The report takes each query's lowest-index valid sample, matching the
     # one-generation-per-query evaluation protocol when K=1.
-    first_valid = {}
-    for sample in scored:
-        if sample.valid and sample.final_ranking is not None:
-            current = first_valid.get(sample.query_id)
-            if current is None or sample.sample_index < current.sample_index:
-                first_valid[sample.query_id] = sample
-    skipped = {s.query_id for s in scored} - set(first_valid)
+    run = {}
+    skipped = []
+    n_scored = 0
+    with rio.atomic_write(scored_out) as fh:
+        for samples in rio.iter_samples(args.samples):
+            scored = attach_scores(samples, qrels)
+            rio.write_samples(scored, fh)
+            n_scored += len(scored)
+            first = min((s for s in scored if s.valid and s.final_ranking is not None),
+                        key=lambda s: s.sample_index, default=None)
+            if first is None:
+                skipped.append(samples[0].query_id)
+            else:
+                run[first.query_id] = (first.final_ranking, first.token_len)
     if skipped:
         logger.warning("%d queries have no valid sample and are absent from the report: %s",
-                       len(skipped), sorted(skipped))
-    run = {qid: (s.final_ranking, s.token_len) for qid, s in first_valid.items()}
+                       len(skipped), skipped)
     report = aggregate_report(run, qrels, bucket_count=args.bucket_count)
     rio.write_report(report, args.out, format="json")
-    print(f"scored {len(scored)} samples -> {scored_out}")
+    print(f"scored {n_scored} samples -> {scored_out}")
     print(f"report: mean nDCG@10 {report.mean_ndcg10:.4f}, mean length {report.mean_len:.1f} -> {args.out}")
     return 0
 
 
 def cmd_build_corpus(args) -> int:
     config = load_config(args.config)
-    samples = rio.read_samples(args.samples)
     queries = {q.id: q for q in rio.read_topics(args.topics)}
     candidates = _load_candidates(args, config)
     template = _template_for(config, args.template)
 
-    by_query = defaultdict(list)
-    for sample in samples:
-        by_query[sample.query_id].append(sample)
-    per_query = {}
-    for qid, qsamples in by_query.items():
+    records, stats = [], []
+    for samples in rio.iter_samples(args.samples):
+        qid = samples[0].query_id
         if qid not in queries:
             raise ConfigError(f"sampled query {qid!r} is missing from the topics file")
         if qid not in candidates:
             raise ConfigError(f"sampled query {qid!r} is missing from the run file")
-        per_query[qid] = (queries[qid], candidates[qid], qsamples)
+        query_records, query_stats = build_corpus({qid: (queries[qid], candidates[qid], samples)})
+        records += query_records
+        stats += query_stats
 
-    records, stats, retention_rate = build_corpus(per_query)
+    rate = retention_rate(stats)
     rio.write_sft_corpus(records, template, args.out)
     stats_out = args.stats or str(Path(args.out).with_suffix(".stats.json"))
-    rio.write_report(rio.filter_stats_report(stats, retention_rate), stats_out, format="json")
-    print(f"corpus: {len(records)} records from {len(per_query)} queries "
-          f"(retention {retention_rate:.3f}) -> {args.out}")
+    rio.write_report(rio.filter_stats_report(stats, rate), stats_out, format="json")
+    print(f"corpus: {len(records)} records from {len(stats)} queries (retention {rate:.3f}) -> {args.out}")
     print(f"filter stats -> {stats_out}")
     return 0
 
 
 def cmd_analyze_redundancy(args) -> int:
-    samples = rio.read_samples(args.samples)
-    if not samples:
-        raise ConfigError(f"no samples in {args.samples}")
     per_sample = []
     traced = []
-    for sample in samples:
-        rm = redundancy_metrics(sample.ranking_sequence)
-        per_sample.append({
-            "query_id": sample.query_id,
-            "sample_index": sample.sample_index,
-            "seq_len": rm.seq_len,
-            "t_star": rm.t_star,
-            "trr": rm.trr,
-            "mor": rm.mor,
-        })
-        if rm.seq_len >= 1:
-            traced.append(rm)
+    for samples in rio.iter_samples(args.samples):
+        for sample in samples:
+            rm = redundancy_metrics(sample.ranking_sequence)
+            per_sample.append({
+                "query_id": sample.query_id,
+                "sample_index": sample.sample_index,
+                "seq_len": rm.seq_len,
+                "t_star": rm.t_star,
+                "trr": rm.trr,
+                "mor": rm.mor,
+            })
+            if rm.seq_len >= 1:
+                traced.append(rm)
+    if not per_sample:
+        raise ConfigError(f"no samples in {args.samples}")
     if not traced:
         raise ConfigError("no sample contains any ranking statement; nothing to average")
     rows = [{

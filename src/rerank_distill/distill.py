@@ -12,7 +12,6 @@ never survives (its length equals the mean).
 
 from __future__ import annotations
 
-import logging
 from typing import Mapping, Sequence
 
 from .models import (
@@ -22,8 +21,6 @@ from .models import (
     QueryFilterStats,
     TrajectorySample,
 )
-
-logger = logging.getLogger(__name__)
 
 
 def valid_subset(samples: Sequence[TrajectorySample]) -> list[TrajectorySample]:
@@ -74,12 +71,10 @@ def select_target(efficient: Sequence[TrajectorySample]) -> TrajectorySample | N
 
 def build_corpus(
     per_query: Mapping[str, tuple[Query, CandidateSet, Sequence[TrajectorySample]]],
-) -> tuple[list[DistillationRecord], list[QueryFilterStats], float]:
-    """Run the filter for every query and assemble the corpus.
-
-    Returns (records sorted by query_id, per-query stats, retention rate).
-    Zero retention is a legal, reported outcome.
-    """
+) -> tuple[list[DistillationRecord], list[QueryFilterStats]]:
+    """Run the filter for each query: (records of the retained queries,
+    per-query stats), both sorted by query_id. A query with no survivor
+    has stats but no record."""
     records: list[DistillationRecord] = []
     stats: list[QueryFilterStats] = []
     for query_id in sorted(per_query):
@@ -110,7 +105,10 @@ def build_corpus(
                 target_len=target.token_len,
                 prompt_hash=target.prompt_hash,
             ))
-    retained = sum(1 for s in stats if s.retained)
-    retention_rate = retained / len(stats) if stats else 0.0
-    logger.info("retained %d/%d queries (%.1f%%)", retained, len(stats), 100 * retention_rate)
-    return records, stats, retention_rate
+    return records, stats
+
+
+def retention_rate(stats: Sequence[QueryFilterStats]) -> float:
+    """Share of queries retained; 0.0 for none. Zero retention is a legal,
+    reported outcome."""
+    return sum(s.retained for s in stats) / len(stats) if stats else 0.0

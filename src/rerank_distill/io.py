@@ -2,18 +2,21 @@
 SFT corpus, and analysis reports.
 
 Writers are deterministic: the same in-memory value always produces a
-byte-identical file. Readers reject malformed input with line-accurate
-diagnostics instead of guessing.
+byte-identical file, and each writes through `atomic_write`. Readers reject
+malformed input with line-accurate diagnostics instead of guessing.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import logging
 import math
-from collections.abc import Iterable, Mapping, Sequence
+import os
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import fields
+from typing import TextIO
 
 from .errors import ConfigError, ParseError
 from .models import (
@@ -39,6 +42,22 @@ SAMPLE_FIELDS = tuple(f.name for f in fields(TrajectorySample))
 # A record is a fresh tree built from a frozen sample, so it has no cycles
 # to look for.
 _SAMPLE_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, check_circular=False)
+
+
+@contextlib.contextmanager
+def atomic_write(path: str, newline: str | None = None) -> Iterator[TextIO]:
+    """A text file that takes the place of `path` only when the block
+    completes. A temp file beside `path` receives the writes; an exception
+    removes it and leaves `path` as it was, and so does a crash, but for
+    the temp file. The block may read `path` while it writes."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
 
 
 # --- TREC qrels ---------------------------------------------------------------
@@ -69,7 +88,7 @@ def read_qrels(path: str) -> Qrels:
 
 def write_qrels(qrels: Qrels, path: str) -> None:
     """Write judgments sorted by (qid, docid)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for (qid, doc_id) in sorted(qrels.judgments):
             fh.write(f"{qid} 0 {doc_id} {qrels.judgments[(qid, doc_id)]}\n")
 
@@ -168,26 +187,44 @@ def candidates_from_run(run: Mapping[str, Sequence[str]], texts: Mapping[str, st
 
 
 # --- sample store ---------------------------------------------------------------
+#
+# A store holds each query's samples on consecutive lines, queries in
+# strictly ascending id order: the order `sample` writes them in. Readers
+# rely on it to hold one query's samples at a time.
 
-def write_samples(samples: Sequence[TrajectorySample], path: str) -> None:
-    """One JSON object per line; an empty sample list yields an empty file.
-    A ranking is stored as its list of tie groups."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for sample in samples:
-            record = {name: getattr(sample, name) for name in SAMPLE_FIELDS}
-            final = sample.final_ranking
-            record["final_ranking"] = None if final is None else final.groups
-            record["ranking_sequence"] = [r.groups for r in sample.ranking_sequence]
-            record["schema_version"] = SAMPLES_SCHEMA_VERSION
-            fh.write(_SAMPLE_ENCODER.encode(record) + "\n")
+def write_samples(samples: Sequence[TrajectorySample], out: TextIO) -> None:
+    """Append one JSON line per sample to the open store `out`. A ranking
+    is stored as its list of tie groups."""
+    for sample in samples:
+        record = {name: getattr(sample, name) for name in SAMPLE_FIELDS}
+        final = sample.final_ranking
+        record["final_ranking"] = None if final is None else final.groups
+        record["ranking_sequence"] = [r.groups for r in sample.ranking_sequence]
+        record["schema_version"] = SAMPLES_SCHEMA_VERSION
+        out.write(_SAMPLE_ENCODER.encode(record) + "\n")
 
 
 _LIST_ONLY = frozenset((list,))
-_BAD_RANKING = "a ranking must be a list of tie groups, each a list of doc-id strings"
+_BAD_RANKING = "a ranking must be a non-empty list of tie groups, each a list of doc-id strings"
+# The JSON types each TrajectorySample field may hold in a record, by the
+# field's annotation; a ranking is held as a list. A field whose annotation
+# is not listed here fails at import, so a new field cannot go unchecked.
+_JSON_TYPES = {
+    "str": (str,),
+    "int": (int,),
+    "bool": (bool,),
+    "TokenLenSource": (str,),
+    "str | None": (str, type(None)),
+    "float | None": (float, type(None)),
+    "Ranking | None": (list, type(None)),
+    "tuple[Ranking, ...]": (list,),
+}
+_FIELD_TYPES = tuple((f.name, _JSON_TYPES[f.type]) for f in fields(TrajectorySample))
 
 
-def _decode_ranking(groups: object, decoded: dict[tuple, Ranking]) -> Ranking:
-    """The Ranking a stored list of tie groups spells.
+def _decode_ranking(groups: object, decoded: dict[tuple, Ranking], field: str) -> Ranking:
+    """The Ranking a stored list of tie groups spells; `field` names the
+    record field it came from in an error.
 
     `decoded` maps the tuple form of each list already read to its Ranking,
     so each distinct ranking is checked and built once. A string group has
@@ -195,49 +232,106 @@ def _decode_ranking(groups: object, decoded: dict[tuple, Ranking]) -> Ranking:
     the list of its keys, so the list shape is checked on every call,
     before the lookup.
     """
-    if type(groups) is not list or not _LIST_ONLY.issuperset(map(type, groups)):
-        raise ValueError(_BAD_RANKING)
+    if type(groups) is not list or not groups or not _LIST_ONLY.issuperset(map(type, groups)):
+        raise ValueError(f"field {field!r}: {_BAD_RANKING}")
     key = tuple(map(tuple, groups))
     ranking = decoded.get(key)
     if ranking is None:
         try:
             "".join(map("".join, key))  # a TypeError unless every doc id is a string
+            ranking = decoded[key] = Ranking(groups=key)
         except TypeError:
-            raise ValueError(_BAD_RANKING) from None
-        ranking = decoded[key] = Ranking(groups=key)
+            raise ValueError(f"field {field!r}: {_BAD_RANKING}") from None
+        except ValueError as exc:
+            raise ValueError(f"field {field!r}: {exc}") from None
     return ranking
 
 
-def read_samples(path: str) -> list[TrajectorySample]:
-    """Every sample in a store written by `write_samples`. Samples that
-    state the same ranking share one Ranking object."""
-    samples: list[TrajectorySample] = []
-    decoded: dict[tuple, Ranking] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+class SampleReader:
+    """An open store and how far `read_samples` has read it."""
+
+    def __init__(self, path: str, lines: Iterable[str]):
+        self.path = path
+        self.records = self._records(lines)
+        # The first record of the next query, which the read that found
+        # where the last query ends has taken from `records`.
+        self.ahead: tuple[int, dict] | None = None
+        self.query_id: str | None = None
+
+    def _records(self, lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
+        for line_no, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ParseError(f"corrupted sample record: {exc.msg}", path, line_no) from None
+                raise ParseError(f"corrupted sample record: {exc.msg}", self.path, line_no) from None
             if not isinstance(record, dict):
-                raise ParseError("invalid sample record: not a JSON object", path, line_no)
-            version = record.get("schema_version")
-            if version != SAMPLES_SCHEMA_VERSION:
-                raise ParseError(
-                    f"schema version mismatch: file has {version!r}, reader supports {SAMPLES_SCHEMA_VERSION}",
-                    path, line_no,
-                )
-            try:
-                values = {name: record[name] for name in SAMPLE_FIELDS}
-                if values["final_ranking"] is not None:
-                    values["final_ranking"] = _decode_ranking(values["final_ranking"], decoded)
-                values["ranking_sequence"] = tuple([_decode_ranking(g, decoded) for g in values["ranking_sequence"]])
-                samples.append(TrajectorySample(**values))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"invalid sample record: {exc}", path, line_no) from None
+                raise ParseError("invalid sample record: not a JSON object", self.path, line_no)
+            yield line_no, record
+
+
+def iter_samples(path: str) -> Iterator[list[TrajectorySample]]:
+    """Each query's samples from a store written by `write_samples`, in
+    store order, one query at a time."""
+    with open(path, encoding="utf-8") as fh:
+        reader = SampleReader(path, fh)
+        while samples := read_samples(reader):
+            yield samples
+
+
+def read_samples(reader: SampleReader) -> list[TrajectorySample]:
+    """The next query's samples from `reader`; an empty list at the end of
+    the store. Samples of the query that state the same ranking share one
+    Ranking object.
+
+    A query id that does not follow the one before it in strictly
+    ascending order means that a query's records are not contiguous or not
+    in store order: a ParseError naming the line.
+    """
+    entry = reader.ahead or next(reader.records, None)
+    reader.ahead = None
+    if entry is None:
+        return []
+    decoded: dict[tuple, Ranking] = {}
+    first = _decode_sample(*entry, decoded, reader.path)
+    if reader.query_id is not None and first.query_id <= reader.query_id:
+        raise ParseError(
+            f"query {first.query_id!r} follows query {reader.query_id!r}: a query's records must be "
+            "contiguous, in ascending query id order", reader.path, entry[0],
+        )
+    reader.query_id = first.query_id
+    samples = [first]
+    for entry in reader.records:
+        if entry[1].get("query_id") != first.query_id:
+            reader.ahead = entry
+            break
+        samples.append(_decode_sample(*entry, decoded, reader.path))
     return samples
+
+
+def _decode_sample(line_no: int, record: dict, decoded: dict[tuple, Ranking], path: str) -> TrajectorySample:
+    """The sample a store record holds, with every field type-checked."""
+    version = record.get("schema_version")
+    if version != SAMPLES_SCHEMA_VERSION:
+        raise ParseError(
+            f"schema version mismatch: file has {version!r}, reader supports {SAMPLES_SCHEMA_VERSION}",
+            path, line_no,
+        )
+    values = {}
+    try:
+        for name, kinds in _FIELD_TYPES:
+            value = values[name] = record[name]
+            if type(value) not in kinds:
+                expected = " or ".join("null" if kind is type(None) else kind.__name__ for kind in kinds)
+                raise ValueError(f"field {name!r} must be {expected}, got {type(value).__name__}")
+        if values["final_ranking"] is not None:
+            values["final_ranking"] = _decode_ranking(values["final_ranking"], decoded, "final_ranking")
+        values["ranking_sequence"] = tuple([_decode_ranking(groups, decoded, "ranking_sequence")
+                                            for groups in values["ranking_sequence"]])
+        return TrajectorySample(**values)
+    except (KeyError, ValueError) as exc:
+        raise ParseError(f"invalid sample record: {exc}", path, line_no) from None
 
 
 # --- SFT corpus -----------------------------------------------------------------
@@ -252,7 +346,7 @@ def write_sft_corpus(corpus: Sequence[DistillationRecord], template: PromptTempl
     teacher never saw.
     """
     header = {"format": SFT_FORMAT, "version": SFT_VERSION, "template": template.name}
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(json.dumps(header, sort_keys=True, ensure_ascii=False) + "\n")
         for record in sorted(corpus, key=lambda r: r.query.id):
             prompt = build_prompt(record.query, record.candidates, template)
@@ -394,10 +488,10 @@ def write_report(report: EvalReport | Mapping, path: str, format: str = "json") 
     if kind == "eval" and not payload.get("per_query"):
         raise ValueError("eval report has an empty per_query map")
     if format == "json":
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             fh.write(_canonical_json(payload) + "\n")
     elif format == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with atomic_write(path, newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(_CSV_COLUMNS[kind])
             for row in _csv_rows(payload):

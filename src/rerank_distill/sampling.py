@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import random
 import threading
@@ -152,8 +153,9 @@ class HttpChatBackend(GenerationBackend):
 
     Transient failures (timeouts, connection errors, HTTP 429 and 5xx) are
     retried with exponential backoff up to `max_retries`; other failures are
-    not retried. Bearer auth comes from the environment variable named in
-    `auth_env`, when given.
+    not retried. A 429 or 503 whose Retry-After header gives a number of
+    seconds waits that long instead of the backoff delay. Bearer auth comes
+    from the environment variable named in `auth_env`, when given.
 
     Without an injected `session`, each thread that calls `generate` gets
     its own `requests.Session`: a Session is not documented as thread-safe.
@@ -199,9 +201,11 @@ class HttpChatBackend(GenerationBackend):
             payload["seed"] = derive_seed(request.seed, request.query_id, request.sample_index)
         session = self._session or self._thread_session()
         last_error: TransportError | None = None
+        retry_after: float | None = None
         for attempt in range(self.max_retries + 1):
             if attempt > 0:
-                self._sleep(self.backoff_base_s * 2 ** (attempt - 1))
+                self._sleep(self.backoff_base_s * 2 ** (attempt - 1) if retry_after is None else retry_after)
+            retry_after = None
             started = time.monotonic()
             try:
                 response = session.post(
@@ -214,6 +218,8 @@ class HttpChatBackend(GenerationBackend):
             if response.status_code == 429 or response.status_code >= 500:
                 last_error = TransportError(f"{self.endpoint_url}: HTTP {response.status_code}")
                 logger.warning("transient HTTP %d (attempt %d)", response.status_code, attempt + 1)
+                if response.status_code in (429, 503):
+                    retry_after = _retry_after_s(response.headers.get("Retry-After"))
                 continue
             latency_ms = int((time.monotonic() - started) * 1000)
             if response.status_code != 200:
@@ -248,6 +254,16 @@ class HttpChatBackend(GenerationBackend):
             finish_reason=finish if finish in ("stop", "length") else "error",
             latency_ms=latency_ms,
         )
+
+
+def _retry_after_s(value: str | None) -> float | None:
+    """Seconds a Retry-After header asks the client to wait, when it gives
+    them as a number; None for an absent header or an HTTP date."""
+    try:
+        seconds = float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        return None
+    return seconds if 0.0 <= seconds < math.inf else None
 
 
 # --- deterministic mock -----------------------------------------------------

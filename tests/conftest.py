@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
-from rerank_distill.models import CandidateDoc, CandidateSet, Qrels, Query, Ranking
+from rerank_distill.io import atomic_write, iter_samples, write_samples
+from rerank_distill.models import CandidateDoc, CandidateSet, Qrels, Query, Ranking, TrajectorySample
 
 
 def make_universe(n: int, query_id: str = "q1") -> CandidateSet:
@@ -13,6 +14,17 @@ def make_universe(n: int, query_id: str = "q1") -> CandidateSet:
     group structures can be compared against bracket numbers literally."""
     docs = tuple(CandidateDoc(doc_id=str(i), text=f"passage {i}") for i in range(1, n + 1))
     return CandidateSet(query_id=query_id, docs=docs)
+
+
+def write_store(samples: list[TrajectorySample], path) -> None:
+    """Write `samples` as a whole sample store at `path`."""
+    with atomic_write(str(path)) as fh:
+        write_samples(samples, fh)
+
+
+def read_store(path) -> list[TrajectorySample]:
+    """Every sample of the store at `path`, in store order."""
+    return [sample for samples in iter_samples(str(path)) for sample in samples]
 
 
 def make_query(query_id: str = "q1") -> Query:

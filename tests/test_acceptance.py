@@ -13,7 +13,7 @@ import pytest
 
 from rerank_distill.cli import main
 from rerank_distill.distill import efficient_set, query_stats, select_target, valid_subset
-from rerank_distill.io import read_report, read_run, read_samples, write_report, redundancy_report
+from rerank_distill.io import read_report, read_run, write_report, redundancy_report
 from rerank_distill.metrics import (
     length_normalized_nll,
     multi_occurrence_ratio,
@@ -23,7 +23,7 @@ from rerank_distill.metrics import (
 from rerank_distill.models import Qrels, Ranking, TrajectorySample
 from rerank_distill.parsing import extract_rankings, parse_final_ranking, render_ranking
 
-from conftest import make_universe, random_ranking, write_pipeline_workspace
+from conftest import make_universe, random_ranking, read_store, write_pipeline_workspace
 
 
 # --- independent oracles ------------------------------------------------------
@@ -255,7 +255,7 @@ def test_criterion_6_end_to_end_determinism(tmp_path):
     # mixed profile: modes cycle ideal-short, ideal-long, poor-short, so with
     # K=16 the ideal-short samples are exactly indices {1, 4, 7, 10, 13, 16}
     ideal_short = {k for k in range(1, 17) if (k - 1) % 3 == 0}
-    samples = read_samples(str(first["scored"]))
+    samples = read_store(first["scored"])
     by_query = {}
     for s in samples:
         by_query.setdefault(s.query_id, []).append(s)
@@ -317,7 +317,7 @@ def test_criterion_7_format_robustness(tmp_path):
         ("run.bad2", "q1 Q0 dA one 0.9 t\n", read_run, {"depth": 10}, ":1:"),
         ("run.bad3", "q1 Q0 dA 1 0.9\n", read_run, {"depth": 10}, ":1:"),
         ("samples.bad", '{"schema_version": 1, "query_id": 1}\nnot json\n',
-         read_samples, {}, ":1:"),
+         read_store, {}, ":1:"),
     ]
     for name, content, reader, kwargs, needle in cases:
         p = tmp_path / name

@@ -2,6 +2,7 @@ import hashlib
 import json
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -9,10 +10,10 @@ import pytest
 from rerank_distill import cli
 from rerank_distill.cli import main
 from rerank_distill.errors import TransportError
-from rerank_distill.io import read_report, read_samples
+from rerank_distill.io import read_report
 from rerank_distill.sampling import GenerationBackend
 
-from conftest import MIXED_MODES_YAML, write_pipeline_workspace
+from conftest import MIXED_MODES_YAML, read_store, write_pipeline_workspace, write_store
 
 
 # sha256 of each output of run_pipeline(seed=77) over
@@ -65,11 +66,11 @@ class TestPipelineStages:
         tmp_path, paths = workspace
         outs = run_pipeline(tmp_path, paths, tmp_path / "out")
 
-        samples = read_samples(outs["samples"])
+        samples = read_store(outs["samples"])
         assert len(samples) == 3 * 16  # 3 queries, distill profile K=16
         assert all(s.valid for s in samples)
 
-        scored = read_samples(outs["scored"])
+        scored = read_store(outs["scored"])
         assert all(s.score is not None for s in scored)
 
         report = read_report(outs["report"])
@@ -163,7 +164,6 @@ class TestPipelineStages:
 
     def test_all_invalid_samples_build_empty_corpus_exit_0(self, workspace, tmp_path):
         _, paths = workspace
-        from rerank_distill.io import write_samples
         from rerank_distill.models import TrajectorySample
         bad = [TrajectorySample(query_id="q001", sample_index=k, raw_text="mumble",
                                 reasoning_text="mumble", final_ranking=None, ranking_sequence=(),
@@ -171,7 +171,7 @@ class TestPipelineStages:
                                 error="no parseable ranking")
                for k in (1, 2)]
         samples_path = tmp_path / "invalid.jsonl"
-        write_samples(bad, str(samples_path))
+        write_store(bad, samples_path)
         corpus = tmp_path / "corpus.jsonl"
         code = main(["build-corpus", "--samples", str(samples_path), "--topics", paths["topics"],
                      "--run-file", paths["run"], "--corpus", paths["corpus"], "--depth", "8",
@@ -303,7 +303,7 @@ class TestSampleStage:
         route_backend(monkeypatch, in_flight)
         assert sample_stage(paths, tmp_path / "s.jsonl") == 0
         assert 2 <= in_flight.peak <= 3
-        assert len(read_samples(str(tmp_path / "s.jsonl"))) == 12
+        assert len(read_store(tmp_path / "s.jsonl")) == 12
 
     def test_eval_profile_samples_queries_concurrently(self, tmp_path, monkeypatch):
         paths = sample_workspace(tmp_path, 8)
@@ -340,7 +340,7 @@ class TestSampleStage:
         expected = [line for line in (tmp_path / "all.jsonl").read_text().splitlines()
                     if json.loads(line)["query_id"] != "q002"]
         assert (tmp_path / "s.jsonl").read_text().splitlines() == expected
-        assert [(s.query_id, s.sample_index) for s in read_samples(str(tmp_path / "s.jsonl"))] == [
+        assert [(s.query_id, s.sample_index) for s in read_store(tmp_path / "s.jsonl")] == [
             (q, k) for q in ("q001", "q003", "q004") for k in (1, 2)]
 
     def test_unexpected_error_stops_the_stage_without_sending_queued_queries(self, tmp_path, monkeypatch):
@@ -359,3 +359,111 @@ class TestSampleStage:
             sample_stage(paths, tmp_path / "s.jsonl")
         assert len(generated) <= 2
         assert not (tmp_path / "s.jsonl").exists()
+
+
+class TestStoreStreaming:
+    """Each stage holds one query's samples at a time: a store keeps each
+    query's records together, queries in ascending id order, and a stage
+    writes its outputs only once it has succeeded."""
+
+    OFFLINE = {
+        "evaluate": lambda store, paths, out: [
+            "evaluate", "--samples", store, "--qrels", paths["qrels"],
+            "--out", str(out / "eval.json"), "--scored-out", str(out / "scored.jsonl")],
+        "build-corpus": lambda store, paths, out: [
+            "build-corpus", "--samples", store, "--topics", paths["topics"], "--run-file", paths["run"],
+            "--corpus", paths["corpus"], "--config", paths["config"], "--depth", "8",
+            "--out", str(out / "corpus.jsonl"), "--stats", str(out / "stats.json")],
+        "analyze-redundancy": lambda store, paths, out: [
+            "analyze-redundancy", "--samples", store, "--out", str(out / "redundancy.json")],
+    }
+
+    @pytest.fixture
+    def scored(self, tmp_path):
+        """A scored store of 4 queries x K=2, and the workspace it came from."""
+        paths = sample_workspace(tmp_path, 4, "profiles: {distill: {k_samples: 2}}\n")
+        assert sample_stage(paths, tmp_path / "s.jsonl") == 0
+        assert main(["evaluate", "--samples", str(tmp_path / "s.jsonl"), "--qrels", paths["qrels"],
+                     "--out", str(tmp_path / "eval.json"),
+                     "--scored-out", str(tmp_path / "scored.jsonl")]) == 0
+        return tmp_path / "scored.jsonl", paths
+
+    @pytest.mark.parametrize("stage", OFFLINE)
+    @pytest.mark.parametrize("order", [
+        [2, 3, 0, 1, 4, 5, 6, 7],  # q002 before q001
+        [0, 2, 1, 3, 4, 5, 6, 7],  # q001 and q002 interleaved
+    ])
+    def test_store_out_of_query_order_is_parse_error(self, scored, tmp_path, capsys, stage, order):
+        store, paths = scored
+        lines = store.read_text().splitlines(keepends=True)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(lines[i] for i in order))
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        assert main(self.OFFLINE[stage](str(bad), paths, out)) == 1
+        assert "bad.jsonl:3: query 'q001' follows query 'q002'" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_failed_corpus_write_keeps_the_previous_corpus(self, scored, tmp_path, capsys):
+        store, paths = scored
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = self.OFFLINE["build-corpus"](str(store), paths, out)
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        edited = tmp_path / "edited.yaml"
+        edited.write_text('name: edited\nsystem: "another system prompt"\nuser: "{passages} {query}"\n')
+        capsys.readouterr()
+        assert main(argv + ["--template", str(edited)]) == 1
+        assert "hash mismatch" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_scoring_a_store_in_place_writes_the_same_bytes(self, tmp_path):
+        paths = sample_workspace(tmp_path, 3, "profiles: {distill: {k_samples: 3}}\n")
+        assert sample_stage(paths, tmp_path / "s.jsonl") == 0
+        in_place = tmp_path / "in_place.jsonl"
+        in_place.write_bytes((tmp_path / "s.jsonl").read_bytes())
+        for samples, scored_out in ((tmp_path / "s.jsonl", tmp_path / "scored.jsonl"), (in_place, in_place)):
+            assert main(["evaluate", "--samples", str(samples), "--qrels", paths["qrels"],
+                         "--out", str(tmp_path / "eval.json"), "--scored-out", str(scored_out)]) == 0
+        assert in_place.read_bytes() == (tmp_path / "scored.jsonl").read_bytes()
+
+    @staticmethod
+    def hold_weakly(monkeypatch, name, samples_of):
+        """Wrap `rio.<name>`; on each call, count the samples of the call two
+        before that are still alive, then take weak references to the
+        samples of this one. Returns the counts and the references."""
+        from rerank_distill import io as rio
+
+        alive, refs = [], []
+        inner = getattr(rio, name)
+
+        def wrapper(*args):
+            if len(refs) >= 2:
+                alive.append(sum(ref() is not None for ref in refs[-2]))
+            result = inner(*args)
+            refs.append([weakref.ref(sample) for sample in samples_of(args, result)])
+            return result
+
+        monkeypatch.setattr(rio, name, wrapper)
+        return alive, refs
+
+    def test_sample_stage_releases_each_query_once_written(self, tmp_path, monkeypatch):
+        paths = sample_workspace(tmp_path, 6, "profiles: {distill: {k_samples: 2, max_in_flight: 2}}\n")
+        alive, refs = self.hold_weakly(monkeypatch, "write_samples", lambda args, result: args[0])
+        assert sample_stage(paths, tmp_path / "s.jsonl") == 0
+        assert len(refs) == 6
+        assert alive == [0] * 4
+
+    @pytest.mark.parametrize("stage", OFFLINE)
+    def test_offline_stage_releases_each_query_once_done(self, scored, tmp_path, monkeypatch, stage):
+        store, paths = scored
+        read_alive, read_refs = self.hold_weakly(monkeypatch, "read_samples", lambda args, result: result)
+        write_alive, write_refs = self.hold_weakly(monkeypatch, "write_samples", lambda args, result: args[0])
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(self.OFFLINE[stage](str(store), paths, out)) == 0
+        assert len(read_refs) == 5  # four queries, then the end of the store
+        assert read_alive == [0] * 3
+        assert write_alive == ([0] * 2 if stage == "evaluate" else [])

@@ -6,6 +6,7 @@ from rerank_distill.distill import (
     build_corpus,
     efficient_set,
     query_stats,
+    retention_rate,
     select_target,
     valid_subset,
 )
@@ -104,17 +105,17 @@ class TestBuildCorpus:
         q2, u2 = make_query("b"), make_universe(2, "b")
         retained = [sample(1, 0.9, 50, qid="a"), sample(2, 0.5, 200, qid="a")]
         discarded = [sample(1, 0.6, 100, qid="b")]
-        records, stats, retention = build_corpus({"a": (q, u, retained), "b": (q2, u2, discarded)})
-        assert retention == 0.5
+        records, stats = build_corpus({"a": (q, u, retained), "b": (q2, u2, discarded)})
+        assert retention_rate(stats) == 0.5
         assert len(records) == 1
         assert records[0].query.id == "a"
         assert records[0].target_len == 50
 
     def test_all_empty_efficient_sets(self):
         q, u = make_query("a"), make_universe(2, "a")
-        records, stats, retention = build_corpus({"a": (q, u, [sample(1, 0.6, 100, qid="a")])})
+        records, stats = build_corpus({"a": (q, u, [sample(1, 0.6, 100, qid="a")])})
         assert records == []
-        assert retention == 0.0
+        assert retention_rate(stats) == 0.0
         assert stats[0].retained is False
 
     def test_stats_row_per_query_and_ordering(self):
@@ -122,16 +123,16 @@ class TestBuildCorpus:
         for qid in ("b", "a", "c"):
             per_query[qid] = (make_query(qid), make_universe(2, qid),
                               [sample(1, 0.9, 50, qid=qid), sample(2, 0.5, 300, qid=qid)])
-        records, stats, _ = build_corpus(per_query)
+        records, stats = build_corpus(per_query)
         assert [s.query_id for s in stats] == ["a", "b", "c"]
         assert [r.query.id for r in records] == ["a", "b", "c"]
 
     def test_no_valid_samples_gives_zero_means(self):
         q, u = make_query("a"), make_universe(2, "a")
-        _, stats, retention = build_corpus({"a": (q, u, [sample(1, valid=False)])})
+        _, stats = build_corpus({"a": (q, u, [sample(1, valid=False)])})
         assert stats[0].n_valid == 0
         assert stats[0].mean_score == 0.0
-        assert retention == 0.0
+        assert retention_rate(stats) == 0.0
 
 
 class TestFilterProperties:

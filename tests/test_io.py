@@ -14,12 +14,10 @@ from rerank_distill.io import (
     read_qrels,
     read_report,
     read_run,
-    read_samples,
     read_topics,
     redundancy_report,
     write_qrels,
     write_report,
-    write_samples,
     write_sft_corpus,
 )
 from rerank_distill.models import (
@@ -33,7 +31,7 @@ from rerank_distill.models import (
 )
 from rerank_distill.sampling import build_prompt, default_template, hash_messages
 
-from conftest import make_query, make_universe
+from conftest import make_query, make_universe, read_store, write_store
 
 
 class TestQrels:
@@ -195,40 +193,40 @@ class TestSamples:
             make_sample(3, token_len_source="endpoint-reported", score=0.3333333333333333),
         ]
         p = tmp_path / "samples.jsonl"
-        write_samples(samples, str(p))
-        assert read_samples(str(p)) == samples
+        write_store(samples, p)
+        assert read_store(p) == samples
 
     def test_empty_list_is_empty_file(self, tmp_path):
         p = tmp_path / "samples.jsonl"
-        write_samples([], str(p))
+        write_store([], p)
         assert p.read_text() == ""
-        assert read_samples(str(p)) == []
+        assert read_store(p) == []
 
     def test_corrupted_line_names_the_line(self, tmp_path):
         p = tmp_path / "samples.jsonl"
-        write_samples([make_sample(1)], str(p))
+        write_store([make_sample(1)], p)
         with open(p, "a") as fh:
             fh.write("{not json\n")
         with pytest.raises(ParseError, match=r":2: corrupted"):
-            read_samples(str(p))
+            read_store(p)
 
     def test_schema_version_mismatch(self, tmp_path):
         p = tmp_path / "samples.jsonl"
         record = {"schema_version": 999}
         p.write_text(json.dumps(record) + "\n")
         with pytest.raises(ParseError, match="schema version mismatch"):
-            read_samples(str(p))
+            read_store(p)
 
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(TrajectorySample)])
     def test_missing_field_names_the_line(self, tmp_path, name):
         p = tmp_path / "samples.jsonl"
-        write_samples([make_sample(1), make_sample(2)], str(p))
+        write_store([make_sample(1), make_sample(2)], p)
         first, second = p.read_text().splitlines()
         record = json.loads(second)
         del record[name]
         p.write_text(first + "\n" + json.dumps(record) + "\n")
         with pytest.raises(ParseError, match=rf":2: invalid sample record: '{name}'"):
-            read_samples(str(p))
+            read_store(p)
 
     @pytest.mark.parametrize("field, value", [
         ("final_ranking", ["D1", "X2"]),
@@ -245,13 +243,39 @@ class TestSamples:
         # that of the string groups "D1" and "X2" and of the dict groups.
         first_sample = make_sample(1, final_ranking=Ranking(groups=(("D", "1"), ("X", "2"))))
         p = tmp_path / "samples.jsonl"
-        write_samples([first_sample, make_sample(2)], str(p))
+        write_store([first_sample, make_sample(2)], p)
         first, second = p.read_text().splitlines()
         record = json.loads(second)
         record[field] = value
         p.write_text(first + "\n" + json.dumps(record) + "\n")
         with pytest.raises(ParseError, match=r":2: invalid sample record: "):
-            read_samples(str(p))
+            read_store(p)
+
+    @pytest.mark.parametrize("field, value", [
+        ("valid", "no"),
+        ("query_id", 7),
+        ("coverage", "x"),
+        ("final_ranking", []),
+        ("ranking_sequence", ""),
+        ("ranking_sequence", {}),
+        ("sample_index", True),
+        ("token_len", 17.0),
+        ("token_len_source", None),
+        ("score", "0.75"),
+        ("raw_text", None),
+        ("reasoning_text", ["some reasoning"]),
+        ("error", 0),
+        ("prompt_hash", {"abc": 123}),
+    ])
+    def test_mistyped_field_names_the_line(self, tmp_path, field, value):
+        p = tmp_path / "samples.jsonl"
+        write_store([make_sample(1), make_sample(2)], p)
+        first, second = p.read_text().splitlines()
+        record = json.loads(second)
+        record[field] = value
+        p.write_text(first + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(ParseError, match=rf":2: invalid sample record: field '{field}'"):
+            read_store(p)
 
     def test_one_ranking_object_per_distinct_ranking(self, tmp_path):
         one_two, two_one = Ranking(groups=(("1",), ("2",))), Ranking(groups=(("2",), ("1",)))
@@ -261,8 +285,8 @@ class TestSamples:
             make_sample(3, final_ranking=None, valid=False, ranking_sequence=(two_one, one_two), score=None),
         ]
         p = tmp_path / "samples.jsonl"
-        write_samples(samples, str(p))
-        read = read_samples(str(p))
+        write_store(samples, p)
+        read = read_store(p)
         assert read == samples
         rankings = [r for s in read for r in (s.final_ranking, *s.ranking_sequence) if r is not None]
         assert len(rankings) == 8
@@ -270,23 +294,23 @@ class TestSamples:
 
     def test_unknown_key_is_ignored(self, tmp_path):
         p = tmp_path / "samples.jsonl"
-        write_samples([make_sample(1)], str(p))
+        write_store([make_sample(1)], p)
         record = json.loads(p.read_text())
         record["finish_reason"] = "stop"
         p.write_text(json.dumps(record) + "\n")
-        assert read_samples(str(p)) == [make_sample(1)]
+        assert read_store(p) == [make_sample(1)]
 
     def test_record_is_the_sample_fields_plus_schema_version(self, tmp_path):
         p = tmp_path / "samples.jsonl"
-        write_samples([make_sample(1)], str(p))
+        write_store([make_sample(1)], p)
         names = {f.name for f in dataclasses.fields(TrajectorySample)}
         assert set(json.loads(p.read_text())) == names | {"schema_version"}
 
     def test_writer_is_deterministic(self, tmp_path):
         samples = [make_sample(1), make_sample(2)]
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_samples(samples, str(a))
-        write_samples(samples, str(b))
+        write_store(samples, a)
+        write_store(samples, b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_round_trip_random_samples(self, tmp_path):
@@ -305,8 +329,8 @@ class TestSamples:
                     token_len=rng.randint(0, 10_000),
                 ))
             p = tmp_path / f"samples-{trial}.jsonl"
-            write_samples(samples, str(p))
-            assert read_samples(str(p)) == samples
+            write_store(samples, p)
+            assert read_store(p) == samples
 
 
 class TestSftCorpus:

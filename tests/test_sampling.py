@@ -300,7 +300,9 @@ def _request(seed=None):
 
 
 class _FakeResponse:
-    status_code = 200
+    def __init__(self, status_code=200, headers=None):
+        self.status_code = status_code
+        self.headers = headers or {}
 
     def json(self):
         return {"choices": [{"message": {"content": "[1] > [2]"}, "finish_reason": "stop"}]}
@@ -409,6 +411,30 @@ class TestHttpChatBackend:
         _generate_from_two_threads(HttpChatBackend("http://x.example/v1", session=shared))
         assert made == []
         assert len(shared.threads) == 2
+
+    @pytest.mark.parametrize("replies, slept", [
+        ([(429, "7")], [7.0]),
+        ([(503, "0.5")], [0.5]),
+        ([(429, "7"), (500, None)], [7.0, 0.5]),
+        ([(503, None)], [0.25]),
+        ([(500, "7")], [0.25]),
+        ([(429, "Wed, 21 Oct 2015 07:28:00 GMT")], [0.25]),
+        ([(429, "-1")], [0.25]),
+    ])
+    def test_numeric_retry_after_replaces_the_backoff_delay(self, replies, slept):
+        class ScriptedSession:
+            def __init__(self):
+                self.replies = [_FakeResponse(status, {} if header is None else {"Retry-After": header})
+                                for status, header in replies]
+
+            def post(self, url, **kwargs):
+                return self.replies.pop(0) if self.replies else _FakeResponse()
+
+        sleeps = []
+        backend = HttpChatBackend("http://x.example/v1", max_retries=3, backoff_base_s=0.25,
+                                  session=ScriptedSession(), sleep=sleeps.append)
+        assert backend.generate(_request()).raw_text == "[1] > [2]"
+        assert sleeps == slept
 
     def test_missing_auth_env_fails_fast(self):
         with pytest.raises(ConfigError, match="NOT_A_REAL_VAR"):
