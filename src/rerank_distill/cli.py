@@ -75,7 +75,7 @@ def _load_candidates(args, config: PipelineConfig) -> dict[str, rio.CandidateSet
     if not corpus_path:
         raise ConfigError("no passage corpus given (use --corpus or paths.corpus in the config)")
     run = rio.read_run(run_path, depth=args.depth)
-    texts = rio.read_corpus_texts(corpus_path)
+    texts = rio.read_corpus_texts(corpus_path, {doc_id for docs in run.values() for doc_id in docs})
     return rio.candidates_from_run(run, texts)
 
 
@@ -156,10 +156,11 @@ def cmd_evaluate(args) -> int:
                 skipped.append(samples[0].query_id)
             else:
                 run[first.query_id] = (first.final_ranking, first.token_len)
-    if skipped:
-        logger.warning("%d queries have no valid sample and are absent from the report: %s",
-                       len(skipped), skipped)
-    report = aggregate_report(run, qrels, bucket_count=args.bucket_count)
+        if skipped:
+            logger.warning("%d queries have no valid sample and are absent from the report: %s",
+                           len(skipped), skipped)
+        # Inside the block: a run that cannot be aggregated leaves no scored store.
+        report = aggregate_report(run, qrels, bucket_count=args.bucket_count)
     rio.write_report(report, args.out, format="json")
     print(f"scored {n_scored} samples -> {scored_out}")
     print(f"report: mean nDCG@10 {report.mean_ndcg10:.4f}, mean length {report.mean_len:.1f} -> {args.out}")

@@ -57,9 +57,17 @@ class PipelineConfig:
             raise ConfigError("think_markers must be an [open, close] pair")
         for name in self.profiles:
             self.sampling_config(name)  # raises ConfigError on invalid profiles
-        if self.prompt_template is not None and not os.path.exists(self.prompt_template):
-            raise ConfigError(f"prompt template file does not exist: {self.prompt_template}")
+        # os.path.exists takes an int as a file descriptor, so a path must be
+        # a string before it is looked up.
+        if self.prompt_template is not None:
+            if not isinstance(self.prompt_template, str):
+                raise ConfigError(f"prompt_template must be a path string, "
+                                  f"got {type(self.prompt_template).__name__}")
+            if not os.path.exists(self.prompt_template):
+                raise ConfigError(f"prompt template file does not exist: {self.prompt_template}")
         for key, path in self.paths.items():
+            if not isinstance(path, str):
+                raise ConfigError(f"configured path {key!r} must be a path string, got {type(path).__name__}")
             if not os.path.exists(path):
                 raise ConfigError(f"configured path {key!r} does not exist: {path}")
 

@@ -14,7 +14,7 @@ import json
 import logging
 import math
 import os
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Container, Iterable, Iterator, Mapping, Sequence
 from dataclasses import fields
 from typing import TextIO
 
@@ -155,9 +155,13 @@ def read_topics(path: str) -> list[Query]:
     return queries
 
 
-def read_corpus_texts(path: str) -> dict[str, str]:
+def read_corpus_texts(path: str, doc_ids: Container[str] | None = None) -> dict[str, str]:
     """Parse tab-separated "docid<TAB>passage text" lines; repeated ids are
-    tolerated with a warning, last wins."""
+    tolerated with a warning, last wins.
+
+    Given `doc_ids`, only those passages are kept, and only their repeats
+    are warned about: a run needs queries x depth passages of a corpus that
+    may hold millions. Every line is still checked for its tab."""
     texts: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -167,6 +171,8 @@ def read_corpus_texts(path: str) -> dict[str, str]:
             if "\t" not in line:
                 raise ParseError("expected docid<TAB>text", path, line_no)
             doc_id, text = line.split("\t", 1)
+            if doc_ids is not None and doc_id not in doc_ids:
+                continue
             if doc_id in texts:
                 logger.warning("%s:%d: repeated passage %s; last wins", path, line_no, doc_id)
             texts[doc_id] = text

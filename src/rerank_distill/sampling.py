@@ -21,14 +21,16 @@ import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Literal, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Literal, Mapping, Sequence
 
-import requests
 import yaml
 
 from .errors import BackendUnreachableError, ConfigError, MalformedResponseError, TransportError
 from .models import CandidateSet, Qrels, Query, Ranking, SamplingConfig, TrajectorySample
 from .parsing import DEFAULT_THINK_MARKERS, count_tokens, extract_rankings, parse_final_ranking, split_reasoning
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -160,6 +162,9 @@ class HttpChatBackend(GenerationBackend):
     Without an injected `session`, each thread that calls `generate` gets
     its own `requests.Session`: a Session is not documented as thread-safe.
     An injected session is used as given, from every thread.
+
+    `requests` is imported on the first request, not with this module: it
+    is most of the package's import time, and only this backend uses it.
     """
 
     def __init__(
@@ -199,6 +204,8 @@ class HttpChatBackend(GenerationBackend):
         }
         if request.seed is not None:
             payload["seed"] = derive_seed(request.seed, request.query_id, request.sample_index)
+        import requests
+
         session = self._session or self._thread_session()
         last_error: TransportError | None = None
         retry_after: float | None = None
@@ -233,6 +240,8 @@ class HttpChatBackend(GenerationBackend):
     def _thread_session(self) -> requests.Session:
         session = getattr(self._thread_sessions, "session", None)
         if session is None:
+            import requests
+
             session = self._thread_sessions.session = requests.Session()
         return session
 

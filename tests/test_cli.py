@@ -1,5 +1,8 @@
 import hashlib
 import json
+import logging
+import subprocess
+import sys
 import threading
 import time
 import weakref
@@ -7,10 +10,12 @@ from pathlib import Path
 
 import pytest
 
+import rerank_distill
 from rerank_distill import cli
 from rerank_distill.cli import main
 from rerank_distill.errors import TransportError
 from rerank_distill.io import read_report
+from rerank_distill.models import TrajectorySample
 from rerank_distill.sampling import GenerationBackend
 
 from conftest import MIXED_MODES_YAML, read_store, write_pipeline_workspace, write_store
@@ -164,7 +169,6 @@ class TestPipelineStages:
 
     def test_all_invalid_samples_build_empty_corpus_exit_0(self, workspace, tmp_path):
         _, paths = workspace
-        from rerank_distill.models import TrajectorySample
         bad = [TrajectorySample(query_id="q001", sample_index=k, raw_text="mumble",
                                 reasoning_text="mumble", final_ranking=None, ranking_sequence=(),
                                 token_len=1, token_len_source="approximated", valid=False,
@@ -180,6 +184,17 @@ class TestPipelineStages:
         stats = read_report(str(tmp_path / "corpus.stats.json"))
         assert stats["retention_rate"] == 0.0
         assert len(corpus.read_text().splitlines()) == 1  # header only
+
+    def test_sample_reads_only_the_run_passages(self, tmp_path, caplog):
+        paths = sample_workspace(tmp_path, 2, "profiles: {distill: {k_samples: 2}}\n")
+        clean = Path(paths["corpus"]).read_text()
+        padded = tmp_path / "padded.tsv"
+        padded.write_text("zz-d01\tunused\n" + clean + "zz-d01\tunused again\nzz-d02\talso unused\n")
+        assert sample_stage(paths, tmp_path / "clean.jsonl") == 0
+        with caplog.at_level(logging.WARNING):
+            assert sample_stage({**paths, "corpus": str(padded)}, tmp_path / "padded.jsonl") == 0
+        assert (tmp_path / "padded.jsonl").read_bytes() == (tmp_path / "clean.jsonl").read_bytes()
+        assert "repeated passage" not in caplog.text
 
     def test_report_rejects_mismatched_query_sets(self, workspace, tmp_path, capsys):
         _, paths = workspace
@@ -405,6 +420,25 @@ class TestStoreStreaming:
         assert "bad.jsonl:3: query 'q001' follows query 'q002'" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("existing", [b"earlier scored store\n", None])
+    def test_evaluate_of_an_empty_run_leaves_scored_out_as_it_was(self, tmp_path, capsys, existing):
+        invalid = [TrajectorySample(query_id="q001", sample_index=k, raw_text="mumble", reasoning_text="mumble",
+                                    final_ranking=None, ranking_sequence=(), token_len=1,
+                                    token_len_source="approximated", valid=False, error="no parseable ranking")
+                   for k in (1, 2)]
+        write_store(invalid, tmp_path / "invalid.jsonl")
+        (tmp_path / "qrels.txt").write_text("q001 0 d1 1\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        if existing is not None:
+            (out / "scored.jsonl").write_bytes(existing)
+        capsys.readouterr()
+        assert main(self.OFFLINE["evaluate"](str(tmp_path / "invalid.jsonl"),
+                                             {"qrels": str(tmp_path / "qrels.txt")}, out)) == 1
+        assert "cannot aggregate an empty run" in capsys.readouterr().err
+        expected = {} if existing is None else {"scored.jsonl": existing}
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == expected
+
     def test_failed_corpus_write_keeps_the_previous_corpus(self, scored, tmp_path, capsys):
         store, paths = scored
         out = tmp_path / "out"
@@ -467,3 +501,44 @@ class TestStoreStreaming:
         assert len(read_refs) == 5  # four queries, then the end of the store
         assert read_alive == [0] * 3
         assert write_alive == ([0] * 2 if stage == "evaluate" else [])
+
+
+# Run in a fresh interpreter: argv is the package's source directory, then
+# the workspace's topics, run, corpus, qrels and config files, then an
+# output directory. Prints the steps after which requests was loaded.
+_REQUESTS_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+topics, run, corpus, qrels, config, out = sys.argv[2:]
+loaded = []
+def check(step):
+    if "requests" in sys.modules:
+        loaded.append(step)
+import rerank_distill
+check("import rerank_distill")
+from rerank_distill import cli
+check("import rerank_distill.cli")
+stages = [
+    ["sample", "--topics", topics, "--run-file", run, "--corpus", corpus, "--config", config,
+     "--qrels", qrels, "--depth", "8", "--backend", "mock", "--seed", "11", "--out", out + "/s.jsonl"],
+    ["evaluate", "--samples", out + "/s.jsonl", "--qrels", qrels, "--out", out + "/eval.json"],
+    ["report", "mock=" + out + "/eval.json", "--out", out + "/comparison.json"],
+]
+for argv in stages:
+    assert cli.main(argv) == 0, argv[0]
+    check(argv[0])
+print(loaded)
+"""
+
+
+def test_mock_pipeline_never_imports_requests(tmp_path):
+    """Only the HTTP backend needs requests, and it is slow to import."""
+    paths = sample_workspace(tmp_path, 2, "profiles: {distill: {k_samples: 2}}\n")
+    src = str(Path(rerank_distill.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", _REQUESTS_PROBE, src,
+         *(paths[name] for name in ("topics", "run", "corpus", "qrels", "config")), str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"

@@ -1,4 +1,7 @@
+import pytest
+
 from rerank_distill.config import DEFAULT_PROFILES, load_config
+from rerank_distill.errors import ConfigError
 
 
 def _load(tmp_path, text):
@@ -21,3 +24,13 @@ def test_null_sections_are_empty(tmp_path):
     config = _load(tmp_path, "profiles: {distill: null}\nmock: null\npaths: null\n")
     assert config.sampling_config("distill").k_samples == DEFAULT_PROFILES["distill"]["k_samples"]
     assert config.paths == {}
+
+
+@pytest.mark.parametrize("text, message", [
+    # os.path.exists(0) and os.path.exists(1) test file descriptors, which are open.
+    ("prompt_template: 0\n", "prompt_template must be a path string, got int"),
+    ("paths: {run: 1}\n", "configured path 'run' must be a path string, got int"),
+])
+def test_non_string_path_is_config_error(tmp_path, text, message):
+    with pytest.raises(ConfigError, match=message):
+        _load(tmp_path, text)

@@ -167,6 +167,27 @@ class TestTopicsAndCorpus:
         sets = candidates_from_run({"q1": ["dB", "dA"]}, texts)
         assert sets["q1"].doc_ids == ("dB", "dA")
 
+    def test_corpus_keeps_only_the_requested_passages(self, tmp_path, caplog):
+        run = {"q1": ["dB", "dA"], "q2": ["dC"]}
+        clean = tmp_path / "clean.tsv"
+        clean.write_text("dA\tfirst passage\ndB\tsecond passage\ndC\tthird passage\n")
+        padded = tmp_path / "padded.tsv"
+        padded.write_text("dX\tunused\ndA\tfirst passage\ndX\tunused again\ndB\tsecond passage\n"
+                          "dY\talso unused\ndC\tthird passage\ndY\tand again\n")
+        wanted = {doc_id for docs in run.values() for doc_id in docs}
+        with caplog.at_level(logging.WARNING):
+            texts = read_corpus_texts(str(padded), wanted)
+        assert set(texts) == wanted
+        assert candidates_from_run(run, texts) == candidates_from_run(run, read_corpus_texts(str(clean)))
+        assert "repeated passage" not in caplog.text
+
+    def test_repeat_of_a_requested_passage_still_warns(self, tmp_path, caplog):
+        p = tmp_path / "corpus.tsv"
+        p.write_text("dA\tfirst\ndA\tsecond\n")
+        with caplog.at_level(logging.WARNING):
+            assert read_corpus_texts(str(p), {"dA"}) == {"dA": "second"}
+        assert "corpus.tsv:2: repeated passage dA; last wins" in caplog.text
+
     def test_missing_passage_text_rejected(self):
         with pytest.raises(ConfigError, match="dX"):
             candidates_from_run({"q1": ["dX"]}, {})

@@ -4,6 +4,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+import requests
 
 from rerank_distill.errors import (
     BackendUnreachableError,
@@ -388,7 +389,7 @@ class TestHttpChatBackend:
                 self.threads.add(threading.get_ident())
                 return _FakeResponse()
 
-        monkeypatch.setattr(sampling.requests, "Session", RecordingSession)
+        monkeypatch.setattr(requests, "Session", RecordingSession)
         backend = HttpChatBackend("http://x.example/v1", sleep=lambda s: None)
         _generate_from_two_threads(backend)
         assert len(made) == 2
@@ -397,7 +398,7 @@ class TestHttpChatBackend:
 
     def test_injected_session_is_used_from_every_thread(self, monkeypatch):
         made = []
-        monkeypatch.setattr(sampling.requests, "Session", lambda: made.append(1))
+        monkeypatch.setattr(requests, "Session", lambda: made.append(1))
 
         class SharedSession:
             def __init__(self):
