@@ -155,13 +155,11 @@ def read_topics(path: str) -> list[Query]:
     return queries
 
 
-def read_corpus_texts(path: str, doc_ids: Container[str] | None = None) -> dict[str, str]:
-    """Parse tab-separated "docid<TAB>passage text" lines; repeated ids are
-    tolerated with a warning, last wins.
-
-    Given `doc_ids`, only those passages are kept, and only their repeats
-    are warned about: a run needs queries x depth passages of a corpus that
-    may hold millions. Every line is still checked for its tab."""
+def read_corpus_texts(path: str, doc_ids: Container[str]) -> dict[str, str]:
+    """Parse tab-separated "docid<TAB>passage text" lines, keeping only the
+    passages `doc_ids` names: a run needs queries x depth passages of a
+    corpus that may hold millions. Repeats of a kept id are tolerated with a
+    warning, last wins. Every line is still checked for its tab."""
     texts: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -171,7 +169,7 @@ def read_corpus_texts(path: str, doc_ids: Container[str] | None = None) -> dict[
             if "\t" not in line:
                 raise ParseError("expected docid<TAB>text", path, line_no)
             doc_id, text = line.split("\t", 1)
-            if doc_ids is not None and doc_id not in doc_ids:
+            if doc_id not in doc_ids:
                 continue
             if doc_id in texts:
                 logger.warning("%s:%d: repeated passage %s; last wins", path, line_no, doc_id)

@@ -163,7 +163,7 @@ class TestTopicsAndCorpus:
     def test_corpus_texts_and_join(self, tmp_path):
         p = tmp_path / "corpus.tsv"
         p.write_text("dA\tfirst passage\ndB\tsecond passage\n")
-        texts = read_corpus_texts(str(p))
+        texts = read_corpus_texts(str(p), {"dA", "dB"})
         sets = candidates_from_run({"q1": ["dB", "dA"]}, texts)
         assert sets["q1"].doc_ids == ("dB", "dA")
 
@@ -178,7 +178,7 @@ class TestTopicsAndCorpus:
         with caplog.at_level(logging.WARNING):
             texts = read_corpus_texts(str(padded), wanted)
         assert set(texts) == wanted
-        assert candidates_from_run(run, texts) == candidates_from_run(run, read_corpus_texts(str(clean)))
+        assert candidates_from_run(run, texts) == candidates_from_run(run, read_corpus_texts(str(clean), wanted))
         assert "repeated passage" not in caplog.text
 
     def test_repeat_of_a_requested_passage_still_warns(self, tmp_path, caplog):
