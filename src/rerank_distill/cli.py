@@ -159,9 +159,10 @@ def cmd_evaluate(args) -> int:
         if skipped:
             logger.warning("%d queries have no valid sample and are absent from the report: %s",
                            len(skipped), skipped)
-        # Inside the block: a run that cannot be aggregated leaves no scored store.
+        # Inside the block: a run whose report cannot be built or written
+        # leaves the scored store as it was.
         report = aggregate_report(run, qrels, bucket_count=args.bucket_count)
-    rio.write_report(report, args.out, format="json")
+        rio.write_report(report, args.out, format="json")
     print(f"scored {n_scored} samples -> {scored_out}")
     print(f"report: mean nDCG@10 {report.mean_ndcg10:.4f}, mean length {report.mean_len:.1f} -> {args.out}")
     return 0
@@ -185,9 +186,11 @@ def cmd_build_corpus(args) -> int:
         stats += query_stats
 
     rate = retention_rate(stats)
-    rio.write_sft_corpus(records, template, args.out)
     stats_out = args.stats or str(Path(args.out).with_suffix(".stats.json"))
-    rio.write_report(rio.filter_stats_report(stats, rate), stats_out, format="json")
+    with rio.atomic_write(args.out) as fh:
+        rio.write_sft_corpus(records, template, fh)
+        # Inside the block: stats that cannot be written leave the corpus as it was.
+        rio.write_report(rio.filter_stats_report(stats, rate), stats_out, format="json")
     print(f"corpus: {len(records)} records from {len(stats)} queries (retention {rate:.3f}) -> {args.out}")
     print(f"filter stats -> {stats_out}")
     return 0
@@ -260,10 +263,7 @@ def cmd_report(args) -> int:
             "mean_ndcg10": payload["mean_ndcg10"],
             "mean_len": payload["mean_len"],
         })
-        curves[tag] = [
-            {"lo": b.lo, "hi": b.hi, "mean_ndcg10": b.mean_ndcg10, "count": b.count}
-            for b in length_buckets(per_query, args.bucket_count)
-        ]
+        curves[tag] = rio.length_bucket_rows(length_buckets(per_query, args.bucket_count))
     merged = {"kind": "comparison", "rows": rows, "curves": curves}
     rio.write_report(merged, args.out, format=args.format)
     for row in rows:

@@ -114,8 +114,7 @@ def _interpolate(value: object) -> object:
 
 
 def _mock_profile(raw: Mapping) -> MockProfile:
-    modes = tuple(MockMode(**mode) for mode in raw.get("modes", [{}]))
-    return MockProfile(name=str(raw.get("name", "default")), modes=modes)
+    return MockProfile(modes=tuple(MockMode(**mode) for mode in raw.get("modes", [{}])))
 
 
 def load_config(path: str | None) -> PipelineConfig:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import json
 import logging
 import math
@@ -24,6 +25,7 @@ from .models import (
     CandidateSet,
     DistillationRecord,
     EvalReport,
+    LengthBucket,
     Qrels,
     Query,
     QueryFilterStats,
@@ -251,98 +253,78 @@ def _decode_ranking(groups: object, decoded: dict[tuple, Ranking], field: str) -
     return ranking
 
 
-class SampleReader:
-    """An open store and how far `read_samples` has read it."""
-
-    def __init__(self, path: str, lines: Iterable[str]):
-        self.path = path
-        self.records = self._records(lines)
-        # The first record of the next query, which the read that found
-        # where the last query ends has taken from `records`.
-        self.ahead: tuple[int, dict] | None = None
-        self.query_id: str | None = None
-
-    def _records(self, lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
-        for line_no, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"corrupted sample record: {exc.msg}", self.path, line_no) from None
-            if not isinstance(record, dict):
-                raise ParseError("invalid sample record: not a JSON object", self.path, line_no)
-            yield line_no, record
+def _store_records(path: str, lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
+    """Each non-blank line of a store with its line number, as a JSON object."""
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"corrupted sample record: {exc.msg}", path, line_no) from None
+        if not isinstance(record, dict):
+            raise ParseError("invalid sample record: not a JSON object", path, line_no)
+        yield line_no, record
 
 
 def iter_samples(path: str) -> Iterator[list[TrajectorySample]]:
     """Each query's samples from a store written by `write_samples`, in
-    store order, one query at a time."""
-    with open(path, encoding="utf-8") as fh:
-        reader = SampleReader(path, fh)
-        while samples := read_samples(reader):
-            yield samples
-
-
-def read_samples(reader: SampleReader) -> list[TrajectorySample]:
-    """The next query's samples from `reader`; an empty list at the end of
-    the store. Samples of the query that state the same ranking share one
-    Ranking object.
+    store order, one query at a time.
 
     A query id that does not follow the one before it in strictly
     ascending order means that a query's records are not contiguous or not
-    in store order: a ParseError naming the line.
+    in store order: a ParseError naming the query's first line.
     """
-    entry = reader.ahead or next(reader.records, None)
-    reader.ahead = None
-    if entry is None:
-        return []
+    previous = None
+    with open(path, encoding="utf-8") as fh:
+        for query_id, entries in itertools.groupby(_store_records(path, fh), lambda entry: entry[1].get("query_id")):
+            first = next(entries)
+            samples = read_samples(path, itertools.chain((first,), entries))
+            if previous is not None and query_id <= previous:
+                raise ParseError(
+                    f"query {query_id!r} follows query {previous!r}: a query's records must be "
+                    "contiguous, in ascending query id order", path, first[0],
+                )
+            previous = query_id
+            yield samples
+
+
+def read_samples(path: str, entries: Iterable[tuple[int, dict]]) -> list[TrajectorySample]:
+    """The samples of one query's `(line number, record)` entries from the
+    store at `path`, with every field type-checked. Samples that state the
+    same ranking share one Ranking object."""
     decoded: dict[tuple, Ranking] = {}
-    first = _decode_sample(*entry, decoded, reader.path)
-    if reader.query_id is not None and first.query_id <= reader.query_id:
-        raise ParseError(
-            f"query {first.query_id!r} follows query {reader.query_id!r}: a query's records must be "
-            "contiguous, in ascending query id order", reader.path, entry[0],
-        )
-    reader.query_id = first.query_id
-    samples = [first]
-    for entry in reader.records:
-        if entry[1].get("query_id") != first.query_id:
-            reader.ahead = entry
-            break
-        samples.append(_decode_sample(*entry, decoded, reader.path))
+    samples = []
+    for line_no, record in entries:
+        version = record.get("schema_version")
+        if version != SAMPLES_SCHEMA_VERSION:
+            raise ParseError(
+                f"schema version mismatch: file has {version!r}, reader supports {SAMPLES_SCHEMA_VERSION}",
+                path, line_no,
+            )
+        values = {}
+        try:
+            for name, kinds in _FIELD_TYPES:
+                value = values[name] = record[name]
+                if type(value) not in kinds:
+                    expected = " or ".join("null" if kind is type(None) else kind.__name__ for kind in kinds)
+                    raise ValueError(f"field {name!r} must be {expected}, got {type(value).__name__}")
+            if values["final_ranking"] is not None:
+                values["final_ranking"] = _decode_ranking(values["final_ranking"], decoded, "final_ranking")
+            values["ranking_sequence"] = tuple([_decode_ranking(groups, decoded, "ranking_sequence")
+                                                for groups in values["ranking_sequence"]])
+            samples.append(TrajectorySample(**values))
+        except (KeyError, ValueError) as exc:
+            raise ParseError(f"invalid sample record: {exc}", path, line_no) from None
     return samples
-
-
-def _decode_sample(line_no: int, record: dict, decoded: dict[tuple, Ranking], path: str) -> TrajectorySample:
-    """The sample a store record holds, with every field type-checked."""
-    version = record.get("schema_version")
-    if version != SAMPLES_SCHEMA_VERSION:
-        raise ParseError(
-            f"schema version mismatch: file has {version!r}, reader supports {SAMPLES_SCHEMA_VERSION}",
-            path, line_no,
-        )
-    values = {}
-    try:
-        for name, kinds in _FIELD_TYPES:
-            value = values[name] = record[name]
-            if type(value) not in kinds:
-                expected = " or ".join("null" if kind is type(None) else kind.__name__ for kind in kinds)
-                raise ValueError(f"field {name!r} must be {expected}, got {type(value).__name__}")
-        if values["final_ranking"] is not None:
-            values["final_ranking"] = _decode_ranking(values["final_ranking"], decoded, "final_ranking")
-        values["ranking_sequence"] = tuple([_decode_ranking(groups, decoded, "ranking_sequence")
-                                            for groups in values["ranking_sequence"]])
-        return TrajectorySample(**values)
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"invalid sample record: {exc}", path, line_no) from None
 
 
 # --- SFT corpus -----------------------------------------------------------------
 
-def write_sft_corpus(corpus: Sequence[DistillationRecord], template: PromptTemplate, path: str) -> None:
-    """One chat-schema JSON object per record: the system+user prompt the
-    target was sampled under, plus the target text as the assistant turn.
+def write_sft_corpus(corpus: Sequence[DistillationRecord], template: PromptTemplate, out: TextIO) -> None:
+    """Write to the open file `out` one chat-schema JSON object per record:
+    the system+user prompt the target was sampled under, plus the target
+    text as the assistant turn.
 
     The first line is a version header; an empty corpus is that line alone.
     Records whose stored prompt hash does not match the prompt rebuilt from
@@ -350,17 +332,16 @@ def write_sft_corpus(corpus: Sequence[DistillationRecord], template: PromptTempl
     teacher never saw.
     """
     header = {"format": SFT_FORMAT, "version": SFT_VERSION, "template": template.name}
-    with atomic_write(path) as fh:
-        fh.write(json.dumps(header, sort_keys=True, ensure_ascii=False) + "\n")
-        for record in sorted(corpus, key=lambda r: r.query.id):
-            prompt = build_prompt(record.query, record.candidates, template)
-            if record.prompt_hash is not None and hash_messages(prompt) != record.prompt_hash:
-                raise ConfigError(
-                    f"template {template.name!r} does not reproduce the prompt that sampled "
-                    f"query {record.query.id!r} (hash mismatch)"
-                )
-            line = {"messages": prompt + [{"role": "assistant", "content": record.target_text}]}
-            fh.write(json.dumps(line, sort_keys=True, ensure_ascii=False) + "\n")
+    out.write(json.dumps(header, sort_keys=True, ensure_ascii=False) + "\n")
+    for record in sorted(corpus, key=lambda r: r.query.id):
+        prompt = build_prompt(record.query, record.candidates, template)
+        if record.prompt_hash is not None and hash_messages(prompt) != record.prompt_hash:
+            raise ConfigError(
+                f"template {template.name!r} does not reproduce the prompt that sampled "
+                f"query {record.query.id!r} (hash mismatch)"
+            )
+        line = {"messages": prompt + [{"role": "assistant", "content": record.target_text}]}
+        out.write(json.dumps(line, sort_keys=True, ensure_ascii=False) + "\n")
 
 
 # --- reports --------------------------------------------------------------------
@@ -406,11 +387,13 @@ def eval_report_payload(report: EvalReport) -> dict:
         },
         "mean_ndcg10": report.mean_ndcg10,
         "mean_len": report.mean_len,
-        "length_buckets": [
-            {"lo": b.lo, "hi": b.hi, "mean_ndcg10": b.mean_ndcg10, "count": b.count}
-            for b in report.length_buckets
-        ],
+        "length_buckets": length_bucket_rows(report.length_buckets),
     }
+
+
+def length_bucket_rows(buckets: Iterable[LengthBucket]) -> list[dict]:
+    """Length buckets as report rows, for eval reports and comparison curves."""
+    return [{"lo": b.lo, "hi": b.hi, "mean_ndcg10": b.mean_ndcg10, "count": b.count} for b in buckets]
 
 
 def redundancy_report(

@@ -322,7 +322,6 @@ class MockProfile:
     """A cycle of modes assigned to samples by index: sample k gets
     modes[(k - 1) % len(modes)]."""
 
-    name: str = "default"
     modes: tuple[MockMode, ...] = (MockMode(),)
 
     def __post_init__(self) -> None:

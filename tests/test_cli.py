@@ -395,8 +395,8 @@ class TestStoreStreaming:
 
     @pytest.fixture
     def scored(self, tmp_path):
-        """A scored store of 4 queries x K=2, and the workspace it came from."""
-        paths = sample_workspace(tmp_path, 4, "profiles: {distill: {k_samples: 2}}\n")
+        """A scored store of 5 queries x K=2, and the workspace it came from."""
+        paths = sample_workspace(tmp_path, 5, "profiles: {distill: {k_samples: 2}}\n")
         assert sample_stage(paths, tmp_path / "s.jsonl") == 0
         assert main(["evaluate", "--samples", str(tmp_path / "s.jsonl"), "--qrels", paths["qrels"],
                      "--out", str(tmp_path / "eval.json"),
@@ -405,8 +405,8 @@ class TestStoreStreaming:
 
     @pytest.mark.parametrize("stage", OFFLINE)
     @pytest.mark.parametrize("order", [
-        [2, 3, 0, 1, 4, 5, 6, 7],  # q002 before q001
-        [0, 2, 1, 3, 4, 5, 6, 7],  # q001 and q002 interleaved
+        [2, 3, 0, 1, 4, 5, 6, 7, 8, 9],  # q002 before q001
+        [0, 2, 1, 3, 4, 5, 6, 7, 8, 9],  # q001 and q002 interleaved
     ])
     def test_store_out_of_query_order_is_parse_error(self, scored, tmp_path, capsys, stage, order):
         store, paths = scored
@@ -453,6 +453,26 @@ class TestStoreStreaming:
         assert "hash mismatch" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize("existing", [b"earlier output\n", None])
+    @pytest.mark.parametrize("stage, first, second", [
+        ("evaluate", "scored.jsonl", "eval.json"),
+        ("build-corpus", "corpus.jsonl", "stats.json"),
+    ])
+    def test_failed_second_output_leaves_the_first_as_it_was(self, scored, tmp_path, capsys,
+                                                              stage, first, second, existing):
+        store, paths = scored
+        out = tmp_path / "out"
+        out.mkdir()
+        if existing is not None:
+            (out / first).write_bytes(existing)
+        argv = self.OFFLINE[stage](str(store), paths, out)
+        argv[argv.index(str(out / second))] = str(tmp_path / "missing" / second)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert "No such file or directory" in capsys.readouterr().err
+        expected = {} if existing is None else {first: existing}
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == expected
+
     def test_scoring_a_store_in_place_writes_the_same_bytes(self, tmp_path):
         paths = sample_workspace(tmp_path, 3, "profiles: {distill: {k_samples: 3}}\n")
         assert sample_stage(paths, tmp_path / "s.jsonl") == 0
@@ -498,9 +518,9 @@ class TestStoreStreaming:
         out = tmp_path / "out"
         out.mkdir()
         assert main(self.OFFLINE[stage](str(store), paths, out)) == 0
-        assert len(read_refs) == 5  # four queries, then the end of the store
+        assert len(read_refs) == 5  # one read per query
         assert read_alive == [0] * 3
-        assert write_alive == ([0] * 2 if stage == "evaluate" else [])
+        assert write_alive == ([0] * 3 if stage == "evaluate" else [])
 
 
 # Run in a fresh interpreter: argv is the package's source directory, then

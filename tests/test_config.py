@@ -2,6 +2,7 @@ import pytest
 
 from rerank_distill.config import DEFAULT_PROFILES, load_config
 from rerank_distill.errors import ConfigError
+from rerank_distill.sampling import MockMode, MockProfile
 
 
 def _load(tmp_path, text):
@@ -24,6 +25,11 @@ def test_null_sections_are_empty(tmp_path):
     config = _load(tmp_path, "profiles: {distill: null}\nmock: null\npaths: null\n")
     assert config.sampling_config("distill").k_samples == DEFAULT_PROFILES["distill"]["k_samples"]
     assert config.paths == {}
+
+
+def test_mock_name_is_ignored(tmp_path):
+    config = _load(tmp_path, "mock: {name: bench, modes: [{quality: worst}]}\n")
+    assert config.mock == MockProfile(modes=(MockMode(quality="worst"),))
 
 
 @pytest.mark.parametrize("text, message", [

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import logging
 import random
@@ -10,6 +11,7 @@ from rerank_distill.io import (
     candidates_from_run,
     eval_report_payload,
     filter_stats_report,
+    iter_samples,
     read_corpus_texts,
     read_qrels,
     read_report,
@@ -231,6 +233,25 @@ class TestSamples:
         with pytest.raises(ParseError, match=r":2: corrupted"):
             read_store(p)
 
+    def test_blank_lines_between_and_inside_queries_are_skipped(self, tmp_path):
+        samples = [make_sample(1), make_sample(2), make_sample(1, query_id="q2")]
+        p = tmp_path / "samples.jsonl"
+        write_store(samples, p)
+        first, second, third = p.read_text().splitlines(keepends=True)
+        p.write_text("\n" + first + "  \n" + second + "\n\n" + third + "\n")
+        assert list(iter_samples(str(p))) == [samples[:2], samples[2:]]
+
+    def test_corrupted_line_of_a_later_query_names_its_own_line(self, tmp_path):
+        samples = [make_sample(1), make_sample(2), make_sample(1, query_id="q2")]
+        p = tmp_path / "samples.jsonl"
+        write_store(samples, p)
+        with open(p, "a") as fh:
+            fh.write('{"query_id": "q2", \n')
+        queries = iter_samples(str(p))
+        assert next(queries) == samples[:2]
+        with pytest.raises(ParseError, match=r":4: corrupted"):
+            next(queries)
+
     def test_schema_version_mismatch(self, tmp_path):
         p = tmp_path / "samples.jsonl"
         record = {"schema_version": 999}
@@ -362,11 +383,15 @@ class TestSftCorpus:
         return DistillationRecord(query=query, candidates=universe, target_text="reasoned [1] > [2]",
                                   target_score=0.9, target_len=12, prompt_hash=phash), template
 
-    def test_one_record_one_line_with_three_messages(self, tmp_path):
+    @staticmethod
+    def _write(records, template) -> str:
+        out = io.StringIO()
+        write_sft_corpus(records, template, out)
+        return out.getvalue()
+
+    def test_one_record_one_line_with_three_messages(self):
         record, template = self._record()
-        p = tmp_path / "corpus.jsonl"
-        write_sft_corpus([record], template, str(p))
-        lines = p.read_text().splitlines()
+        lines = self._write([record], template).splitlines()
         header = json.loads(lines[0])
         assert header["format"] == "sft-chat-messages"
         body = json.loads(lines[1])
@@ -374,21 +399,19 @@ class TestSftCorpus:
         assert body["messages"][2]["content"] == "reasoned [1] > [2]"
         assert len(lines) == 2
 
-    def test_empty_corpus_writes_the_header_only(self, tmp_path):
+    def test_empty_corpus_writes_the_header_only(self):
         _, template = self._record()
-        p = tmp_path / "corpus.jsonl"
-        write_sft_corpus([], template, str(p))
-        assert [json.loads(line) for line in p.read_text().splitlines()] == [
+        assert [json.loads(line) for line in self._write([], template).splitlines()] == [
             {"format": "sft-chat-messages", "template": template.name, "version": 1}]
 
-    def test_template_mismatch_rejected(self, tmp_path):
+    def test_template_mismatch_rejected(self):
         record, template = self._record()
         from rerank_distill.sampling import PromptTemplate
         other = PromptTemplate(name="other", system="different", user="{passages} {query}")
         with pytest.raises(ConfigError, match="hash mismatch"):
-            write_sft_corpus([record], other, str(tmp_path / "c.jsonl"))
+            self._write([record], other)
 
-    def test_deterministic_and_sorted_by_query(self, tmp_path):
+    def test_deterministic_and_sorted_by_query(self):
         template = default_template()
         records = []
         for qid in ("zz", "aa"):
@@ -396,10 +419,7 @@ class TestSftCorpus:
             records.append(DistillationRecord(
                 query=query, candidates=universe, target_text="t",
                 target_score=0.5, target_len=1, prompt_hash=None))
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_sft_corpus(records, template, str(a))
-        write_sft_corpus(list(reversed(records)), template, str(b))
-        assert a.read_bytes() == b.read_bytes()
+        assert self._write(records, template) == self._write(list(reversed(records)), template)
 
 
 class TestReports:
