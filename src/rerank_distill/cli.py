@@ -108,8 +108,6 @@ def cmd_sample(args) -> int:
                 sampling_config,
                 backend,
                 template=template,
-                think_markers=config.think_markers,
-                token_mode=config.tokenizer_mode,
             )))
         written = 0
         failed_queries = []

@@ -18,7 +18,7 @@ import yaml
 
 from .errors import ConfigError
 from .models import SamplingConfig
-from .parsing import DEFAULT_THINK_MARKERS
+from .parsing import THINK_MARKERS
 from .sampling import MockMode, MockProfile
 
 _ENV_PATTERN = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
@@ -27,6 +27,10 @@ DEFAULT_PROFILES: dict[str, dict] = {
     "distill": {"k_samples": 16, "temperature": 0.7, "top_p": 0.95, "max_tokens": 8192, "max_in_flight": 4},
     "eval": {"k_samples": 1, "temperature": 0.5, "top_p": 0.95, "max_tokens": 8192, "max_in_flight": 4},
 }
+
+# Keys with one accepted value. Any other value is refused, not ignored: it
+# would ask for another token length or reasoning split than the one stored.
+_FIXED_KEYS = {"tokenizer_mode": "auto", "think_markers": list(THINK_MARKERS)}
 
 
 @dataclass(frozen=True)
@@ -44,17 +48,11 @@ class PipelineConfig:
     endpoint: EndpointSettings = field(default_factory=EndpointSettings)
     profiles: Mapping[str, Mapping] = field(default_factory=lambda: dict(DEFAULT_PROFILES))
     prompt_template: str | None = None
-    tokenizer_mode: str = "auto"
-    think_markers: tuple[str, str] = DEFAULT_THINK_MARKERS
     paths: Mapping[str, str] = field(default_factory=dict)
     mock: MockProfile = field(default_factory=MockProfile)
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.tokenizer_mode not in ("auto", "approximate"):
-            raise ConfigError(f"tokenizer_mode must be auto or approximate, got {self.tokenizer_mode!r}")
-        if len(self.think_markers) != 2:
-            raise ConfigError("think_markers must be an [open, close] pair")
         for name in self.profiles:
             self.sampling_config(name)  # raises ConfigError on invalid profiles
         # os.path.exists takes an int as a file descriptor, so a path must be
@@ -137,9 +135,9 @@ def load_config(path: str | None) -> PipelineConfig:
         endpoint = EndpointSettings(**_mapping(raw.get("endpoint"), "endpoint section"))
     except TypeError as exc:
         raise ConfigError(f"invalid endpoint section: {exc}") from None
-    markers = raw.get("think_markers", list(DEFAULT_THINK_MARKERS))
-    if not isinstance(markers, (list, tuple)) or len(markers) != 2:
-        raise ConfigError("think_markers must be an [open, close] pair")
+    for key, fixed in _FIXED_KEYS.items():
+        if key in raw and raw[key] != fixed:
+            raise ConfigError(f"{key} must be {fixed!r}, the only supported value, got {raw[key]!r}")
     try:
         mock = _mock_profile(_mapping(raw.get("mock"), "mock section"))
     except TypeError as exc:
@@ -149,8 +147,6 @@ def load_config(path: str | None) -> PipelineConfig:
         endpoint=endpoint,
         profiles={**DEFAULT_PROFILES, **_mapping(raw.get("profiles"), "profiles section")},
         prompt_template=raw.get("prompt_template"),
-        tokenizer_mode=raw.get("tokenizer_mode", "auto"),
-        think_markers=(str(markers[0]), str(markers[1])),
         paths=dict(_mapping(raw.get("paths"), "paths section")),
         mock=mock,
         seed=raw.get("seed"),

@@ -133,8 +133,6 @@ def aggregate_report(
     """
     if not run:
         raise ValueError("cannot aggregate an empty run")
-    if bucket_count < 1:
-        raise ValueError("bucket_count must be >= 1")
     judged = qrels.query_ids()
     per_query: dict[str, tuple[float, int]] = {}
     for query_id in sorted(run):
@@ -161,6 +159,8 @@ def length_buckets(
 
     A zero-width range (all lengths equal) collapses to a single bucket.
     """
+    if bucket_count < 1:
+        raise ValueError(f"bucket_count must be >= 1, got {bucket_count}")
     lens = [v[1] for v in per_query.values()]
     lo, hi = float(min(lens)), float(max(lens))
     if lo == hi:

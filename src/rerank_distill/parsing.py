@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from .models import CandidateSet, Ranking
 
-DEFAULT_THINK_MARKERS = ("<think>", "</think>")
+# The teacher's reasoning delimiters.
+THINK_MARKERS = ("<think>", "</think>")
 
 # Maximal syntactic run: bracketed integers joined by > or = with optional
 # whitespace. Greedy matching makes every finditer hit maximal.
@@ -139,26 +140,22 @@ def parse_final_ranking(
     return repair_ranking(last, universe), coverage
 
 
-def split_reasoning(
-    raw_text: str,
-    markers: tuple[str, str] = DEFAULT_THINK_MARKERS,
-) -> tuple[str, str]:
+def split_reasoning(raw_text: str) -> tuple[str, str]:
     """Split a generation into (reasoning, answer).
 
-    When the open/close marker pair is present, reasoning is the delimited
+    When the THINK_MARKERS pair is present, reasoning is the delimited
     content and answer is everything outside it. Otherwise the text before
     the last syntactic ranking run is reasoning and the run onward is the
     answer; with no run at all, the whole text is reasoning.
     """
-    open_marker, close_marker = markers
-    if open_marker and close_marker:
-        start = raw_text.find(open_marker)
-        if start != -1:
-            end = raw_text.find(close_marker, start + len(open_marker))
-            if end != -1:
-                reasoning = raw_text[start + len(open_marker):end]
-                answer = raw_text[:start] + raw_text[end + len(close_marker):]
-                return reasoning, answer
+    open_marker, close_marker = THINK_MARKERS
+    start = raw_text.find(open_marker)
+    if start != -1:
+        end = raw_text.find(close_marker, start + len(open_marker))
+        if end != -1:
+            reasoning = raw_text[start + len(open_marker):end]
+            answer = raw_text[:start] + raw_text[end + len(close_marker):]
+            return reasoning, answer
     last_run = None
     for m in _RANKING_RUN.finditer(raw_text):
         if m.group(0).count("[") >= 2:  # two items, so a separator between them
@@ -198,20 +195,13 @@ _CLASS_TABLE = _ClassTable()
 _TOKEN_STARTS = tuple(prev + cls for cls in "ado" for prev in "wado" if prev != cls)
 
 
-def count_tokens(text: str, endpoint_count: int | None = None) -> int:
-    """Token length of a generation.
-
-    With `endpoint_count` given (the inference server's usage metadata),
-    returns it verbatim; negative counts are corrupt and rejected.
-    Otherwise approximates: the text is split at whitespace and at
+def count_tokens(text: str) -> int:
+    """Approximate token length of a generation, for when the endpoint
+    reports none: the text is split at whitespace and at
     letter/digit/punctuation class boundaries, and the surviving runs are
     counted. Deterministic, no model tokenizer involved. The runs are
     counted as class changes in the text's string of class letters.
     """
-    if endpoint_count is not None:
-        if endpoint_count < 0:
-            raise ValueError(f"endpoint-reported token count is negative: {endpoint_count}")
-        return endpoint_count
     classes = "w" + text.translate(_CLASS_TABLE)
     return sum(map(classes.count, _TOKEN_STARTS))
 

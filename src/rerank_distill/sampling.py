@@ -27,7 +27,7 @@ import yaml
 
 from .errors import BackendUnreachableError, ConfigError, MalformedResponseError, TransportError
 from .models import CandidateSet, Qrels, Query, Ranking, SamplingConfig, TrajectorySample
-from .parsing import DEFAULT_THINK_MARKERS, count_tokens, extract_rankings, parse_final_ranking, split_reasoning
+from .parsing import count_tokens, extract_rankings, parse_final_ranking, split_reasoning
 
 if TYPE_CHECKING:
     import requests
@@ -180,6 +180,12 @@ class HttpChatBackend(GenerationBackend):
     ):
         if not endpoint_url:
             raise ConfigError("HTTP backend requires an endpoint URL")
+        if max_retries < 0:
+            raise ConfigError(f"endpoint max_retries must be >= 0, got {max_retries}")
+        if backoff_base_s < 0:
+            raise ConfigError(f"endpoint backoff_base_s must be >= 0, got {backoff_base_s}")
+        if timeout_s <= 0:
+            raise ConfigError(f"endpoint timeout_s must be > 0, got {timeout_s}")
         self.endpoint_url = endpoint_url
         self.timeout_s = timeout_s
         self.max_retries = max_retries
@@ -257,9 +263,12 @@ class HttpChatBackend(GenerationBackend):
         finish = choice.get("finish_reason")
         usage = body.get("usage") or {}
         completion_tokens = usage.get("completion_tokens")
+        # A count is reported only as a non-negative int: a bool is an int
+        # to isinstance, and a negative count is corrupt.
+        reported = type(completion_tokens) is int and completion_tokens >= 0
         return GenerationResult(
             raw_text=text,
-            endpoint_token_count=completion_tokens if isinstance(completion_tokens, int) else None,
+            endpoint_token_count=completion_tokens if reported else None,
             finish_reason=finish if finish in ("stop", "length") else "error",
             latency_ms=latency_ms,
         )
@@ -421,8 +430,6 @@ def sample_trajectories(
     backend: GenerationBackend,
     *,
     template: PromptTemplate | None = None,
-    think_markers: tuple[str, str] = DEFAULT_THINK_MARKERS,
-    token_mode: Literal["auto", "approximate"] = "auto",
 ) -> list[TrajectorySample]:
     """Draw K stochastic trajectories for one query, one request at a time,
     and parse each generation as soon as it returns.
@@ -463,8 +470,7 @@ def sample_trajectories(
             logger.error("query %s sample %d: malformed response: %s", query.id, sample_index, exc)
             outcome = str(exc)
         samples.append(
-            _parse_sample(query.id, sample_index, outcome, candidates, think_markers, token_mode, prompt_hash,
-                          parsed_runs)
+            _parse_sample(query.id, sample_index, outcome, candidates, prompt_hash, parsed_runs)
         )
 
     if transport_failures == config.k_samples:
@@ -480,15 +486,15 @@ def _parse_sample(
     sample_index: int,
     outcome: GenerationResult | str,
     candidates: CandidateSet,
-    think_markers: tuple[str, str],
-    token_mode: str,
     prompt_hash: str,
     parsed_runs: dict[str, Ranking | None],
 ) -> TrajectorySample:
     """Parse one generation, scanning it for ranking statements once.
     `outcome` is the error message when the backend call failed. A
     generation cut off at `max_tokens` keeps its ranking sequence and token
-    length but is invalid: its last statement is not a decision."""
+    length but is invalid: its last statement is not a decision. The token
+    length is the endpoint's count when it reported one, else
+    `count_tokens`' approximation."""
     raw_text = reasoning = ""
     sequence: tuple[Ranking, ...] = ()
     final_ranking = coverage = None
@@ -499,12 +505,12 @@ def _parse_sample(
         error = outcome
     else:
         raw_text = outcome.raw_text
-        reasoning, _answer = split_reasoning(raw_text, think_markers)
+        reasoning, _answer = split_reasoning(raw_text)
         matches = extract_rankings(raw_text, candidates, parsed_runs)
         sequence = tuple(m.ranking for m in matches)
         parsed = parse_final_ranking(raw_text, candidates, matches=matches)
-        if token_mode == "auto" and outcome.endpoint_token_count is not None:
-            token_len = count_tokens(raw_text, endpoint_count=outcome.endpoint_token_count)
+        if outcome.endpoint_token_count is not None:
+            token_len = outcome.endpoint_token_count
             source = "endpoint-reported"
         else:
             token_len = count_tokens(raw_text)

@@ -223,6 +223,19 @@ class TestPipelineStages:
         assert merged["rows"] == [{"tag": "solo", "mean_ndcg10": pytest.approx(0.5),
                                    "mean_len": pytest.approx(10.0)}]
 
+    @pytest.mark.parametrize("bucket_count", ["0", "-2"])
+    def test_report_bucket_count_below_one_is_validation_error(self, tmp_path, capsys, bucket_count):
+        from rerank_distill.io import write_report
+        a = {"kind": "eval", "per_query": {"q1": {"ndcg10": 0.5, "gen_len": 10},
+                                           "q2": {"ndcg10": 0.7, "gen_len": 20}},
+             "mean_ndcg10": 0.6, "mean_len": 15.0, "length_buckets": []}
+        write_report(a, str(tmp_path / "a.json"))
+        code = main(["report", f"solo={tmp_path / 'a.json'}", "--bucket-count", bucket_count,
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert f"error: bucket_count must be >= 1, got {bucket_count}" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_report_two_tags_two_rows(self, workspace, tmp_path):
         _, paths = workspace
         from rerank_distill.io import write_report

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from rerank_distill.config import DEFAULT_PROFILES, load_config
@@ -40,3 +42,21 @@ def test_mock_name_is_ignored(tmp_path):
 def test_non_string_path_is_config_error(tmp_path, text, message):
     with pytest.raises(ConfigError, match=message):
         _load(tmp_path, text)
+
+
+def test_fixed_token_settings_still_load(tmp_path):
+    _load(tmp_path, 'tokenizer_mode: auto\nthink_markers: ["<think>", "</think>"]\n')
+
+
+@pytest.mark.parametrize("text, key", [
+    ("tokenizer_mode: approximate\n", "tokenizer_mode"),
+    ('think_markers: ["<r>", "</r>"]\n', "think_markers"),
+])
+def test_other_token_settings_are_config_errors(tmp_path, text, key):
+    with pytest.raises(ConfigError, match=key):
+        _load(tmp_path, text)
+
+
+def test_example_config_loads():
+    config = load_config(str(Path(__file__).parent.parent / "configs" / "example.yaml"))
+    assert (config.endpoint.max_retries, len(config.mock.modes), config.seed) == (3, 3, 7)

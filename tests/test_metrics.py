@@ -200,6 +200,12 @@ class TestAggregateReport:
         assert buckets[0].count == 2
         assert buckets[0].mean_ndcg10 == pytest.approx(0.6)
 
+    @pytest.mark.parametrize("lengths", [(100, 100), (100, 200)])
+    @pytest.mark.parametrize("bucket_count", [0, -2])
+    def test_bucket_count_below_one_rejected(self, lengths, bucket_count):
+        with pytest.raises(ValueError, match="bucket_count must be >= 1"):
+            length_buckets({"a": (0.5, lengths[0]), "b": (0.7, lengths[1])}, bucket_count)
+
     def test_empty_run_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             aggregate_report({}, Qrels(judgments={}), bucket_count=2)

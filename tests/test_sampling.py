@@ -178,19 +178,15 @@ class TestSampleTrajectories:
             token_len_source="endpoint-reported", valid=True, coverage=2 / 3,
             prompt_hash=prompt_hash)
 
-    def test_approximate_mode_ignores_the_endpoint_count(self):
-        class Reported(GenerationBackend):
-            def generate(self, request):
-                return GenerationResult("[2] > [1]", 9, "stop", 0)
-
-        [sample] = sample_trajectories(make_query(), make_universe(3), config(k_samples=1), Reported(),
-                                       token_mode="approximate")
-        assert parsing.count_tokens("[2] > [1]") != 9
+    @pytest.mark.parametrize("completion_tokens", [True, -3, 4.0, "9"])
+    def test_count_that_is_not_a_non_negative_int_is_approximated(self, completion_tokens):
+        backend = HttpChatBackend("http://x.example/v1", session=_ReplySession(_FakeResponse(usage=completion_tokens)))
+        [sample] = sample_trajectories(make_query(), make_universe(3), config(k_samples=1), backend)
         assert sample == TrajectorySample(
-            query_id="q1", sample_index=1, raw_text="[2] > [1]", reasoning_text="",
-            final_ranking=Ranking(groups=(("2",), ("1",), ("3",))),
-            ranking_sequence=(Ranking(groups=(("2",), ("1",))),),
-            token_len=parsing.count_tokens("[2] > [1]"), token_len_source="approximated",
+            query_id="q1", sample_index=1, raw_text="[1] > [2]", reasoning_text="",
+            final_ranking=Ranking(groups=(("1",), ("2",), ("3",))),
+            ranking_sequence=(Ranking(groups=(("1",), ("2",))),),
+            token_len=parsing.count_tokens("[1] > [2]"), token_len_source="approximated",
             valid=True, coverage=2 / 3, prompt_hash=sample.prompt_hash)
 
     def test_truncated_generation_is_invalid_and_keeps_its_sequence(self):
@@ -301,12 +297,26 @@ def _request(seed=None):
 
 
 class _FakeResponse:
-    def __init__(self, status_code=200, headers=None):
+    def __init__(self, status_code=200, headers=None, usage=None):
         self.status_code = status_code
         self.headers = headers or {}
+        self.usage = usage
 
     def json(self):
-        return {"choices": [{"message": {"content": "[1] > [2]"}, "finish_reason": "stop"}]}
+        body = {"choices": [{"message": {"content": "[1] > [2]"}, "finish_reason": "stop"}]}
+        if self.usage is not None:
+            body["usage"] = {"completion_tokens": self.usage}
+        return body
+
+
+class _ReplySession:
+    """Answers every POST with the same response."""
+
+    def __init__(self, response):
+        self.response = response
+
+    def post(self, url, **kwargs):
+        return self.response
 
 
 def _generate_from_two_threads(backend):
@@ -440,6 +450,16 @@ class TestHttpChatBackend:
     def test_missing_auth_env_fails_fast(self):
         with pytest.raises(ConfigError, match="NOT_A_REAL_VAR"):
             HttpChatBackend("http://x.example", auth_env="NOT_A_REAL_VAR")
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"max_retries": -1}, "max_retries must be >= 0, got -1"),
+        ({"backoff_base_s": -0.5}, "backoff_base_s must be >= 0, got -0.5"),
+        ({"timeout_s": 0}, "timeout_s must be > 0, got 0"),
+        ({"timeout_s": -1.0}, "timeout_s must be > 0, got -1.0"),
+    ])
+    def test_out_of_range_retry_settings_are_config_errors(self, setting, message):
+        with pytest.raises(ConfigError, match=message):
+            HttpChatBackend("http://x.example", **setting)
 
 
 GOLDEN_K3_DIGEST = "a26f7753903d2966a9b8b1c71f2f305dc2b2de95c156f59ba31c722e1a2ac66a"
