@@ -146,7 +146,7 @@ def cmd_evaluate(args) -> int:
     with rio.atomic_write(scored_out) as fh:
         for samples in rio.iter_samples(args.samples):
             scored = attach_scores(samples, qrels)
-            rio.write_samples(scored, fh)
+            rio.write_scored_samples(samples.lines, samples, scored, fh)
             n_scored += len(scored)
             first = min((s for s in scored if s.valid and s.final_ranking is not None),
                         key=lambda s: s.sample_index, default=None)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 import yaml
@@ -31,6 +31,10 @@ DEFAULT_PROFILES: dict[str, dict] = {
 # Keys with one accepted value. Any other value is refused, not ignored: it
 # would ask for another token length or reasoning split than the one stored.
 _FIXED_KEYS = {"tokenizer_mode": "auto", "think_markers": list(THINK_MARKERS)}
+
+# The YAML types each endpoint setting accepts, by the field's annotation:
+# a bool is not a number, and an int is a float.
+_SETTING_TYPES = {"str": (str,), "str | None": (str, type(None)), "int": (int,), "float": (int, float)}
 
 
 @dataclass(frozen=True)
@@ -111,6 +115,19 @@ def _interpolate(value: object) -> object:
     return value
 
 
+def _endpoint_settings(raw: Mapping) -> EndpointSettings:
+    try:
+        endpoint = EndpointSettings(**raw)
+    except TypeError as exc:
+        raise ConfigError(f"invalid endpoint section: {exc}") from None
+    for f in fields(EndpointSettings):
+        value, kinds = getattr(endpoint, f.name), _SETTING_TYPES[f.type]
+        if type(value) not in kinds:
+            expected = " or ".join("null" if kind is type(None) else kind.__name__ for kind in kinds)
+            raise ConfigError(f"endpoint.{f.name} must be {expected}, got {type(value).__name__} {value!r}")
+    return endpoint
+
+
 def _mock_profile(raw: Mapping) -> MockProfile:
     return MockProfile(modes=tuple(MockMode(**mode) for mode in raw.get("modes", [{}])))
 
@@ -131,10 +148,7 @@ def load_config(path: str | None) -> PipelineConfig:
         raise ConfigError(f"config {path} must be a mapping at top level")
     raw = _interpolate(raw)
 
-    try:
-        endpoint = EndpointSettings(**_mapping(raw.get("endpoint"), "endpoint section"))
-    except TypeError as exc:
-        raise ConfigError(f"invalid endpoint section: {exc}") from None
+    endpoint = _endpoint_settings(_mapping(raw.get("endpoint"), "endpoint section"))
     for key, fixed in _FIXED_KEYS.items():
         if key in raw and raw[key] != fixed:
             raise ConfigError(f"{key} must be {fixed!r}, the only supported value, got {raw[key]!r}")

@@ -17,6 +17,7 @@ import math
 import os
 from collections.abc import Container, Iterable, Iterator, Mapping, Sequence
 from dataclasses import fields
+from json.encoder import encode_basestring
 from typing import TextIO
 
 from .errors import ConfigError, ParseError
@@ -210,6 +211,44 @@ def write_samples(samples: Sequence[TrajectorySample], out: TextIO) -> None:
         out.write(_SAMPLE_ENCODER.encode(record) + "\n")
 
 
+def _record_tail(sample: TrajectorySample) -> str | None:
+    """What `write_samples` writes last in `sample`'s record: its members
+    from "score" on, which sort last, and the closing brace. None when one
+    of them holds another type than the record's (a bool score, an int
+    `valid`), which leaves the record to `write_samples`."""
+    score, token_len, valid = sample.score, sample.token_len, sample.valid
+    if type(score) not in (float, type(None)) or type(token_len) is not int or type(valid) is not bool:
+        return None
+    return (f', "score": {"null" if score is None else repr(score)}, "token_len": {token_len}, '
+            f'"token_len_source": {encode_basestring(sample.token_len_source)}, '
+            f'"valid": {"true" if valid else "false"}}}')
+
+
+def write_scored_samples(lines: Sequence[str], samples: Sequence[TrajectorySample],
+                         scored: Sequence[TrajectorySample], out: TextIO) -> None:
+    """Append to the open store `out` the records `write_samples(scored,
+    out)` would write, where `samples` were decoded from the store `lines`
+    and each scored sample differs from its sample as read at most in the
+    members from "score" on, as `metrics.attach_scores` returns them.
+
+    A line that ends as `write_samples` ends its sample's record is copied
+    up to those members, and only they are written anew: the long trace
+    text is not encoded again. A line that ends otherwise (keys in another
+    order, another key after "valid", trailing spaces) is written with
+    `write_samples`. A hand-written line that ends in that layout keeps its
+    earlier bytes, and still decodes to the scored sample.
+    """
+    for line, sample, new in zip(lines, samples, scored, strict=True):
+        end = len(line) - line.endswith("\n")
+        tail = _record_tail(sample)
+        if tail is not None and line.endswith(tail, 0, end):
+            new_tail = _record_tail(new)
+            if new_tail is not None:
+                out.write(line[:end - len(tail)] + new_tail + "\n")
+                continue
+        write_samples((new,), out)
+
+
 _LIST_ONLY = frozenset((list,))
 _BAD_RANKING = "a ranking must be a non-empty list of tie groups, each a list of doc-id strings"
 # The JSON types each TrajectorySample field may hold in a record, by the
@@ -253,8 +292,9 @@ def _decode_ranking(groups: object, decoded: dict[tuple, Ranking], field: str) -
     return ranking
 
 
-def _store_records(path: str, lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
-    """Each non-blank line of a store with its line number, as a JSON object."""
+def _store_records(path: str, lines: Iterable[str]) -> Iterator[tuple[int, dict, str]]:
+    """Each non-blank line of a store with its line number and the JSON
+    object it holds: `(line number, record, line)`."""
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -264,12 +304,31 @@ def _store_records(path: str, lines: Iterable[str]) -> Iterator[tuple[int, dict]
             raise ParseError(f"corrupted sample record: {exc.msg}", path, line_no) from None
         if not isinstance(record, dict):
             raise ParseError("invalid sample record: not a JSON object", path, line_no)
+        yield line_no, record, line
+
+
+class QuerySamples(list):
+    """One query's samples as `iter_samples` yields them: a list, with the
+    store line each sample was decoded from, in the same order, in `lines`."""
+
+    __slots__ = ("lines",)
+
+    def __init__(self, samples: Iterable[TrajectorySample], lines: Sequence[str]):
+        super().__init__(samples)
+        self.lines = lines
+
+
+def _kept_lines(entries: Iterable[tuple[int, dict, str]], lines: list[str]) -> Iterator[tuple[int, dict]]:
+    """The `(line number, record)` of each store entry, appending its line
+    to `lines` as it goes: the records are still decoded in line order."""
+    for line_no, record, line in entries:
+        lines.append(line)
         yield line_no, record
 
 
-def iter_samples(path: str) -> Iterator[list[TrajectorySample]]:
+def iter_samples(path: str) -> Iterator[QuerySamples]:
     """Each query's samples from a store written by `write_samples`, in
-    store order, one query at a time.
+    store order, one query at a time, with the lines they were read from.
 
     A query id that does not follow the one before it in strictly
     ascending order means that a query's records are not contiguous or not
@@ -279,14 +338,15 @@ def iter_samples(path: str) -> Iterator[list[TrajectorySample]]:
     with open(path, encoding="utf-8") as fh:
         for query_id, entries in itertools.groupby(_store_records(path, fh), lambda entry: entry[1].get("query_id")):
             first = next(entries)
-            samples = read_samples(path, itertools.chain((first,), entries))
+            lines: list[str] = []
+            samples = read_samples(path, _kept_lines(itertools.chain((first,), entries), lines))
             if previous is not None and query_id <= previous:
                 raise ParseError(
                     f"query {query_id!r} follows query {previous!r}: a query's records must be "
                     "contiguous, in ascending query id order", path, first[0],
                 )
             previous = query_id
-            yield samples
+            yield QuerySamples(samples, lines)
 
 
 def read_samples(path: str, entries: Iterable[tuple[int, dict]]) -> list[TrajectorySample]:
@@ -346,35 +406,45 @@ def write_sft_corpus(corpus: Sequence[DistillationRecord], template: PromptTempl
 
 # --- reports --------------------------------------------------------------------
 
+# The types a report value renders as, told apart by exact type; any other
+# value renders as the first of these bases it is an instance of.
+_REPORT_TYPES = frozenset((dict, list, bool, float, int, str, type(None)))
+_REPORT_BASES = ((Mapping, dict), (list, list), (tuple, list), (bool, bool), (float, float), (int, int), (str, str))
+
+
 def _canonical_json(value: object, indent: int = 0) -> str:
-    """Canonical rendering: sorted keys, floats fixed at 6 decimal places."""
+    """Canonical rendering: sorted keys, floats fixed at 6 decimal places.
+    Keys and strings are escaped as `json.dumps(..., ensure_ascii=False)`
+    escapes them."""
+    kind = type(value)
+    if kind not in _REPORT_TYPES:
+        kind = next((as_kind for base, as_kind in _REPORT_BASES if isinstance(value, base)), kind)
+    if kind is str:
+        return encode_basestring(value)
+    if kind is float:
+        if not math.isfinite(value):
+            raise ValueError(f"cannot serialize non-finite float {value}")
+        return f"{value:.6f}"
     pad = "  " * indent
-    if isinstance(value, Mapping):
+    if kind is dict:
         if not value:
             return "{}"
-        keys = sorted(value)
         body = ",\n".join(
-            f"{pad}  {json.dumps(str(k), ensure_ascii=False)}: {_canonical_json(value[k], indent + 1)}"
-            for k in keys
+            f"{pad}  {encode_basestring(str(k))}: {_canonical_json(value[k], indent + 1)}"
+            for k in sorted(value)
         )
         return "{\n" + body + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
+    if kind is list:
         if not value:
             return "[]"
         body = ",\n".join(f"{pad}  {_canonical_json(v, indent + 1)}" for v in value)
         return "[\n" + body + f"\n{pad}]"
-    if isinstance(value, bool):
+    if kind is bool:
         return "true" if value else "false"
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"cannot serialize non-finite float {value}")
-        return f"{value:.6f}"
-    if isinstance(value, int):
+    if kind is int:
         return str(value)
     if value is None:
         return "null"
-    if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=False)
     raise TypeError(f"cannot serialize {type(value).__name__} in a report")
 
 

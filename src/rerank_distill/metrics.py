@@ -109,11 +109,16 @@ def length_normalized_nll(batch: Sequence[Sequence[float]]) -> float:
 
 def attach_scores(samples: Sequence[TrajectorySample], qrels: Qrels) -> list[TrajectorySample]:
     """Score every valid sample's final ranking with nDCG@10; invalid
-    samples pass through."""
+    samples pass through. Samples of one query that state the same final
+    ranking are scored once: most of a query's K samples repeat one."""
+    scores: dict[tuple[str, Ranking], float] = {}
     scored = []
     for sample in samples:
         if sample.valid and sample.final_ranking is not None:
-            value = ndcg_at_k(sample.final_ranking, qrels, sample.query_id)
+            key = (sample.query_id, sample.final_ranking)
+            value = scores.get(key)
+            if value is None:
+                value = scores[key] = ndcg_at_k(sample.final_ranking, qrels, sample.query_id)
             scored.append(replace(sample, score=value))
         else:
             scored.append(sample)

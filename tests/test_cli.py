@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import logging
 import subprocess
@@ -15,7 +16,7 @@ from rerank_distill import cli
 from rerank_distill.cli import main
 from rerank_distill.errors import TransportError
 from rerank_distill.io import read_report
-from rerank_distill.models import TrajectorySample
+from rerank_distill.models import Ranking, TrajectorySample
 from rerank_distill.sampling import GenerationBackend
 
 from conftest import MIXED_MODES_YAML, read_store, write_pipeline_workspace, write_store
@@ -527,13 +528,129 @@ class TestStoreStreaming:
     def test_offline_stage_releases_each_query_once_done(self, scored, tmp_path, monkeypatch, stage):
         store, paths = scored
         read_alive, read_refs = self.hold_weakly(monkeypatch, "read_samples", lambda args, result: result)
-        write_alive, write_refs = self.hold_weakly(monkeypatch, "write_samples", lambda args, result: args[0])
+        # evaluate writes each query's scored samples beside the samples as read.
+        write_alive, write_refs = self.hold_weakly(monkeypatch, "write_scored_samples",
+                                                   lambda args, result: [*args[1], *args[2]])
         out = tmp_path / "out"
         out.mkdir()
         assert main(self.OFFLINE[stage](str(store), paths, out)) == 0
         assert len(read_refs) == 5  # one read per query
         assert read_alive == [0] * 3
         assert write_alive == ([0] * 3 if stage == "evaluate" else [])
+
+
+class TestScoredStore:
+    """evaluate copies each store line and writes only the members from
+    "score" on anew; its scored store is what write_samples writes for the
+    scored samples, and a record in another layout is encoded again."""
+
+    @pytest.fixture
+    def store(self, tmp_path):
+        """A store written by `sample`, 3 queries x K=3, and its workspace."""
+        paths = sample_workspace(tmp_path, 3, "profiles: {distill: {k_samples: 3}}\n")
+        assert sample_stage(paths, tmp_path / "s.jsonl") == 0
+        return tmp_path / "s.jsonl", paths
+
+    @pytest.fixture
+    def encoded(self, monkeypatch):
+        """The number of samples evaluate passes to write_samples."""
+        from rerank_distill import io as rio
+
+        counts = []
+        inner = rio.write_samples
+
+        def counting(samples, out):
+            counts.append(len(samples))
+            inner(samples, out)
+
+        monkeypatch.setattr(rio, "write_samples", counting)
+        return counts
+
+    @staticmethod
+    def expected(store, qrels) -> bytes:
+        """write_samples of every sample of `store`, scored against `qrels`."""
+        from rerank_distill import io as rio
+        from rerank_distill.metrics import attach_scores
+
+        out = io.StringIO()
+        judgments = rio.read_qrels(str(qrels))
+        for samples in rio.iter_samples(str(store)):
+            rio.write_samples(attach_scores(samples, judgments), out)
+        return out.getvalue().encode()
+
+    @staticmethod
+    def evaluate(store, qrels, scored_out) -> bytes:
+        assert main(["evaluate", "--samples", str(store), "--qrels", str(qrels), "--out",
+                     str(Path(scored_out).parent / "eval.json"), "--scored-out", str(scored_out)]) == 0
+        return Path(scored_out).read_bytes()
+
+    def test_store_written_by_sample(self, store, tmp_path, encoded):
+        path, paths = store
+        expected = self.expected(path, paths["qrels"])
+        encoded.clear()
+        assert self.evaluate(path, paths["qrels"], tmp_path / "scored.jsonl") == expected
+        assert encoded == []
+
+    @pytest.mark.parametrize("qrels", ["same", "changed"])
+    def test_scored_store_rescored_in_place(self, store, tmp_path, encoded, qrels):
+        path, paths = store
+        self.evaluate(path, paths["qrels"], path)
+        if qrels == "changed":  # other grades, so the stored scores are out of date
+            lines = Path(paths["qrels"]).read_text().splitlines()
+            Path(paths["qrels"]).write_text("".join(
+                f"{qid} 0 {doc} {int(doc[-2:]) % 4}\n" for qid, _, doc, _ in map(str.split, lines)))
+        expected = self.expected(path, paths["qrels"])
+        before = path.read_bytes()
+        encoded.clear()
+        assert self.evaluate(path, paths["qrels"], path) == expected
+        assert encoded == []
+        assert (expected == before) == (qrels == "same")
+
+    @pytest.mark.parametrize("layout", ["keys in another order", "a key after valid", "trailing spaces"])
+    def test_record_in_another_layout_is_encoded_again(self, store, tmp_path, encoded, layout):
+        path, paths = store
+        lines = path.read_text().splitlines(keepends=True)
+        record = json.loads(lines[4])
+        if layout == "keys in another order":
+            lines[4] = json.dumps(dict(reversed(record.items()))) + "\n"
+        elif layout == "a key after valid":
+            lines[4] = json.dumps({**record, "zz_note": "kept out"}, sort_keys=True) + "\n"
+        else:
+            lines[4] = lines[4][:-1] + "   \n"
+        path.write_text("".join(lines))
+        expected = self.expected(path, paths["qrels"])
+        encoded.clear()
+        assert self.evaluate(path, paths["qrels"], tmp_path / "scored.jsonl") == expected
+        assert encoded == [1]
+
+    def test_last_line_without_newline(self, store, tmp_path, encoded):
+        path, paths = store
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        expected = self.expected(path, paths["qrels"])
+        encoded.clear()
+        scored = self.evaluate(path, paths["qrels"], tmp_path / "scored.jsonl")
+        assert scored == expected
+        assert scored.endswith(b"}\n")
+        assert encoded == []
+
+    def test_invalid_sample_is_copied_unchanged(self, tmp_path, encoded):
+        def sample(k, **fields):
+            ranking = Ranking(groups=(("d1",), ("d2",)))
+            return TrajectorySample(**{
+                "query_id": "q001", "sample_index": k, "raw_text": "[1] > [2]", "reasoning_text": "",
+                "final_ranking": ranking, "ranking_sequence": (ranking,), "token_len": 5,
+                "token_len_source": "approximated", **fields})
+
+        write_store([sample(1), sample(2, final_ranking=None, valid=False, error="truncated at max_tokens"),
+                     sample(3, raw_text="caf\u00e9 \u2014 [1] > [2]")], tmp_path / "s.jsonl")
+        (tmp_path / "qrels.txt").write_text("q001 0 d1 1\n")
+        expected = self.expected(tmp_path / "s.jsonl", tmp_path / "qrels.txt")
+        encoded.clear()
+        scored = self.evaluate(tmp_path / "s.jsonl", tmp_path / "qrels.txt", tmp_path / "scored.jsonl")
+        assert scored == expected
+        assert encoded == []
+        assert scored.splitlines()[1] == (tmp_path / "s.jsonl").read_bytes().splitlines()[1]
+        assert [s.score for s in read_store(tmp_path / "scored.jsonl")] == [1.0, None, 1.0]
 
 
 # Run in a fresh interpreter: argv is the package's source directory, then

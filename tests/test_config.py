@@ -60,3 +60,23 @@ def test_other_token_settings_are_config_errors(tmp_path, text, key):
 def test_example_config_loads():
     config = load_config(str(Path(__file__).parent.parent / "configs" / "example.yaml"))
     assert (config.endpoint.max_retries, len(config.mock.modes), config.seed) == (3, 3, 7)
+
+
+@pytest.mark.parametrize("setting, message", [
+    ('max_retries: "3"', "endpoint.max_retries must be int, got str"),
+    ("max_retries: true", "endpoint.max_retries must be int, got bool"),
+    ("max_retries: 2.0", "endpoint.max_retries must be int, got float"),
+    ('timeout_s: "30"', "endpoint.timeout_s must be int or float, got str"),
+    ("backoff_base_s: false", "endpoint.backoff_base_s must be int or float, got bool"),
+    ("url: 8080", "endpoint.url must be str, got int"),
+    ("model: [m]", "endpoint.model must be str, got list"),
+    ("auth_env: {name: TOKEN}", "endpoint.auth_env must be str or null, got dict"),
+])
+def test_endpoint_setting_of_another_type_is_config_error(tmp_path, setting, message):
+    with pytest.raises(ConfigError, match=message):
+        _load(tmp_path, f"endpoint: {{{setting}}}\n")
+
+
+def test_endpoint_numbers_may_be_ints(tmp_path):
+    endpoint = _load(tmp_path, "endpoint: {timeout_s: 30, backoff_base_s: 0, auth_env: null}\n").endpoint
+    assert (endpoint.timeout_s, endpoint.backoff_base_s, endpoint.auth_env) == (30, 0, None)

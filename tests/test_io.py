@@ -20,6 +20,8 @@ from rerank_distill.io import (
     redundancy_report,
     write_qrels,
     write_report,
+    write_samples,
+    write_scored_samples,
     write_sft_corpus,
 )
 from rerank_distill.models import (
@@ -333,6 +335,30 @@ class TestSamples:
         rankings = [r for s in read for r in (s.final_ranking, *s.ranking_sequence) if r is not None]
         assert len(rankings) == 8
         assert len({id(r) for r in rankings}) == 2
+
+    @staticmethod
+    def encoded(sample):
+        out = io.StringIO()
+        write_samples([sample], out)
+        return out.getvalue()
+
+    def test_scored_line_keeps_the_bytes_before_its_score(self, tmp_path):
+        sample = make_sample(1)
+        line = '{"a_note": "hand-written",   ' + self.encoded(sample)[1:]
+        scored = dataclasses.replace(sample, score=0.25)
+        out = io.StringIO()
+        write_scored_samples([line], [sample], [scored], out)
+        assert out.getvalue() == line.replace('"score": 0.75,', '"score": 0.25,')
+        (tmp_path / "s.jsonl").write_text(out.getvalue())
+        assert read_store(tmp_path / "s.jsonl") == [scored]
+
+    @pytest.mark.parametrize("changes", [{"score": True}, {"score": 1}, {"valid": 1}, {"token_len": True}])
+    def test_tail_of_another_type_is_encoded_again(self, changes):
+        sample = make_sample(1)
+        scored = dataclasses.replace(sample, **changes)
+        out = io.StringIO()
+        write_scored_samples([self.encoded(sample)], [sample], [scored], out)
+        assert out.getvalue() == self.encoded(scored)
 
     def test_unknown_key_is_ignored(self, tmp_path):
         p = tmp_path / "samples.jsonl"

@@ -248,3 +248,34 @@ class TestAttachScores:
             token_len=3, token_len_source="approximated")
         assert attach_scores([sample], Qrels(judgments={}))[0].score == 0.5
         assert calls == ["q1"]
+
+    def test_each_distinct_final_ranking_of_a_query_is_scored_once(self, monkeypatch):
+        from rerank_distill import metrics
+        from rerank_distill.models import TrajectorySample
+
+        def sample(query_id, k, ranking):
+            return TrajectorySample(
+                query_id=query_id, sample_index=k, raw_text="", reasoning_text="",
+                final_ranking=ranking, ranking_sequence=(), token_len=3, token_len_source="approximated",
+                valid=ranking is not None, error=None if ranking is not None else "no ranking")
+
+        forward, backward = strict_ranking(["1", "2", "3"]), strict_ranking(["3", "2", "1"])
+        samples = [
+            sample("q1", 1, forward),
+            sample("q1", 2, strict_ranking(["1", "2", "3"])),  # equal to forward, another object
+            sample("q1", 3, backward),
+            sample("q1", 4, None),
+            sample("q1", 5, forward),
+            sample("q2", 1, forward),  # the same ranking of another query
+        ]
+        qrels = Qrels(judgments={("q1", "1"): 2, ("q1", "3"): 1, ("q2", "3"): 3})
+        expected = [ndcg_at_k(s.final_ranking, qrels, s.query_id) if s.valid else None for s in samples]
+        calls = []
+
+        def spy(ranking, qrels, query_id):
+            calls.append((query_id, ranking.groups))
+            return ndcg_at_k(ranking, qrels, query_id)
+
+        monkeypatch.setattr(metrics, "ndcg_at_k", spy)
+        assert [s.score for s in attach_scores(samples, qrels)] == expected
+        assert calls == [("q1", forward.groups), ("q1", backward.groups), ("q2", forward.groups)]
