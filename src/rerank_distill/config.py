@@ -32,9 +32,15 @@ DEFAULT_PROFILES: dict[str, dict] = {
 # would ask for another token length or reasoning split than the one stored.
 _FIXED_KEYS = {"tokenizer_mode": "auto", "think_markers": list(THINK_MARKERS)}
 
-# The YAML types each endpoint setting accepts, by the field's annotation:
-# a bool is not a number, and an int is a float.
-_SETTING_TYPES = {"str": (str,), "str | None": (str, type(None)), "int": (int,), "float": (int, float)}
+# The YAML types a setting accepts, by its field's annotation: a bool is
+# not a number, and an int is a float.
+_SETTING_TYPES = {
+    "str": (str,),
+    "str | None": (str, type(None)),
+    "int": (int,),
+    "int | None": (int, type(None)),
+    "float": (int, float),
+}
 
 
 @dataclass(frozen=True)
@@ -57,6 +63,7 @@ class PipelineConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
+        _check_types({"seed": self.seed}, PipelineConfig, "")
         for name in self.profiles:
             self.sampling_config(name)  # raises ConfigError on invalid profiles
         # os.path.exists takes an int as a file descriptor, so a path must be
@@ -80,6 +87,7 @@ class PipelineConfig:
             raise ConfigError(f"unknown sampling profile {profile!r}; have {sorted(self.profiles)}")
         settings = {**DEFAULT_PROFILES.get(profile, DEFAULT_PROFILES["distill"]),
                     **_mapping(self.profiles[profile], f"sampling profile {profile!r}")}
+        _check_types(settings, SamplingConfig, f"profiles.{profile}.")
         try:
             return SamplingConfig(
                 endpoint_url=self.endpoint.url,
@@ -115,21 +123,36 @@ def _interpolate(value: object) -> object:
     return value
 
 
-def _endpoint_settings(raw: Mapping) -> EndpointSettings:
-    try:
-        endpoint = EndpointSettings(**raw)
-    except TypeError as exc:
-        raise ConfigError(f"invalid endpoint section: {exc}") from None
-    for f in fields(EndpointSettings):
-        value, kinds = getattr(endpoint, f.name), _SETTING_TYPES[f.type]
+def _check_types(settings: Mapping, cls: type, prefix: str) -> None:
+    """Refuse each setting of `settings` that names a field of the dataclass
+    `cls` but has a type the field's annotation does not accept; the error
+    names the setting as `prefix` + field name. Other keys are left to the
+    constructor."""
+    for f in fields(cls):
+        if f.name not in settings:
+            continue
+        value, kinds = settings[f.name], _SETTING_TYPES[f.type]
         if type(value) not in kinds:
             expected = " or ".join("null" if kind is type(None) else kind.__name__ for kind in kinds)
-            raise ConfigError(f"endpoint.{f.name} must be {expected}, got {type(value).__name__} {value!r}")
-    return endpoint
+            raise ConfigError(f"{prefix}{f.name} must be {expected}, got {type(value).__name__} {value!r}")
+
+
+def _endpoint_settings(raw: Mapping) -> EndpointSettings:
+    _check_types(raw, EndpointSettings, "endpoint.")
+    try:
+        return EndpointSettings(**raw)
+    except TypeError as exc:
+        raise ConfigError(f"invalid endpoint section: {exc}") from None
 
 
 def _mock_profile(raw: Mapping) -> MockProfile:
-    return MockProfile(modes=tuple(MockMode(**mode) for mode in raw.get("modes", [{}])))
+    modes = []
+    for i, mode in enumerate(raw.get("modes", [{}])):
+        if not isinstance(mode, Mapping):
+            raise ConfigError(f"mock.modes[{i}] must be a mapping, got {type(mode).__name__}")
+        _check_types(mode, MockMode, f"mock.modes[{i}].")
+        modes.append(MockMode(**mode))
+    return MockProfile(modes=tuple(modes))
 
 
 def load_config(path: str | None) -> PipelineConfig:

@@ -166,18 +166,19 @@ def split_reasoning(raw_text: str) -> tuple[str, str]:
 
 
 def _char_class(c: str) -> str:
-    """One letter per token class: whitespace, alpha, digit or other."""
+    """A one-byte code per token class: whitespace 0, and a single bit for
+    each other class: alpha 1, digit 2, other 4."""
     if c.isspace():
-        return "w"
+        return "\0"
     if c.isalpha():
-        return "a"
+        return "\1"
     if c.isdigit():
-        return "d"
-    return "o"
+        return "\2"
+    return "\4"
 
 
 class _ClassTable(dict):
-    """Code point -> `_char_class` letter, for `str.translate`. Each code
+    """Code point -> `_char_class` code, for `str.translate`. Each code
     point is classified the first time a text contains it, so the table
     holds only code points already seen."""
 
@@ -187,23 +188,26 @@ class _ClassTable(dict):
 
 
 # Shared by sampling worker threads: a store only ever writes the same
-# letter for the same code point, and a dict store is atomic.
+# code for the same code point, and a dict store is atomic.
 _CLASS_TABLE = _ClassTable()
-# A token starts wherever a non-whitespace class follows a different one.
-# Each pair has two different letters, so its occurrences never overlap
-# and str.count finds every one.
-_TOKEN_STARTS = tuple(prev + cls for cls in "ado" for prev in "wado" if prev != cls)
 
 
 def count_tokens(text: str) -> int:
     """Approximate token length of a generation, for when the endpoint
     reports none: the text is split at whitespace and at
     letter/digit/punctuation class boundaries, and the surviving runs are
-    counted. Deterministic, no model tokenizer involved. The runs are
-    counted as class changes in the text's string of class letters.
+    counted. Deterministic, no model tokenizer involved.
+
+    The text's class codes, one byte per character, are read as one
+    little-endian integer. Shifted left by a byte, it puts each previous
+    character's code under the next (whitespace, 0, before the first). A
+    token starts where a character's code has a bit the previous code
+    lacks, which holds exactly when its class is not whitespace and
+    differs from the previous class. Each such byte keeps one bit, so the
+    popcount is the count.
     """
-    classes = "w" + text.translate(_CLASS_TABLE)
-    return sum(map(classes.count, _TOKEN_STARTS))
+    codes = int.from_bytes(text.translate(_CLASS_TABLE).encode("latin-1"), "little")
+    return (codes & ~(codes << 8)).bit_count()
 
 
 def render_ranking(ranking: Ranking, universe: CandidateSet) -> str:

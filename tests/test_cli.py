@@ -144,6 +144,20 @@ class TestPipelineStages:
         assert code == 1
         assert f"error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting, message", [
+        ("profiles: {distill: {k_samples: 2.5}}", "profiles.distill.k_samples must be int, got float 2.5"),
+        ("mock: {modes: [{filler_sentences: 2.5}]}",
+         "mock.modes[0].filler_sentences must be int, got float 2.5"),
+    ])
+    def test_sampling_setting_of_another_type_is_config_error(self, workspace, capsys, setting, message):
+        tmp_path, paths = workspace
+        (tmp_path / "bad.yaml").write_text(setting + "\n")
+        code = main(["sample", "--topics", paths["topics"], "--run-file", paths["run"],
+                     "--corpus", paths["corpus"], "--config", str(tmp_path / "bad.yaml"),
+                     "--out", str(tmp_path / "s.jsonl")])
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_missing_required_flag_is_exit_1(self, workspace, capsys):
         code = main(["sample", "--topics", "t.tsv"])
         assert code == 1

@@ -80,3 +80,28 @@ def test_endpoint_setting_of_another_type_is_config_error(tmp_path, setting, mes
 def test_endpoint_numbers_may_be_ints(tmp_path):
     endpoint = _load(tmp_path, "endpoint: {timeout_s: 30, backoff_base_s: 0, auth_env: null}\n").endpoint
     assert (endpoint.timeout_s, endpoint.backoff_base_s, endpoint.auth_env) == (30, 0, None)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("profiles: {distill: {k_samples: 2.5}}", "profiles.distill.k_samples must be int, got float 2.5"),
+    ("profiles: {distill: {k_samples: true}}", "profiles.distill.k_samples must be int, got bool True"),
+    ("profiles: {eval: {max_in_flight: 1.5}}", "profiles.eval.max_in_flight must be int, got float 1.5"),
+    ('profiles: {fast: {temperature: "0.7"}}', "profiles.fast.temperature must be int or float, got str"),
+    ("profiles: {distill: {top_p: false}}", "profiles.distill.top_p must be int or float, got bool"),
+    ("mock: {modes: [{filler_sentences: 2.5}]}", r"mock.modes\[0\].filler_sentences must be int, got float 2.5"),
+    ("mock: {modes: [{}, {revert_loops: true}]}", r"mock.modes\[1\].revert_loops must be int, got bool"),
+    ("mock: {modes: [{quality: 1}]}", r"mock.modes\[0\].quality must be str, got int"),
+    ("mock: {modes: [ideal]}", r"mock.modes\[0\] must be a mapping, got str"),
+    ("seed: 1.5", "seed must be int or null, got float 1.5"),
+    ("seed: true", "seed must be int or null, got bool"),
+    ('seed: "7"', "seed must be int or null, got str"),
+])
+def test_sampling_setting_of_another_type_is_config_error(tmp_path, text, message):
+    with pytest.raises(ConfigError, match=message):
+        _load(tmp_path, text + "\n")
+
+
+def test_sampling_floats_may_be_ints(tmp_path):
+    config = _load(tmp_path, "profiles: {eval: {temperature: 0, top_p: 1}}\nseed: null\n")
+    sampling = config.sampling_config("eval")
+    assert (sampling.temperature, sampling.top_p, config.seed) == (0, 1, None)

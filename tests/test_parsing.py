@@ -13,6 +13,7 @@ from rerank_distill.parsing import (
     render_ranking,
     split_reasoning,
 )
+from rerank_distill.sampling import _QUALITY_VALUES, MockMode, MockProfile, mock_generate
 
 from conftest import make_universe, random_ranking
 
@@ -178,6 +179,30 @@ class TestCountTokens:
         assert count_tokens("7\u0663 [\u0663]") == 4
         assert count_tokens("caf\xe9 42") == 2
 
+    def test_text_starting_with_a_non_space(self):
+        assert count_tokens("x") == 1
+        assert count_tokens("[1]") == 3
+        assert count_tokens("7 x") == 2
+
+    def test_whitespace_only_has_no_tokens(self):
+        assert count_tokens(" \t\n\x1c\x85\xa0\u3000") == 0
+
+    def test_delete_is_other(self):
+        assert count_tokens("\x7f") == 1
+        assert count_tokens("a\x7f\x7fb") == 3
+
+    def test_every_character_starts_a_token(self):
+        assert count_tokens("a1" * 10000) == 20000
+
+    @pytest.mark.parametrize("depth", [20, 100])
+    @pytest.mark.parametrize("quality", _QUALITY_VALUES)
+    def test_mock_traces_match_char_class_rule(self, quality, depth):
+        profile = MockProfile(modes=(MockMode(quality=quality, restatements=2, revert_loops=2),))
+        universe = make_universe(depth)
+        for sample_index in range(1, 4):
+            text = mock_generate("q1", universe, sample_index, 1, profile).raw_text
+            assert count_tokens(text) == _char_class_tokens(text)
+
 
 def _char_class_tokens(text: str) -> int:
     """Reference token count: a token starts at each non-whitespace
@@ -241,6 +266,27 @@ class TestProperties:
     @settings(max_examples=500)
     @given(st.one_of(st.text(), st.text(alphabet=st.characters(max_codepoint=127))))
     def test_count_tokens_matches_char_class_rule(self, text):
+        assert count_tokens(text) == _char_class_tokens(text)
+
+    @settings(max_examples=100)
+    @given(st.lists(
+        # Runs of a repeated piece reach thousands of characters, which
+        # Hypothesis' own text sizes do not.
+        st.builds(
+            lambda piece, times: piece * times,
+            st.text(
+                alphabet=st.one_of(
+                    st.characters(max_codepoint=127),
+                    st.sampled_from(["\x85", "\xa0", "\u3000", "\xb2", "\u0663", "\xe9", "\u0416",
+                                     "\u2014", "\U0001F600", "\ud800"]),
+                ),
+                min_size=1, max_size=20,
+            ),
+            st.integers(min_value=1, max_value=50),
+        ),
+        max_size=5,
+    ).map("".join))
+    def test_count_tokens_matches_char_class_rule_on_long_texts(self, text):
         assert count_tokens(text) == _char_class_tokens(text)
 
     @settings(max_examples=300)
