@@ -135,31 +135,43 @@ def cmd_sample(args) -> int:
     return 0
 
 
+def _distinct_outputs(flag: str, path: str, other_flag: str, other_path: str) -> None:
+    """A stage's two outputs on one path would share one temp file, and
+    the stage would fail after the inner writer had replaced the path."""
+    if Path(path).resolve() == Path(other_path).resolve():
+        raise ConfigError(f"{flag} and {other_flag} name the same file {path!r}")
+
+
 def cmd_evaluate(args) -> int:
-    qrels = rio.read_qrels(args.qrels)
     scored_out = args.scored_out or str(Path(args.samples).with_suffix(".scored.jsonl"))
+    _distinct_outputs("--out", args.out, "--scored-out", scored_out)
+    qrels = rio.read_qrels(args.qrels)
+    judged = qrels.query_ids()
     # The report takes each query's lowest-index valid sample, matching the
     # one-generation-per-query evaluation protocol when K=1.
-    run = {}
+    per_query = {}
     skipped = []
     n_scored = 0
     with rio.atomic_write(scored_out) as fh:
-        for samples in rio.iter_samples(args.samples):
-            scored = attach_scores(samples, qrels)
-            rio.write_scored_samples(samples.lines, samples, scored, fh)
-            n_scored += len(scored)
-            first = min((s for s in scored if s.valid and s.final_ranking is not None),
-                        key=lambda s: s.sample_index, default=None)
+        for lines, samples in rio.iter_samples(args.samples):
+            scores = attach_scores(samples, qrels)
+            rio.write_scored_samples(lines, samples, scores, fh)
+            n_scored += len(samples)
+            first = min((i for i, score in enumerate(scores) if score is not None),
+                        key=lambda i: samples[i].sample_index, default=None)
+            qid = samples[0].query_id
             if first is None:
-                skipped.append(samples[0].query_id)
-            else:
-                run[first.query_id] = (first.final_ranking, first.token_len)
+                skipped.append(qid)
+                continue
+            if qid not in judged:
+                logger.warning("query %s has no judgments; scoring against grade 0", qid)
+            per_query[qid] = (scores[first], samples[first].token_len)
         if skipped:
             logger.warning("%d queries have no valid sample and are absent from the report: %s",
                            len(skipped), skipped)
         # Inside the block: a run whose report cannot be built or written
         # leaves the scored store as it was.
-        report = aggregate_report(run, qrels, bucket_count=args.bucket_count)
+        report = aggregate_report(per_query, bucket_count=args.bucket_count)
         rio.write_report(report, args.out, format="json")
     print(f"scored {n_scored} samples -> {scored_out}")
     print(f"report: mean nDCG@10 {report.mean_ndcg10:.4f}, mean length {report.mean_len:.1f} -> {args.out}")
@@ -167,13 +179,15 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_build_corpus(args) -> int:
+    stats_out = args.stats or str(Path(args.out).with_suffix(".stats.json"))
+    _distinct_outputs("--out", args.out, "--stats", stats_out)
     config = load_config(args.config)
     queries = {q.id: q for q in rio.read_topics(args.topics)}
     candidates = _load_candidates(args, config)
     template = _template_for(config, args.template)
 
     records, stats = [], []
-    for samples in rio.iter_samples(args.samples):
+    for _, samples in rio.iter_samples(args.samples):
         qid = samples[0].query_id
         if qid not in queries:
             raise ConfigError(f"sampled query {qid!r} is missing from the topics file")
@@ -184,7 +198,6 @@ def cmd_build_corpus(args) -> int:
         stats += query_stats
 
     rate = retention_rate(stats)
-    stats_out = args.stats or str(Path(args.out).with_suffix(".stats.json"))
     with rio.atomic_write(args.out) as fh:
         rio.write_sft_corpus(records, template, fh)
         # Inside the block: stats that cannot be written leave the corpus as it was.
@@ -197,7 +210,7 @@ def cmd_build_corpus(args) -> int:
 def cmd_analyze_redundancy(args) -> int:
     per_sample = []
     traced = []
-    for samples in rio.iter_samples(args.samples):
+    for _, samples in rio.iter_samples(args.samples):
         for sample in samples:
             rm = redundancy_metrics(sample.ranking_sequence)
             per_sample.append({
@@ -232,6 +245,8 @@ def cmd_report(args) -> int:
         if "=" not in spec_arg:
             raise ConfigError(f"report inputs must be tag=path, got {spec_arg!r}")
         tag, path = spec_arg.split("=", 1)
+        if any(tag == seen for seen, _ in inputs):
+            raise ConfigError(f"report tag {tag!r} is given twice")
         payload = rio.read_report(path)
         if payload.get("kind") != "eval":
             raise ConfigError(f"{path} is a {payload.get('kind')!r} report; report merges eval reports")

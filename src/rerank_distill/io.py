@@ -16,7 +16,7 @@ import logging
 import math
 import os
 from collections.abc import Container, Iterable, Iterator, Mapping, Sequence
-from dataclasses import fields
+from dataclasses import fields, replace
 from json.encoder import encode_basestring
 from typing import TextIO
 
@@ -211,12 +211,12 @@ def write_samples(samples: Sequence[TrajectorySample], out: TextIO) -> None:
         out.write(_SAMPLE_ENCODER.encode(record) + "\n")
 
 
-def _record_tail(sample: TrajectorySample) -> str | None:
-    """What `write_samples` writes last in `sample`'s record: its members
-    from "score" on, which sort last, and the closing brace. None when one
-    of them holds another type than the record's (a bool score, an int
-    `valid`), which leaves the record to `write_samples`."""
-    score, token_len, valid = sample.score, sample.token_len, sample.valid
+def _record_tail(sample: TrajectorySample, score: float | None) -> str | None:
+    """What `write_samples` writes last in the record of `sample` with
+    `score`: its members from "score" on, which sort last, and the closing
+    brace. None when one of them holds another type than the record's (a
+    bool score, an int `valid`), which leaves the record to `write_samples`."""
+    token_len, valid = sample.token_len, sample.valid
     if type(score) not in (float, type(None)) or type(token_len) is not int or type(valid) is not bool:
         return None
     return (f', "score": {"null" if score is None else repr(score)}, "token_len": {token_len}, '
@@ -225,28 +225,27 @@ def _record_tail(sample: TrajectorySample) -> str | None:
 
 
 def write_scored_samples(lines: Sequence[str], samples: Sequence[TrajectorySample],
-                         scored: Sequence[TrajectorySample], out: TextIO) -> None:
-    """Append to the open store `out` the records `write_samples(scored,
-    out)` would write, where `samples` were decoded from the store `lines`
-    and each scored sample differs from its sample as read at most in the
-    members from "score" on, as `metrics.attach_scores` returns them.
+                         scores: Sequence[float | None], out: TextIO) -> None:
+    """Append to the open store `out` the records `write_samples` would
+    write for `samples` with their `scores`, as `metrics.attach_scores`
+    returns them, where `samples` were decoded from the store `lines`.
 
     A line that ends as `write_samples` ends its sample's record is copied
-    up to those members, and only they are written anew: the long trace
-    text is not encoded again. A line that ends otherwise (keys in another
-    order, another key after "valid", trailing spaces) is written with
-    `write_samples`. A hand-written line that ends in that layout keeps its
-    earlier bytes, and still decodes to the scored sample.
+    up to its members from "score" on, and only they are written anew: the
+    long trace text is not encoded again. A line that ends otherwise (keys
+    in another order, another key after "valid", trailing spaces) is written
+    with `write_samples`. A hand-written line that ends in that layout keeps
+    its earlier bytes, and still decodes to the scored sample.
     """
-    for line, sample, new in zip(lines, samples, scored, strict=True):
+    for line, sample, score in zip(lines, samples, scores, strict=True):
         end = len(line) - line.endswith("\n")
-        tail = _record_tail(sample)
+        tail = _record_tail(sample, sample.score)
         if tail is not None and line.endswith(tail, 0, end):
-            new_tail = _record_tail(new)
+            new_tail = _record_tail(sample, score)
             if new_tail is not None:
                 out.write(line[:end - len(tail)] + new_tail + "\n")
                 continue
-        write_samples((new,), out)
+        write_samples((replace(sample, score=score),), out)
 
 
 _LIST_ONLY = frozenset((list,))
@@ -307,17 +306,6 @@ def _store_records(path: str, lines: Iterable[str]) -> Iterator[tuple[int, dict,
         yield line_no, record, line
 
 
-class QuerySamples(list):
-    """One query's samples as `iter_samples` yields them: a list, with the
-    store line each sample was decoded from, in the same order, in `lines`."""
-
-    __slots__ = ("lines",)
-
-    def __init__(self, samples: Iterable[TrajectorySample], lines: Sequence[str]):
-        super().__init__(samples)
-        self.lines = lines
-
-
 def _kept_lines(entries: Iterable[tuple[int, dict, str]], lines: list[str]) -> Iterator[tuple[int, dict]]:
     """The `(line number, record)` of each store entry, appending its line
     to `lines` as it goes: the records are still decoded in line order."""
@@ -326,9 +314,10 @@ def _kept_lines(entries: Iterable[tuple[int, dict, str]], lines: list[str]) -> I
         yield line_no, record
 
 
-def iter_samples(path: str) -> Iterator[QuerySamples]:
-    """Each query's samples from a store written by `write_samples`, in
-    store order, one query at a time, with the lines they were read from.
+def iter_samples(path: str) -> Iterator[tuple[list[str], list[TrajectorySample]]]:
+    """Each query's `(lines, samples)` from a store written by
+    `write_samples`, in store order, one query at a time: its samples, and
+    the store line each was decoded from, in the same order.
 
     A query id that does not follow the one before it in strictly
     ascending order means that a query's records are not contiguous or not
@@ -346,7 +335,7 @@ def iter_samples(path: str) -> Iterator[QuerySamples]:
                     "contiguous, in ascending query id order", path, first[0],
                 )
             previous = query_id
-            yield QuerySamples(samples, lines)
+            yield lines, samples
 
 
 def read_samples(path: str, entries: Iterable[tuple[int, dict]]) -> list[TrajectorySample]:

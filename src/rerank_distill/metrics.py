@@ -8,10 +8,8 @@ grades. Redundancy treats rankings as tie-aware values: "[1] = [2]" and
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import Counter
-from dataclasses import replace
 from typing import Mapping, Sequence
 
 from .models import (
@@ -22,8 +20,6 @@ from .models import (
     RedundancyMetrics,
     TrajectorySample,
 )
-
-logger = logging.getLogger(__name__)
 
 
 def ndcg_at_k(ranking: Ranking, qrels: Qrels, query_id: str, k: int = 10) -> float:
@@ -107,44 +103,31 @@ def length_normalized_nll(batch: Sequence[Sequence[float]]) -> float:
     return -total / len(batch)
 
 
-def attach_scores(samples: Sequence[TrajectorySample], qrels: Qrels) -> list[TrajectorySample]:
-    """Score every valid sample's final ranking with nDCG@10; invalid
-    samples pass through. Samples of one query that state the same final
-    ranking are scored once: most of a query's K samples repeat one."""
+def attach_scores(samples: Sequence[TrajectorySample], qrels: Qrels) -> list[float | None]:
+    """nDCG@10 of each sample's final ranking, in sample order; None for an
+    invalid sample. Samples of one query that state the same final ranking
+    are scored once: most of a query's K samples repeat one."""
     scores: dict[tuple[str, Ranking], float] = {}
-    scored = []
+    out: list[float | None] = []
     for sample in samples:
         if sample.valid and sample.final_ranking is not None:
             key = (sample.query_id, sample.final_ranking)
             value = scores.get(key)
             if value is None:
                 value = scores[key] = ndcg_at_k(sample.final_ranking, qrels, sample.query_id)
-            scored.append(replace(sample, score=value))
+            out.append(value)
         else:
-            scored.append(sample)
-    return scored
+            out.append(None)
+    return out
 
 
-def aggregate_report(
-    run: Mapping[str, tuple[Ranking, int]],
-    qrels: Qrels,
-    bucket_count: int = 10,
-) -> EvalReport:
-    """Per-query nDCG@10 and generation length, their means, and an
-    equal-width length-bucket curve (mean nDCG per bucket).
-
-    Queries absent from the qrels are scored against implicit grade 0 and
-    logged as a warning.
-    """
-    if not run:
+def aggregate_report(per_query: Mapping[str, tuple[float, int]], bucket_count: int = 10) -> EvalReport:
+    """The report of each query's `(nDCG@10, generation length)`: the
+    per-query values in query id order, their means, and an equal-width
+    length-bucket curve (mean nDCG per bucket)."""
+    if not per_query:
         raise ValueError("cannot aggregate an empty run")
-    judged = qrels.query_ids()
-    per_query: dict[str, tuple[float, int]] = {}
-    for query_id in sorted(run):
-        if query_id not in judged:
-            logger.warning("query %s has no judgments; scoring against grade 0", query_id)
-        ranking, gen_len = run[query_id]
-        per_query[query_id] = (ndcg_at_k(ranking, qrels, query_id), gen_len)
+    per_query = dict(sorted(per_query.items()))
     ndcgs = [v[0] for v in per_query.values()]
     lens = [v[1] for v in per_query.values()]
     return EvalReport(

@@ -24,7 +24,7 @@ def write_store(samples: list[TrajectorySample], path) -> None:
 
 def read_store(path) -> list[TrajectorySample]:
     """Every sample of the store at `path`, in store order."""
-    return [sample for samples in iter_samples(str(path)) for sample in samples]
+    return [sample for _, samples in iter_samples(str(path)) for sample in samples]
 
 
 def make_query(query_id: str = "q1") -> Query:

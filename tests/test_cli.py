@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -251,6 +252,17 @@ class TestPipelineStages:
         assert f"error: bucket_count must be >= 1, got {bucket_count}" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    def test_report_repeated_tag_is_validation_error(self, tmp_path, capsys):
+        from rerank_distill.io import write_report
+        a = {"kind": "eval", "per_query": {"q1": {"ndcg10": 0.5, "gen_len": 10}},
+             "mean_ndcg10": 0.5, "mean_len": 10.0, "length_buckets": []}
+        write_report(a, str(tmp_path / "a.json"))
+        code = main(["report", f"a={tmp_path / 'a.json'}", f"b={tmp_path / 'a.json'}",
+                     f"a={tmp_path / 'a.json'}", "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert "error: report tag 'a' is given twice" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_report_two_tags_two_rows(self, workspace, tmp_path):
         _, paths = workspace
         from rerank_distill.io import write_report
@@ -501,6 +513,24 @@ class TestStoreStreaming:
         expected = {} if existing is None else {first: existing}
         assert {p.name: p.read_bytes() for p in out.iterdir()} == expected
 
+    @pytest.mark.parametrize("stage, first, second, flag", [
+        ("evaluate", "scored.jsonl", "eval.json", "--scored-out"),
+        ("build-corpus", "corpus.jsonl", "stats.json", "--stats"),
+    ])
+    def test_two_outputs_on_one_path_is_config_error(self, scored, tmp_path, capsys, monkeypatch,
+                                                     stage, first, second, flag):
+        store, paths = scored
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / first).write_bytes(b"earlier output\n")
+        argv = self.OFFLINE[stage](str(store), paths, out)
+        monkeypatch.chdir(out)
+        argv[argv.index(str(out / second))] = first  # the same file, by another spelling
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert f"error: --out and {flag} name the same file" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {first: b"earlier output\n"}
+
     def test_scoring_a_store_in_place_writes_the_same_bytes(self, tmp_path):
         paths = sample_workspace(tmp_path, 3, "profiles: {distill: {k_samples: 3}}\n")
         assert sample_stage(paths, tmp_path / "s.jsonl") == 0
@@ -542,9 +572,10 @@ class TestStoreStreaming:
     def test_offline_stage_releases_each_query_once_done(self, scored, tmp_path, monkeypatch, stage):
         store, paths = scored
         read_alive, read_refs = self.hold_weakly(monkeypatch, "read_samples", lambda args, result: result)
-        # evaluate writes each query's scored samples beside the samples as read.
+        # evaluate writes each query's samples with their scores, which are
+        # floats and take no weak reference.
         write_alive, write_refs = self.hold_weakly(monkeypatch, "write_scored_samples",
-                                                   lambda args, result: [*args[1], *args[2]])
+                                                   lambda args, result: args[1])
         out = tmp_path / "out"
         out.mkdir()
         assert main(self.OFFLINE[stage](str(store), paths, out)) == 0
@@ -588,8 +619,9 @@ class TestScoredStore:
 
         out = io.StringIO()
         judgments = rio.read_qrels(str(qrels))
-        for samples in rio.iter_samples(str(store)):
-            rio.write_samples(attach_scores(samples, judgments), out)
+        for _, samples in rio.iter_samples(str(store)):
+            scores = attach_scores(samples, judgments)
+            rio.write_samples([dataclasses.replace(s, score=score) for s, score in zip(samples, scores)], out)
         return out.getvalue().encode()
 
     @staticmethod
@@ -597,6 +629,36 @@ class TestScoredStore:
         assert main(["evaluate", "--samples", str(store), "--qrels", str(qrels), "--out",
                      str(Path(scored_out).parent / "eval.json"), "--scored-out", str(scored_out)]) == 0
         return Path(scored_out).read_bytes()
+
+    def test_each_distinct_final_ranking_is_scored_once(self, store, tmp_path, monkeypatch):
+        from rerank_distill import metrics
+
+        path, paths = store
+        valid = [(s.query_id, s.final_ranking) for s in read_store(path) if s.valid]
+        calls = []
+        inner = metrics.ndcg_at_k
+
+        def spy(ranking, qrels, query_id):
+            calls.append((query_id, ranking))
+            return inner(ranking, qrels, query_id)
+
+        monkeypatch.setattr(metrics, "ndcg_at_k", spy)
+        self.evaluate(path, paths["qrels"], tmp_path / "scored.jsonl")
+        assert len(set(valid)) < len(valid)  # some samples repeat a final ranking
+        assert sorted(calls, key=str) == sorted(set(valid), key=str)
+
+    def test_unjudged_query_warns_and_scores_zero(self, store, tmp_path, caplog):
+        path, paths = store
+        qrels = Path(paths["qrels"])
+        qrels.write_text("".join(line for line in qrels.read_text().splitlines(keepends=True)
+                                 if not line.startswith("q002 ")))
+        with caplog.at_level(logging.WARNING):
+            self.evaluate(path, qrels, tmp_path / "scored.jsonl")
+        assert [r.getMessage() for r in caplog.records if "no judgments" in r.getMessage()] == [
+            "query q002 has no judgments; scoring against grade 0"]
+        per_query = read_report(str(tmp_path / "eval.json"))["per_query"]
+        assert per_query["q002"]["ndcg10"] == 0.0
+        assert per_query["q001"]["ndcg10"] > 0.0
 
     def test_store_written_by_sample(self, store, tmp_path, encoded):
         path, paths = store

@@ -241,7 +241,7 @@ class TestSamples:
         write_store(samples, p)
         first, second, third = p.read_text().splitlines(keepends=True)
         p.write_text("\n" + first + "  \n" + second + "\n\n" + third + "\n")
-        assert list(iter_samples(str(p))) == [samples[:2], samples[2:]]
+        assert list(iter_samples(str(p))) == [([first, second], samples[:2]), ([third], samples[2:])]
 
     def test_corrupted_line_of_a_later_query_names_its_own_line(self, tmp_path):
         samples = [make_sample(1), make_sample(2), make_sample(1, query_id="q2")]
@@ -250,7 +250,7 @@ class TestSamples:
         with open(p, "a") as fh:
             fh.write('{"query_id": "q2", \n')
         queries = iter_samples(str(p))
-        assert next(queries) == samples[:2]
+        assert next(queries)[1] == samples[:2]
         with pytest.raises(ParseError, match=r":4: corrupted"):
             next(queries)
 
@@ -345,20 +345,20 @@ class TestSamples:
     def test_scored_line_keeps_the_bytes_before_its_score(self, tmp_path):
         sample = make_sample(1)
         line = '{"a_note": "hand-written",   ' + self.encoded(sample)[1:]
-        scored = dataclasses.replace(sample, score=0.25)
         out = io.StringIO()
-        write_scored_samples([line], [sample], [scored], out)
+        write_scored_samples([line], [sample], [0.25], out)
         assert out.getvalue() == line.replace('"score": 0.75,', '"score": 0.25,')
         (tmp_path / "s.jsonl").write_text(out.getvalue())
-        assert read_store(tmp_path / "s.jsonl") == [scored]
+        assert read_store(tmp_path / "s.jsonl") == [dataclasses.replace(sample, score=0.25)]
 
-    @pytest.mark.parametrize("changes", [{"score": True}, {"score": 1}, {"valid": 1}, {"token_len": True}])
-    def test_tail_of_another_type_is_encoded_again(self, changes):
-        sample = make_sample(1)
-        scored = dataclasses.replace(sample, **changes)
+    @pytest.mark.parametrize("changes, score", [
+        ({}, True), ({}, 1), ({"valid": 1}, 0.5), ({"token_len": True}, 0.5),
+    ])
+    def test_tail_of_another_type_is_encoded_again(self, changes, score):
+        sample = make_sample(1, **changes)
         out = io.StringIO()
-        write_scored_samples([self.encoded(sample)], [sample], [scored], out)
-        assert out.getvalue() == self.encoded(scored)
+        write_scored_samples([self.encoded(sample)], [sample], [score], out)
+        assert out.getvalue() == self.encoded(dataclasses.replace(sample, score=score))
 
     def test_unknown_key_is_ignored(self, tmp_path):
         p = tmp_path / "samples.jsonl"

@@ -1,4 +1,3 @@
-import logging
 import math
 import random
 
@@ -168,28 +167,29 @@ class TestAggregateReport:
     def test_single_ideal_query(self):
         universe = make_universe(3)
         qrels = graded_qrels("q1", [3, 2, 0], universe)
-        report = aggregate_report({"q1": (strict_ranking(["1", "2", "3"]), 100)}, qrels, bucket_count=2)
+        report = aggregate_report({"q1": (ndcg_at_k(strict_ranking(["1", "2", "3"]), qrels, "q1"), 100)},
+                                  bucket_count=2)
         assert report.mean_ndcg10 == 1.0
         assert report.mean_len == 100
         assert report.per_query["q1"] == (1.0, 100)
 
     def test_two_query_means(self):
-        u = make_universe(2)
         qrels = Qrels(judgments={("a", "1"): 1, ("b", "1"): 1})
-        run = {
-            "a": (strict_ranking(["2", "1"]), 100),   # relevant doc second
-            "b": (strict_ranking(["1", "2"]), 300),   # relevant doc first
+        per_query = {
+            "a": (ndcg_at_k(strict_ranking(["2", "1"]), qrels, "a"), 100),   # relevant doc second
+            "b": (ndcg_at_k(strict_ranking(["1", "2"]), qrels, "b"), 300),   # relevant doc first
         }
-        report = aggregate_report(run, qrels, bucket_count=2)
+        report = aggregate_report(per_query, bucket_count=2)
         expected_a = brute_force_ndcg([0, 1], 10)
         assert report.mean_ndcg10 == pytest.approx((expected_a + 1.0) / 2)
         assert report.mean_len == 200
 
+    def test_per_query_in_query_id_order(self):
+        report = aggregate_report({"b": (0.5, 300), "a": (1.0, 100)}, bucket_count=2)
+        assert list(report.per_query.items()) == [("a", (1.0, 100)), ("b", (0.5, 300))]
+
     def test_bucket_rule(self):
-        u = make_universe(2)
-        qrels = Qrels(judgments={("a", "1"): 1, ("b", "1"): 1})
-        run = {"a": (strict_ranking(["1", "2"]), 100), "b": (strict_ranking(["1", "2"]), 300)}
-        report = aggregate_report(run, qrels, bucket_count=2)
+        report = aggregate_report({"a": (1.0, 100), "b": (1.0, 300)}, bucket_count=2)
         (b0, b1) = report.length_buckets
         assert (b0.lo, b0.hi, b0.count) == (100.0, 200.0, 1)
         assert (b1.lo, b1.hi, b1.count) == (200.0, 300.0, 1)
@@ -208,14 +208,7 @@ class TestAggregateReport:
 
     def test_empty_run_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            aggregate_report({}, Qrels(judgments={}), bucket_count=2)
-
-    def test_unjudged_query_warns_not_fatal(self, caplog):
-        with caplog.at_level(logging.WARNING):
-            report = aggregate_report(
-                {"mystery": (strict_ranking(["1", "2"]), 10)}, Qrels(judgments={}), bucket_count=1)
-        assert "no judgments" in caplog.text
-        assert report.per_query["mystery"] == (0.0, 10)
+            aggregate_report({}, bucket_count=2)
 
 
 class TestAttachScores:
@@ -230,10 +223,8 @@ class TestAttachScores:
         invalid = TrajectorySample(
             query_id="q1", sample_index=2, raw_text="", reasoning_text="",
             final_ranking=None, ranking_sequence=(), token_len=0,
-            token_len_source="approximated", valid=False, error="no ranking")
-        scored = attach_scores([valid, invalid], qrels)
-        assert scored[0].score == 1.0
-        assert scored[1].score is None
+            token_len_source="approximated", score=0.5, valid=False, error="no ranking")
+        assert attach_scores([valid, invalid], qrels) == [1.0, None]
 
     def test_metric_is_looked_up_at_call_time(self, monkeypatch):
         # The benchmark's traced run wraps metrics.ndcg_at_k in place; a
@@ -246,7 +237,7 @@ class TestAttachScores:
             query_id="q1", sample_index=1, raw_text="[1] > [2]", reasoning_text="",
             final_ranking=strict_ranking(["1", "2"]), ranking_sequence=(),
             token_len=3, token_len_source="approximated")
-        assert attach_scores([sample], Qrels(judgments={}))[0].score == 0.5
+        assert attach_scores([sample], Qrels(judgments={})) == [0.5]
         assert calls == ["q1"]
 
     def test_each_distinct_final_ranking_of_a_query_is_scored_once(self, monkeypatch):
@@ -277,5 +268,5 @@ class TestAttachScores:
             return ndcg_at_k(ranking, qrels, query_id)
 
         monkeypatch.setattr(metrics, "ndcg_at_k", spy)
-        assert [s.score for s in attach_scores(samples, qrels)] == expected
+        assert attach_scores(samples, qrels) == expected
         assert calls == [("q1", forward.groups), ("q1", backward.groups), ("q2", forward.groups)]
