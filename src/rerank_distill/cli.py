@@ -67,20 +67,35 @@ def _backend_for(args, config: PipelineConfig) -> GenerationBackend:
     )
 
 
-def _load_candidates(args, config: PipelineConfig) -> dict[str, rio.CandidateSet]:
+def _candidate_files(args, config: PipelineConfig) -> tuple[str, str]:
+    """The run file and passage corpus a stage reads: its flags', else the
+    config's paths."""
     run_path = args.run_file or config.paths.get("run")
     if not run_path:
         raise ConfigError("no run file given (use --run-file or paths.run in the config)")
     corpus_path = args.corpus or config.paths.get("corpus")
     if not corpus_path:
         raise ConfigError("no passage corpus given (use --corpus or paths.corpus in the config)")
+    return run_path, corpus_path
+
+
+def _load_candidates(args, config: PipelineConfig) -> dict[str, rio.CandidateSet]:
+    run_path, corpus_path = _candidate_files(args, config)
     run = rio.read_run(run_path, depth=args.depth)
     texts = rio.read_corpus_texts(corpus_path, {doc_id for docs in run.values() for doc_id in docs})
     return rio.candidates_from_run(run, texts)
 
 
+def _stage_inputs(args, config: PipelineConfig) -> list[tuple[str, str | None]]:
+    """(flag, path) of each input `sample` and `build-corpus` share: the
+    topics, run file, corpus, config and template."""
+    return [("--topics", args.topics), *zip(("--run-file", "--corpus"), _candidate_files(args, config)),
+            ("--config", args.config), ("--template", args.template or config.prompt_template)]
+
+
 def cmd_sample(args) -> int:
     config = load_config(args.config)
+    _distinct_files("--out", args.out, _stage_inputs(args, config) + [("--qrels", args.qrels)])
     sampling_config = config.sampling_config(args.profile, seed=args.seed)
     backend = _backend_for(args, config)
     template = _template_for(config, args.template)
@@ -135,16 +150,24 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _distinct_outputs(flag: str, path: str, other_flag: str, other_path: str) -> None:
-    """A stage's two outputs on one path would share one temp file, and
-    the stage would fail after the inner writer had replaced the path."""
-    if Path(path).resolve() == Path(other_path).resolve():
-        raise ConfigError(f"{flag} and {other_flag} name the same file {path!r}")
+def _distinct_files(flag: str, path: str, others: list[tuple[str, str | None]]) -> None:
+    """Refuse an output that names the same file as one of `others`, each
+    a `(flag, path)` the stage reads or writes. Output over input would
+    replace what the stage reads; two outputs on one path would share one
+    temp file, and the stage would fail after the inner writer had
+    replaced the path."""
+    resolved = Path(path).resolve()
+    for other_flag, other in others:
+        if other is not None and Path(other).resolve() == resolved:
+            raise ConfigError(f"{flag} and {other_flag} name the same file {path!r}")
 
 
 def cmd_evaluate(args) -> int:
     scored_out = args.scored_out or str(Path(args.samples).with_suffix(".scored.jsonl"))
-    _distinct_outputs("--out", args.out, "--scored-out", scored_out)
+    _distinct_files("--out", args.out, [("--scored-out", scored_out), ("--samples", args.samples),
+                                        ("--qrels", args.qrels)])
+    # A store may be scored in place.
+    _distinct_files("--scored-out", scored_out, [("--qrels", args.qrels)])
     qrels = rio.read_qrels(args.qrels)
     judged = qrels.query_ids()
     # The report takes each query's lowest-index valid sample, matching the
@@ -180,8 +203,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_build_corpus(args) -> int:
     stats_out = args.stats or str(Path(args.out).with_suffix(".stats.json"))
-    _distinct_outputs("--out", args.out, "--stats", stats_out)
     config = load_config(args.config)
+    inputs = [("--samples", args.samples)] + _stage_inputs(args, config)
+    _distinct_files("--out", args.out, [("--stats", stats_out)] + inputs)
+    _distinct_files("--stats", stats_out, inputs)
     queries = {q.id: q for q in rio.read_topics(args.topics)}
     candidates = _load_candidates(args, config)
     template = _template_for(config, args.template)
@@ -208,6 +233,7 @@ def cmd_build_corpus(args) -> int:
 
 
 def cmd_analyze_redundancy(args) -> int:
+    _distinct_files("--out", args.out, [("--samples", args.samples)])
     per_sample = []
     traced = []
     for _, samples in rio.iter_samples(args.samples):
@@ -245,6 +271,7 @@ def cmd_report(args) -> int:
         if "=" not in spec_arg:
             raise ConfigError(f"report inputs must be tag=path, got {spec_arg!r}")
         tag, path = spec_arg.split("=", 1)
+        _distinct_files("--out", args.out, [(spec_arg, path)])
         if any(tag == seen for seen, _ in inputs):
             raise ConfigError(f"report tag {tag!r} is given twice")
         payload = rio.read_report(path)

@@ -14,6 +14,7 @@ import itertools
 import json
 import logging
 import math
+import operator
 import os
 from collections.abc import Container, Iterable, Iterator, Mapping, Sequence
 from dataclasses import fields, replace
@@ -40,11 +41,6 @@ logger = logging.getLogger(__name__)
 SAMPLES_SCHEMA_VERSION = 1
 SFT_FORMAT = "sft-chat-messages"
 SFT_VERSION = 1
-# A sample-store record is these fields plus schema_version.
-SAMPLE_FIELDS = tuple(f.name for f in fields(TrajectorySample))
-# A record is a fresh tree built from a frozen sample, so it has no cycles
-# to look for.
-_SAMPLE_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, check_circular=False)
 
 
 @contextlib.contextmanager
@@ -199,29 +195,126 @@ def candidates_from_run(run: Mapping[str, Sequence[str]], texts: Mapping[str, st
 # strictly ascending id order: the order `sample` writes them in. Readers
 # rely on it to hold one query's samples at a time.
 
-def write_samples(samples: Sequence[TrajectorySample], out: TextIO) -> None:
-    """Append one JSON line per sample to the open store `out`. A ranking
-    is stored as its list of tie groups."""
-    for sample in samples:
-        record = {name: getattr(sample, name) for name in SAMPLE_FIELDS}
-        final = sample.final_ranking
-        record["final_ranking"] = None if final is None else final.groups
-        record["ranking_sequence"] = [r.groups for r in sample.ranking_sequence]
-        record["schema_version"] = SAMPLES_SCHEMA_VERSION
-        out.write(_SAMPLE_ENCODER.encode(record) + "\n")
+_BAD_RANKING = "a ranking must be a non-empty list of tie groups, each a list of doc-id strings"
+_TUPLE_ONLY = frozenset((tuple,))
+# The JSON types each TrajectorySample field may hold in a record, by the
+# field's annotation; a ranking is held as a list. A field whose annotation
+# is not listed here fails at import, so a new field cannot go unchecked.
+# The writer checks its scalar fields against the same table, so it writes
+# no value the reader would refuse.
+_JSON_TYPES = {
+    "str": (str,),
+    "int": (int,),
+    "bool": (bool,),
+    "TokenLenSource": (str,),
+    "str | None": (str, type(None)),
+    "float | None": (float, type(None)),
+    "Ranking | None": (list, type(None)),
+    "tuple[Ranking, ...]": (list,),
+}
+_FIELD_TYPES = {f.name: _JSON_TYPES[f.type] for f in fields(TrajectorySample)}
 
 
-def _record_tail(sample: TrajectorySample, score: float | None) -> str | None:
+def _type_error(name: str, value: object) -> ValueError:
+    kinds = _FIELD_TYPES[name]
+    expected = " or ".join("null" if kind is type(None) else kind.__name__ for kind in kinds)
+    return ValueError(f"field {name!r} must be {expected}, got {type(value).__name__}")
+
+
+# The scalar members `write_samples` writes before "schema_version", in
+# key order, and the members from "score" on, which sort last.
+_HEAD_FIELDS = ("coverage", "error", "prompt_hash", "query_id", "raw_text", "reasoning_text", "sample_index")
+_TAIL_FIELDS = ("score", "token_len", "token_len_source", "valid")
+_head_values = operator.attrgetter(*_HEAD_FIELDS)
+_tail_values = operator.attrgetter(*_TAIL_FIELDS[1:])
+
+
+def _types_of(names: tuple[str, ...]) -> frozenset[tuple[type, ...]]:
+    """Every combination of types the record fields `names` may hold."""
+    return frozenset(itertools.product(*(_FIELD_TYPES[name] for name in names)))
+
+
+_HEAD_TYPES, _TAIL_TYPES = _types_of(_HEAD_FIELDS), _types_of(_TAIL_FIELDS)
+
+
+def _first_type_error(names: tuple[str, ...], values: tuple) -> ValueError:
+    """The ValueError naming the first of the fields `names` whose value
+    has a type the field may not hold (a bool score, an int `valid`)."""
+    return next(_type_error(name, value) for name, value in zip(names, values)
+                if type(value) not in _FIELD_TYPES[name])
+
+
+def _float_json(value: float | None) -> str:
+    """`value` as `json.dumps` spells it."""
+    if value is None:
+        return "null"
+    return repr(value) if math.isfinite(value) else json.dumps(value)
+
+
+def _str_json(value: str | None) -> str:
+    return "null" if value is None else encode_basestring(value)
+
+
+def _ranking_json(ranking: object, field: str) -> str:
+    """The JSON text of a Ranking, its list of tie groups."""
+    if type(ranking) is not Ranking:
+        raise ValueError(f"field {field!r} must hold Rankings, got {type(ranking).__name__}")
+    groups = ranking.groups
+    bad = f"field {field!r}: {_BAD_RANKING}"
+    if not _TUPLE_ONLY.issuperset(map(type, groups)):
+        raise ValueError(bad)
+    try:
+        doc_ids = "".join(map("".join, groups))  # a TypeError unless every doc id is a string
+    except TypeError:
+        raise ValueError(bad) from None
+    if groups and len(encode_basestring(doc_ids)) == len(doc_ids) + 2:
+        # No doc id holds a character JSON escapes: each is quoted as it is.
+        return '[["' + '"], ["'.join(['", "'.join(group) for group in groups]) + '"]]'
+    return "[" + ", ".join(["[" + ", ".join(map(encode_basestring, group)) + "]" for group in groups]) + "]"
+
+
+def _record_tail(sample: TrajectorySample, score: float | None) -> str:
     """What `write_samples` writes last in the record of `sample` with
-    `score`: its members from "score" on, which sort last, and the closing
-    brace. None when one of them holds another type than the record's (a
-    bool score, an int `valid`), which leaves the record to `write_samples`."""
-    token_len, valid = sample.token_len, sample.valid
-    if type(score) not in (float, type(None)) or type(token_len) is not int or type(valid) is not bool:
-        return None
-    return (f', "score": {"null" if score is None else repr(score)}, "token_len": {token_len}, '
-            f'"token_len_source": {encode_basestring(sample.token_len_source)}, '
-            f'"valid": {"true" if valid else "false"}}}')
+    `score`: its members from "score" on, and the closing brace."""
+    token_len, source, valid = _tail_values(sample)
+    if (type(score), type(token_len), type(source), type(valid)) not in _TAIL_TYPES:
+        raise _first_type_error(_TAIL_FIELDS, (score, token_len, source, valid))
+    return (f', "score": {_float_json(score)}, "token_len": {token_len}, '
+            f'"token_len_source": {encode_basestring(source)}, "valid": {"true" if valid else "false"}}}')
+
+
+def write_samples(samples: Sequence[TrajectorySample], out: TextIO) -> None:
+    """Append one JSON line per sample to the open store `out`: the
+    sample's fields plus schema_version, keys sorted, as
+    `json.dumps(record, sort_keys=True, ensure_ascii=False)` writes them. A
+    ranking is stored as its list of tie groups.
+
+    Each distinct Ranking object of the call is rendered once. A field
+    whose value has another type than the store's (a bool score, an int
+    `valid`) is a ValueError naming the field.
+    """
+    # Keyed by id: `samples` holds every ranking for the whole call, so no
+    # id is reused.
+    rendered: dict[int, str] = {}
+    for sample in samples:
+        coverage, error, prompt_hash, query_id, raw_text, reasoning_text, sample_index = head = _head_values(sample)
+        if tuple(map(type, head)) not in _HEAD_TYPES:
+            raise _first_type_error(_HEAD_FIELDS, head)
+        final, sequence = sample.final_ranking, sample.ranking_sequence
+        if final is not None and id(final) not in rendered:
+            rendered[id(final)] = _ranking_json(final, "final_ranking")
+        for ranking in sequence:
+            if id(ranking) not in rendered:
+                rendered[id(ranking)] = _ranking_json(ranking, "ranking_sequence")
+        out.write(
+            f'{{"coverage": {_float_json(coverage)}, "error": {_str_json(error)}, '
+            f'"final_ranking": {"null" if final is None else rendered[id(final)]}, '
+            f'"prompt_hash": {_str_json(prompt_hash)}, "query_id": {encode_basestring(query_id)}, '
+            f'"ranking_sequence": [{", ".join([rendered[id(r)] for r in sequence])}], '
+            f'"raw_text": {encode_basestring(raw_text)}, "reasoning_text": {encode_basestring(reasoning_text)}, '
+            f'"sample_index": {sample_index}, '
+            f'"schema_version": {SAMPLES_SCHEMA_VERSION}{_record_tail(sample, sample.score)}\n'
+        )
 
 
 def write_scored_samples(lines: Sequence[str], samples: Sequence[TrajectorySample],
@@ -240,30 +333,13 @@ def write_scored_samples(lines: Sequence[str], samples: Sequence[TrajectorySampl
     for line, sample, score in zip(lines, samples, scores, strict=True):
         end = len(line) - line.endswith("\n")
         tail = _record_tail(sample, sample.score)
-        if tail is not None and line.endswith(tail, 0, end):
-            new_tail = _record_tail(sample, score)
-            if new_tail is not None:
-                out.write(line[:end - len(tail)] + new_tail + "\n")
-                continue
-        write_samples((replace(sample, score=score),), out)
+        if line.endswith(tail, 0, end):
+            out.write(line[:end - len(tail)] + _record_tail(sample, score) + "\n")
+        else:
+            write_samples((replace(sample, score=score),), out)
 
 
 _LIST_ONLY = frozenset((list,))
-_BAD_RANKING = "a ranking must be a non-empty list of tie groups, each a list of doc-id strings"
-# The JSON types each TrajectorySample field may hold in a record, by the
-# field's annotation; a ranking is held as a list. A field whose annotation
-# is not listed here fails at import, so a new field cannot go unchecked.
-_JSON_TYPES = {
-    "str": (str,),
-    "int": (int,),
-    "bool": (bool,),
-    "TokenLenSource": (str,),
-    "str | None": (str, type(None)),
-    "float | None": (float, type(None)),
-    "Ranking | None": (list, type(None)),
-    "tuple[Ranking, ...]": (list,),
-}
-_FIELD_TYPES = tuple((f.name, _JSON_TYPES[f.type]) for f in fields(TrajectorySample))
 
 
 def _decode_ranking(groups: object, decoded: dict[tuple, Ranking], field: str) -> Ranking:
@@ -353,11 +429,10 @@ def read_samples(path: str, entries: Iterable[tuple[int, dict]]) -> list[Traject
             )
         values = {}
         try:
-            for name, kinds in _FIELD_TYPES:
+            for name, kinds in _FIELD_TYPES.items():
                 value = values[name] = record[name]
                 if type(value) not in kinds:
-                    expected = " or ".join("null" if kind is type(None) else kind.__name__ for kind in kinds)
-                    raise ValueError(f"field {name!r} must be {expected}, got {type(value).__name__}")
+                    raise _type_error(name, value)
             if values["final_ranking"] is not None:
                 values["final_ranking"] = _decode_ranking(values["final_ranking"], decoded, "final_ranking")
             values["ranking_sequence"] = tuple([_decode_ranking(groups, decoded, "ranking_sequence")

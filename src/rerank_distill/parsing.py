@@ -120,6 +120,7 @@ def parse_final_ranking(
     text: str,
     universe: CandidateSet,
     matches: list[RankingPatternMatch] | None = None,
+    repaired: dict[Ranking, tuple[Ranking, float]] | None = None,
 ) -> tuple[Ranking, float] | None:
     """Take the last ranking statement as the model's decision and repair it
     to a total ranking.
@@ -130,14 +131,24 @@ def parse_final_ranking(
     Returns (ranking, coverage) where coverage is the fraction of the
     universe the statement mentioned before repair, or None when the text
     contains no ranking statement at all.
+
+    `repaired` maps each final statement to what it returns for it, and
+    gains the statement seen here. Passing the same dict for several texts
+    over one candidate list repairs each distinct statement once, and their
+    samples share one repaired Ranking; like `extract_rankings`'
+    `parsed_runs`, it must not be shared with another candidate list.
     """
     if matches is None:
         matches = extract_rankings(text, universe)
     if not matches:
         return None
+    if repaired is None:
+        repaired = {}
     last = matches[-1].ranking
-    coverage = len(last.flatten()) / len(universe)
-    return repair_ranking(last, universe), coverage
+    result = repaired.get(last)
+    if result is None:
+        result = repaired[last] = repair_ranking(last, universe), len(last.flatten()) / len(universe)
+    return result
 
 
 def split_reasoning(raw_text: str) -> tuple[str, str]:

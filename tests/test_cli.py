@@ -416,6 +416,43 @@ class TestSampleStage:
         assert not (tmp_path / "s.jsonl").exists()
 
 
+class TestOutputOnAnInput:
+    """`sample` and `report` refuse an output that names one of their
+    inputs before they write anything; the offline stages' cases are in
+    TestStoreStreaming."""
+
+    @pytest.mark.parametrize("source", ["--topics", "--run-file", "--corpus", "--config", "--qrels"])
+    def test_sample_out_on_an_input_is_config_error(self, tmp_path, capsys, monkeypatch, source):
+        paths = sample_workspace(tmp_path, 2)
+        flags = {"--topics": "topics", "--run-file": "run", "--corpus": "corpus",
+                 "--config": "config", "--qrels": "qrels"}
+        before = {name: Path(path).read_bytes() for name, path in paths.items()}
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert sample_stage(paths, Path(paths[flags[source]]).name) == 1
+        assert f"error: --out and {source} name the same file" in capsys.readouterr().err
+        assert {name: Path(path).read_bytes() for name, path in paths.items()} == before
+
+    def test_sample_out_on_the_template_is_config_error(self, tmp_path, capsys):
+        paths = sample_workspace(tmp_path, 2)
+        template = tmp_path / "template.yaml"
+        template.write_text('name: t\nsystem: "s"\nuser: "{passages} {query}"\n')
+        before = template.read_bytes()
+        capsys.readouterr()
+        assert sample_stage(paths, tmp_path / "." / "template.yaml", "--template", str(template)) == 1
+        assert "error: --out and --template name the same file" in capsys.readouterr().err
+        assert template.read_bytes() == before
+
+    def test_report_out_on_an_input_is_config_error(self, workspace, tmp_path, capsys):
+        root, paths = workspace
+        outs = run_pipeline(root, paths, tmp_path / "out")
+        before = Path(outs["report"]).read_bytes()
+        capsys.readouterr()
+        assert main(["report", f"a={outs['report']}", "--out", outs["report"]]) == 1
+        assert f"error: --out and a={outs['report']} name the same file" in capsys.readouterr().err
+        assert Path(outs["report"]).read_bytes() == before
+
+
 class TestStoreStreaming:
     """Each stage holds one query's samples at a time: a store keeps each
     query's records together, queries in ascending id order, and a stage
@@ -530,6 +567,34 @@ class TestStoreStreaming:
         assert main(argv) == 1
         assert f"error: --out and {flag} name the same file" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == {first: b"earlier output\n"}
+
+    @pytest.mark.parametrize("stage, output, source", [
+        ("evaluate", "--out", "--samples"),
+        ("evaluate", "--out", "--qrels"),
+        ("evaluate", "--scored-out", "--qrels"),
+        ("build-corpus", "--out", "--samples"),
+        ("build-corpus", "--stats", "--samples"),
+        ("build-corpus", "--out", "--topics"),
+        ("build-corpus", "--stats", "--run-file"),
+        ("build-corpus", "--out", "--corpus"),
+        ("build-corpus", "--stats", "--config"),
+        ("analyze-redundancy", "--out", "--samples"),
+    ])
+    def test_output_on_an_input_is_config_error(self, scored, tmp_path, capsys, monkeypatch,
+                                                stage, output, source):
+        store, paths = scored
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = self.OFFLINE[stage](str(store), paths, out)
+        source_path = Path(argv[argv.index(source) + 1])
+        before = source_path.read_bytes()
+        monkeypatch.chdir(source_path.parent)
+        argv[argv.index(output) + 1] = source_path.name  # the same file, by another spelling
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert f"error: {output} and {source} name the same file" in capsys.readouterr().err
+        assert source_path.read_bytes() == before
+        assert list(out.iterdir()) == []
 
     def test_scoring_a_store_in_place_writes_the_same_bytes(self, tmp_path):
         paths = sample_workspace(tmp_path, 3, "profiles: {distill: {k_samples: 3}}\n")

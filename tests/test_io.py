@@ -3,8 +3,12 @@ import io
 import json
 import logging
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rerank_distill.errors import ConfigError, ParseError
 from rerank_distill.io import (
@@ -209,6 +213,46 @@ def make_sample(idx, **overrides):
     return TrajectorySample(**base)
 
 
+# Characters JSON escapes, and characters that only ensure_ascii=False
+# writes as they are.
+_CHARS = st.sampled_from(list('ab1 "\\\n\t\x00\x1f\x7f\u2028\xe9\u2014\u0416\u4e2d\U0001F600'))
+_TEXTS = st.text(_CHARS, max_size=12)
+_FLOATS = st.one_of(st.none(), st.sampled_from([0.0, 1.0, 5e-324, 1e-310]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _rankings(draw):
+    doc_ids = draw(st.lists(st.text(_CHARS, min_size=1, max_size=4), min_size=1, max_size=6, unique=True))
+    ties = draw(st.lists(st.booleans(), min_size=len(doc_ids) - 1, max_size=len(doc_ids) - 1))
+    groups = [[doc_ids[0]]]
+    for doc_id, tied in zip(doc_ids[1:], ties):
+        if tied:
+            groups[-1].append(doc_id)
+        else:
+            groups.append([doc_id])
+    return Ranking(groups=tuple(map(tuple, groups)))
+
+
+@st.composite
+def _samples(draw, query_id):
+    valid = draw(st.booleans())
+    return TrajectorySample(
+        query_id=query_id,
+        sample_index=draw(st.integers(1, 2**40)),
+        raw_text=draw(_TEXTS),
+        reasoning_text=draw(_TEXTS),
+        final_ranking=draw(_rankings() if valid else st.none() | _rankings()),
+        ranking_sequence=tuple(draw(st.lists(_rankings(), max_size=3))),
+        token_len=draw(st.integers(0, 2**40)),
+        token_len_source=draw(st.sampled_from(["endpoint-reported", "approximated"])),
+        score=draw(_FLOATS),
+        valid=valid,
+        coverage=draw(_FLOATS | st.floats(allow_nan=False, allow_infinity=False)),
+        error=draw(st.none() | _TEXTS),
+        prompt_hash=draw(st.none() | _TEXTS),
+    )
+
+
 class TestSamples:
     def test_round_trip_identity(self, tmp_path):
         samples = [
@@ -351,14 +395,26 @@ class TestSamples:
         (tmp_path / "s.jsonl").write_text(out.getvalue())
         assert read_store(tmp_path / "s.jsonl") == [dataclasses.replace(sample, score=0.25)]
 
-    @pytest.mark.parametrize("changes, score", [
-        ({}, True), ({}, 1), ({"valid": 1}, 0.5), ({"token_len": True}, 0.5),
+    @pytest.mark.parametrize("score", [True, 1])
+    def test_scored_sample_of_another_score_type_is_refused(self, score):
+        sample = make_sample(1)
+        with pytest.raises(ValueError, match="field 'score' must be float or null, got "):
+            write_scored_samples([self.encoded(sample)], [sample], [score], io.StringIO())
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("score", True, "field 'score' must be float or null, got bool"),
+        ("valid", 1, "field 'valid' must be bool, got int"),
+        ("token_len", "17", "field 'token_len' must be int, got str"),
+        ("coverage", 1, "field 'coverage' must be float or null, got int"),
+        ("final_ranking", (("1",), ("2",)), "field 'final_ranking' must hold Rankings, got tuple"),
+        ("ranking_sequence", (Ranking(groups=((1,), (2,))),), "field 'ranking_sequence': a ranking must be"),
+        ("final_ranking", Ranking(groups=("12", ("3",))), "field 'final_ranking': a ranking must be"),
     ])
-    def test_tail_of_another_type_is_encoded_again(self, changes, score):
-        sample = make_sample(1, **changes)
-        out = io.StringIO()
-        write_scored_samples([self.encoded(sample)], [sample], [score], out)
-        assert out.getvalue() == self.encoded(dataclasses.replace(sample, score=score))
+    def test_field_of_another_type_is_refused(self, field, value, message):
+        sample = make_sample(1)
+        object.__setattr__(sample, field, value)  # past the sample's own checks, which "17" fails
+        with pytest.raises(ValueError, match=message):
+            write_samples([make_sample(2), sample], io.StringIO())
 
     def test_unknown_key_is_ignored(self, tmp_path):
         p = tmp_path / "samples.jsonl"
@@ -399,6 +455,26 @@ class TestSamples:
             p = tmp_path / f"samples-{trial}.jsonl"
             write_store(samples, p)
             assert read_store(p) == samples
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_record_is_what_json_dumps_writes(self, data):
+        query_id = data.draw(_TEXTS)
+        samples = data.draw(st.lists(_samples(query_id), max_size=4))
+        out = io.StringIO()
+        write_samples(samples, out)
+        records = []
+        for sample in samples:
+            record = {f.name: getattr(sample, f.name) for f in dataclasses.fields(sample)}
+            record["final_ranking"] = None if sample.final_ranking is None else sample.final_ranking.groups
+            record["ranking_sequence"] = [r.groups for r in sample.ranking_sequence]
+            record["schema_version"] = 1
+            records.append(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
+        assert out.getvalue() == "".join(records)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "samples.jsonl"
+            path.write_text(out.getvalue(), encoding="utf-8")
+            assert read_store(path) == samples
 
 
 class TestSftCorpus:

@@ -247,10 +247,80 @@ class TestSampleTrajectories:
         assert all(s.valid for s in samples)
         assert calls == [s.raw_text for s in samples]
 
+    def test_repeated_final_statement_is_repaired_once(self, monkeypatch):
+        class SameDecision(GenerationBackend):
+            def generate(self, request):
+                text = "[2] > [1]" if request.sample_index % 2 else "first [1] > [2], then [2]>[1]"
+                return GenerationResult(text, None, "stop", 0)
+
+        repairs = []
+        original = parsing.repair_ranking
+        monkeypatch.setattr(parsing, "repair_ranking", lambda r, u: repairs.append(r) or original(r, u))
+        samples = sample_trajectories(make_query(), make_universe(3), config(k_samples=4), SameDecision())
+        assert [s.final_ranking.groups for s in samples] == [(("2",), ("1",), ("3",))] * 4
+        assert len({id(s.final_ranking) for s in samples}) == 1
+        assert [s.coverage for s in samples] == [2 / 3] * 4
+        assert repairs == [Ranking(groups=(("2",), ("1",)))]
+
     def test_prompt_hash_attached(self):
         samples = sample_trajectories(make_query(), make_universe(3), config(), MockBackend())
         assert len({s.prompt_hash for s in samples}) == 1
         assert samples[0].prompt_hash
+
+
+class _Scripted(GenerationBackend):
+    """The mock's generations, but for the sample indices `script` maps to
+    an exception, which it raises. Records each sample index asked for."""
+
+    def __init__(self, script):
+        self.script = script
+        self.asked = []
+        self.mock = MockBackend(MockProfile(modes=(MockMode(restatements=1, revert_loops=1),)))
+
+    def generate(self, request):
+        self.asked.append(request.sample_index)
+        if request.sample_index in self.script:
+            raise self.script[request.sample_index]
+        return self.mock.generate(request)
+
+
+class TestBatchedParsing:
+    """The K generations are parsed after the last request returns; the
+    samples are those parsing each one as it returned would give."""
+
+    def test_failures_keep_their_place_and_errors(self):
+        script = {2: TransportError("sample 2 timed out"), 3: MalformedResponseError("bad payload"),
+                  5: TransportError("sample 5 reset")}
+        backend = _Scripted(script)
+        samples = sample_trajectories(make_query(), make_universe(5), config(k_samples=6), backend)
+        plain = sample_trajectories(make_query(), make_universe(5), config(k_samples=6), _Scripted({}))
+        assert backend.asked == [1, 2, 3, 4, 5, 6]
+        assert [s.sample_index for s in samples] == [1, 2, 3, 4, 5, 6]
+        for sample, expected in zip(samples, plain):
+            if sample.sample_index in script:
+                assert sample == TrajectorySample(
+                    query_id="q1", sample_index=sample.sample_index, raw_text="", reasoning_text="",
+                    final_ranking=None, ranking_sequence=(), token_len=0, token_len_source="approximated",
+                    valid=False, error=str(script[sample.sample_index]), prompt_hash=expected.prompt_hash)
+            else:
+                assert sample == expected
+
+    def test_unreachable_only_when_every_sample_failed_at_the_transport(self):
+        down = {k: TransportError(f"sample {k} timed out") for k in (1, 2, 3)}
+        with pytest.raises(BackendUnreachableError, match="all 3 samples for query q1"):
+            sample_trajectories(make_query(), make_universe(3), config(), _Scripted(down))
+        down[3] = MalformedResponseError("bad payload")
+        samples = sample_trajectories(make_query(), make_universe(3), config(), _Scripted(down))
+        assert [s.error for s in samples] == ["sample 1 timed out", "sample 2 timed out", "bad payload"]
+
+    def test_unexpected_exception_propagates_before_any_parse(self, monkeypatch):
+        scans = []
+        monkeypatch.setattr(sampling, "extract_rankings", lambda *args, **kwargs: scans.append(args))
+        backend = _Scripted({2: TransportError("timed out"), 3: RuntimeError("backend bug")})
+        with pytest.raises(RuntimeError, match="backend bug"):
+            sample_trajectories(make_query(), make_universe(3), config(k_samples=5), backend)
+        assert backend.asked == [1, 2, 3]
+        assert scans == []
 
 
 class _ScriptedHandler(BaseHTTPRequestHandler):
