@@ -235,6 +235,10 @@ def _types_of(names: tuple[str, ...]) -> frozenset[tuple[type, ...]]:
 
 
 _HEAD_TYPES, _TAIL_TYPES = _types_of(_HEAD_FIELDS), _types_of(_TAIL_FIELDS)
+# The writer lists the record's fields by hand: a TrajectorySample field it
+# leaves out fails at import, rather than every store it writes at read.
+if set(_HEAD_FIELDS + _TAIL_FIELDS) | {"final_ranking", "ranking_sequence"} != set(_FIELD_TYPES):
+    raise TypeError("write_samples must write every TrajectorySample field and no other")
 
 
 def _first_type_error(names: tuple[str, ...], values: tuple) -> ValueError:
@@ -264,13 +268,9 @@ def _ranking_json(ranking: object, field: str) -> str:
     if not _TUPLE_ONLY.issuperset(map(type, groups)):
         raise ValueError(bad)
     try:
-        doc_ids = "".join(map("".join, groups))  # a TypeError unless every doc id is a string
-    except TypeError:
+        return "[" + ", ".join(["[" + ", ".join(map(encode_basestring, group)) + "]" for group in groups]) + "]"
+    except TypeError:  # a doc id that is not a string
         raise ValueError(bad) from None
-    if groups and len(encode_basestring(doc_ids)) == len(doc_ids) + 2:
-        # No doc id holds a character JSON escapes: each is quoted as it is.
-        return '[["' + '"], ["'.join(['", "'.join(group) for group in groups]) + '"]]'
-    return "[" + ", ".join(["[" + ", ".join(map(encode_basestring, group)) + "]" for group in groups]) + "]"
 
 
 def _record_tail(sample: TrajectorySample, score: float | None) -> str:

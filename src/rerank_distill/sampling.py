@@ -441,10 +441,10 @@ def sample_trajectories(
     recur across the K generations are parsed once, and final statements
     that recur are repaired once.
 
-    Parsing after the last request, rather than after each one, finds the
-    parser's code and data in the CPU caches: right after a wait for the
-    backend they are cold, and parsing one generation of a mock behind a
-    20 ms delay took about four times the CPU time (2-vCPU VM).
+    Parsing after the last request, rather than after each one, cost less
+    thread CPU per generation on a mock behind a 20 ms delay: 47-49 against
+    192-217 us (2-vCPU VM). Why was not isolated; real HTTP traffic was not
+    measured.
     """
     template = template or default_template()
     messages = tuple(build_prompt(query, candidates, template))
