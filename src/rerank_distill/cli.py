@@ -3,9 +3,11 @@ analyze-redundancy -> report.
 
 Stages communicate only through files, so the expensive sampling stage runs
 once and the filtering/analysis stages iterate offline. Rerunning any stage
-with identical inputs and seed produces byte-identical outputs. Each stage
-holds one query's samples at a time, and writes each output file through a
-temp file that takes the output's place only once it is complete.
+with identical inputs and seed produces byte-identical outputs. Each
+offline stage holds one query's samples at a time, and `sample` at most
+8 × max_in_flight queries' samples. Every stage writes each output file
+through a temp file that takes the output's place only once it is
+complete.
 
 Exit codes: 0 success, 1 validation or config error, 2 runtime/backend
 failure.
@@ -17,7 +19,8 @@ import argparse
 import logging
 import sys
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from itertools import islice
 from pathlib import Path
 
 from . import io as rio
@@ -106,42 +109,56 @@ def cmd_sample(args) -> int:
     if missing:
         raise ConfigError(f"run file contains queries absent from the topics file: {missing}")
 
+    for qid, cand in sorted(candidates.items()):
+        if len(cand) < args.depth:
+            logger.warning("query %s has only %d candidates (requested depth %d)", qid, len(cand), args.depth)
+
     # One worker per query in flight, each sending its K requests in turn.
-    # Results are written in submission order, so the store stays in query
-    # order, and each query's future leaves the queue once it is written.
+    # At most `window` queries are submitted and not yet written, so the
+    # samples held in memory do not grow with the number of queries. The
+    # main thread waits once for the oldest half of the window, writes
+    # those queries in query order (so the store stays in query order),
+    # lets each future go once it is written, then submits the next half.
+    # Refilling one query at a time instead made the threads hand off
+    # about four times as often and cost `sample` CPU.
+    window = 8 * sampling_config.max_in_flight
+    unsent = iter(sorted(candidates))
+    pending = deque()
     pool = ThreadPoolExecutor(max_workers=sampling_config.max_in_flight)
-    try:
-        pending = deque()
-        for qid in sorted(candidates):
-            cand = candidates[qid]
-            if len(cand) < args.depth:
-                logger.warning("query %s has only %d candidates (requested depth %d)", qid, len(cand), args.depth)
+
+    def submit(n: int) -> None:
+        for qid in islice(unsent, n):
             pending.append((qid, pool.submit(
-                sample_trajectories,
-                queries[qid],
-                cand,
-                sampling_config,
-                backend,
-                template=template,
+                sample_trajectories, queries[qid], candidates[qid], sampling_config, backend, template=template,
             )))
+
+    try:
+        submit(window)
         written = 0
+        done = 0
         failed_queries = []
         with rio.atomic_write(args.out) as fh:
             while pending:
-                qid, future = pending.popleft()
-                try:
-                    samples = future.result()
-                except BackendUnreachableError as exc:
-                    logger.error("query %s failed: %s", qid, exc)
-                    failed_queries.append(qid)
-                    continue
-                rio.write_samples(samples, fh)
-                written += len(samples)
-                logger.info("sampled query %s (%d/%d): %d/%d valid", qid, len(candidates) - len(pending),
-                            len(candidates), sum(s.valid for s in samples), len(samples))
+                batch = min(window // 2, len(pending))
+                wait([future for _, future in islice(pending, batch)], return_when=FIRST_EXCEPTION)
+                for _ in range(batch):
+                    qid, future = pending.popleft()
+                    done += 1
+                    try:
+                        samples = future.result()
+                    except BackendUnreachableError as exc:
+                        logger.error("query %s failed: %s", qid, exc)
+                        failed_queries.append(qid)
+                        continue
+                    rio.write_samples(samples, fh)
+                    written += len(samples)
+                    logger.info("sampled query %s (%d/%d): %d/%d valid", qid, done, len(candidates),
+                                sum(s.valid for s in samples), len(samples))
+                submit(window // 2)
     finally:
         # An exception above leaves queued queries unsent.
         pool.shutdown(cancel_futures=True)
+        backend.close()
 
     print(f"wrote {written} samples for {len(candidates) - len(failed_queries)} queries to {args.out}")
     if failed_queries:

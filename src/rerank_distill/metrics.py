@@ -59,10 +59,11 @@ def tail_repeat_ratio(seq: Sequence[Ranking]) -> float:
 
     0.0 for sequences of length <= 1.
     """
-    t = len(seq)
-    if t <= 1:
-        return 0.0
-    return (t - last_novel_index(seq)) / t
+    return _tail_repeat_ratio(len(seq), last_novel_index(seq))
+
+
+def _tail_repeat_ratio(t: int, t_star: int) -> float:
+    return (t - t_star) / t if t > 1 else 0.0
 
 
 def multi_occurrence_ratio(seq: Sequence[Ranking]) -> float:
@@ -76,10 +77,11 @@ def multi_occurrence_ratio(seq: Sequence[Ranking]) -> float:
 
 def redundancy_metrics(seq: Sequence[Ranking]) -> RedundancyMetrics:
     """Bundle T, t*, TRR, and MOR for one trace."""
+    t_star = last_novel_index(seq)
     return RedundancyMetrics(
         seq_len=len(seq),
-        t_star=last_novel_index(seq),
-        trr=tail_repeat_ratio(seq),
+        t_star=t_star,
+        trr=_tail_repeat_ratio(len(seq), t_star),
         mor=multi_occurrence_ratio(seq),
     )
 

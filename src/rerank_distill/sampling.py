@@ -147,21 +147,27 @@ class GenerationBackend(ABC):
         """Produce one generation; raises TransportError after retry
         exhaustion and MalformedResponseError on non-retryable replies."""
 
+    def close(self) -> None:
+        """Release what the backend opened; called once no request is
+        outstanding. Nothing to release by default."""
+
 
 class HttpChatBackend(GenerationBackend):
     """Chat-completions client: POSTs {model, messages, temperature, top_p,
     max_tokens[, seed]} and reads the generated text plus
     usage.completion_tokens.
 
-    Transient failures (timeouts, connection errors, HTTP 429 and 5xx) are
-    retried with exponential backoff up to `max_retries`; other failures are
-    not retried. A 429 or 503 whose Retry-After header gives a number of
-    seconds waits that long instead of the backoff delay. Bearer auth comes
+    Transient failures (timeouts, connection errors, a reply body cut off
+    mid-transfer, HTTP 429 and 5xx) are retried with exponential backoff up
+    to `max_retries`; other failures are not retried. A 429 or 503 whose
+    Retry-After header gives a number of seconds waits that long instead of
+    the backoff delay. Bearer auth comes
     from the environment variable named in `auth_env`, when given.
 
     Without an injected `session`, each thread that calls `generate` gets
     its own `requests.Session`: a Session is not documented as thread-safe.
-    An injected session is used as given, from every thread.
+    `close` closes those sessions. An injected session is used as given,
+    from every thread, and left open.
 
     `requests` is imported on the first request, not with this module: it
     is most of the package's import time, and only this backend uses it.
@@ -192,6 +198,8 @@ class HttpChatBackend(GenerationBackend):
         self.backoff_base_s = backoff_base_s
         self._session = session
         self._thread_sessions = threading.local()
+        self._made_sessions: list[requests.Session] = []
+        self._made_lock = threading.Lock()
         self._sleep = sleep
         self._headers = {"Content-Type": "application/json"}
         if auth_env:
@@ -224,7 +232,7 @@ class HttpChatBackend(GenerationBackend):
                 response = session.post(
                     self.endpoint_url, json=payload, headers=self._headers, timeout=self.timeout_s,
                 )
-            except (requests.Timeout, requests.ConnectionError) as exc:
+            except (requests.Timeout, requests.ConnectionError, requests.exceptions.ChunkedEncodingError) as exc:
                 last_error = TransportError(f"{self.endpoint_url}: {exc}")
                 logger.warning("transient transport failure (attempt %d): %s", attempt + 1, exc)
                 continue
@@ -249,7 +257,18 @@ class HttpChatBackend(GenerationBackend):
             import requests
 
             session = self._thread_sessions.session = requests.Session()
+            with self._made_lock:
+                self._made_sessions.append(session)
         return session
+
+    def close(self) -> None:
+        """Close the sessions this backend made; a later request makes new
+        ones."""
+        with self._made_lock:
+            made, self._made_sessions = self._made_sessions, []
+            self._thread_sessions = threading.local()
+        for session in made:
+            session.close()
 
     def _parse_response(self, response: requests.Response, latency_ms: int) -> GenerationResult:
         try:
@@ -261,10 +280,10 @@ class HttpChatBackend(GenerationBackend):
         if not isinstance(text, str):
             raise MalformedResponseError(f"{self.endpoint_url}: message content is not text")
         finish = choice.get("finish_reason")
-        usage = body.get("usage") or {}
-        completion_tokens = usage.get("completion_tokens")
-        # A count is reported only as a non-negative int: a bool is an int
-        # to isinstance, and a negative count is corrupt.
+        usage = body.get("usage")
+        completion_tokens = usage.get("completion_tokens") if isinstance(usage, dict) else None
+        # A count is reported only as a non-negative int in a usage object:
+        # a bool is an int to isinstance, and a negative count is corrupt.
         reported = type(completion_tokens) is int and completion_tokens >= 0
         return GenerationResult(
             raw_text=text,

@@ -8,6 +8,7 @@ import math
 import random
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -276,7 +277,7 @@ def test_criterion_6_end_to_end_determinism(tmp_path):
         assert rows[qid]["retained"] is True
 
     # corpus target per query is the shortest ideal-short sample
-    corpus_lines = [json.loads(line) for line in open(first["corpus"])][1:]
+    corpus_lines = [json.loads(line) for line in Path(first["corpus"]).read_text().splitlines()][1:]
     assert len(corpus_lines) == 20
     targets_by_text = {}
     for qid, qsamples in by_query.items():

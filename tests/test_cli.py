@@ -90,7 +90,7 @@ class TestPipelineStages:
         assert stats["kind"] == "filter_stats"
         assert len(stats["rows"]) == 3
 
-        corpus_lines = [json.loads(line) for line in open(outs["corpus"])]
+        corpus_lines = [json.loads(line) for line in Path(outs["corpus"]).read_text().splitlines()]
         assert corpus_lines[0]["format"] == "sft-chat-messages"
         assert all([m["role"] for m in line["messages"]] == ["system", "user", "assistant"]
                    for line in corpus_lines[1:])
@@ -379,24 +379,29 @@ class TestSampleStage:
         assert sample_stage(paths, tmp_path / "slow.jsonl") == 0
         assert (tmp_path / "slow.jsonl").read_bytes() == (tmp_path / "plain.jsonl").read_bytes()
 
-    def test_unreachable_query_is_reported_and_the_rest_written(self, tmp_path, monkeypatch, capsys):
-        paths = sample_workspace(tmp_path, 4, "profiles: {distill: {k_samples: 2, max_in_flight: 3}}\n")
+    # With 25 queries and max_in_flight 2 (a window of 16, refilled 8 at a
+    # time), q010 is the second query of the second batch.
+    @pytest.mark.parametrize("n_queries, max_in_flight, down", [(4, 3, "q002"), (25, 2, "q010")])
+    def test_unreachable_query_is_reported_and_the_rest_written(self, tmp_path, monkeypatch, capsys,
+                                                                 n_queries, max_in_flight, down):
+        paths = sample_workspace(tmp_path, n_queries,
+                                 f"profiles: {{distill: {{k_samples: 2, max_in_flight: {max_in_flight}}}}}\n")
         assert sample_stage(paths, tmp_path / "all.jsonl") == 0
 
-        def q002_down(inner, request):
-            if request.query_id == "q002":
-                raise TransportError("q002 endpoint timed out")
+        def one_query_down(inner, request):
+            if request.query_id == down:
+                raise TransportError(f"{down} endpoint timed out")
             return inner.generate(request)
 
-        route_backend(monkeypatch, q002_down)
+        route_backend(monkeypatch, one_query_down)
         capsys.readouterr()
         assert sample_stage(paths, tmp_path / "s.jsonl") == 2
-        assert "1 queries failed at the backend: ['q002']" in capsys.readouterr().err
+        assert f"1 queries failed at the backend: ['{down}']" in capsys.readouterr().err
         expected = [line for line in (tmp_path / "all.jsonl").read_text().splitlines()
-                    if json.loads(line)["query_id"] != "q002"]
+                    if json.loads(line)["query_id"] != down]
         assert (tmp_path / "s.jsonl").read_text().splitlines() == expected
         assert [(s.query_id, s.sample_index) for s in read_store(tmp_path / "s.jsonl")] == [
-            (q, k) for q in ("q001", "q003", "q004") for k in (1, 2)]
+            (f"q{q:03d}", k) for q in range(1, n_queries + 1) if f"q{q:03d}" != down for k in (1, 2)]
 
     def test_unexpected_error_stops_the_stage_without_sending_queued_queries(self, tmp_path, monkeypatch):
         paths = sample_workspace(tmp_path, 8, "profiles: {distill: {k_samples: 2, max_in_flight: 2}}\n")
@@ -414,6 +419,86 @@ class TestSampleStage:
             sample_stage(paths, tmp_path / "s.jsonl")
         assert len(generated) <= 2
         assert not (tmp_path / "s.jsonl").exists()
+
+    def test_queries_submitted_and_unwritten_stay_within_the_window(self, tmp_path, monkeypatch):
+        # max_in_flight 2: a window of 16 queries, refilled 8 at a time.
+        paths = sample_workspace(tmp_path, 40, "profiles: {distill: {k_samples: 1, max_in_flight: 2}}\n")
+        submitted = 0
+
+        class CountingPool(cli.ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                nonlocal submitted
+                submitted += 1
+                return super().submit(*args, **kwargs)
+
+        backlog = []
+        write_samples = cli.rio.write_samples
+
+        def counting_write(samples, fh):
+            backlog.append(submitted - len(backlog))
+            return write_samples(samples, fh)
+
+        def slow_first_query(inner, request):
+            if request.query_id == "q001":
+                time.sleep(0.2)
+            return inner.generate(request)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(cli.rio, "write_samples", counting_write)
+        route_backend(monkeypatch, slow_first_query)
+        assert sample_stage(paths, tmp_path / "s.jsonl") == 0
+        assert len(backlog) == submitted == 40
+        assert backlog[0] == 16
+        assert max(backlog) <= 16
+
+    @pytest.mark.parametrize("n_queries", [3, 16, 25])
+    def test_store_does_not_depend_on_max_in_flight(self, tmp_path, monkeypatch, n_queries):
+        # Windows of 8, 16, 24 and 64 queries: 3 queries fill less than one
+        # batch of any; 16 fill two windows of 8 and one of 16; 25 are one
+        # past the window of 24. Later queries finish first.
+        paths = sample_workspace(tmp_path, n_queries)
+
+        def later_queries_faster(inner, request):
+            time.sleep(0.001 * (n_queries - int(request.query_id[1:])))
+            return inner.generate(request)
+
+        route_backend(monkeypatch, later_queries_faster)
+        stores = {}
+        for max_in_flight in (1, 2, 3, 8):
+            Path(paths["config"]).write_text(
+                MIXED_MODES_YAML + f"profiles: {{distill: {{k_samples: 2, max_in_flight: {max_in_flight}}}}}\n")
+            out = tmp_path / f"s{max_in_flight}.jsonl"
+            assert sample_stage(paths, out) == 0
+            stores[max_in_flight] = out.read_bytes()
+        assert len(set(stores.values())) == 1
+        assert [(s.query_id, s.sample_index) for s in read_store(tmp_path / "s1.jsonl")] == [
+            (f"q{q:03d}", k) for q in range(1, n_queries + 1) for k in (1, 2)]
+
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_stage_closes_its_backend(self, tmp_path, monkeypatch, broken):
+        paths = sample_workspace(tmp_path, 4, "profiles: {distill: {k_samples: 2, max_in_flight: 2}}\n")
+        factory = cli._backend_for
+        closed = []
+
+        class Closing(GenerationBackend):
+            def __init__(self, inner):
+                self.inner = inner
+
+            def generate(self, request):
+                if broken and request.query_id == "q002":
+                    raise RuntimeError("unexpected backend bug")
+                return self.inner.generate(request)
+
+            def close(self):
+                closed.append(self)
+
+        monkeypatch.setattr(cli, "_backend_for", lambda args, config: Closing(factory(args, config)))
+        if broken:
+            with pytest.raises(RuntimeError, match="unexpected backend bug"):
+                sample_stage(paths, tmp_path / "s.jsonl")
+        else:
+            assert sample_stage(paths, tmp_path / "s.jsonl") == 0
+        assert len(closed) == 1
 
 
 class TestOutputOnAnInput:

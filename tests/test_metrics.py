@@ -119,6 +119,21 @@ class TestRedundancy:
         rm0 = redundancy_metrics([])
         assert (rm0.seq_len, rm0.t_star, rm0.trr, rm0.mor) == (0, 0, 0.0, 0.0)
 
+    def test_bundle_finds_t_star_once_and_equals_the_separate_metrics(self, monkeypatch):
+        from rerank_distill import metrics
+
+        calls = []
+        inner = metrics.last_novel_index
+        monkeypatch.setattr(metrics, "last_novel_index", lambda seq: calls.append(1) or inner(seq))
+        rng = random.Random(11)
+        for _ in range(200):
+            seq = _seq([rng.choice("ABCD") for _ in range(rng.randint(0, 9))])
+            calls.clear()
+            rm = redundancy_metrics(seq)
+            assert len(calls) == 1
+            assert (rm.seq_len, rm.t_star, rm.mor) == (len(seq), inner(seq), multi_occurrence_ratio(seq))
+            assert rm.trr == tail_repeat_ratio(seq)  # the same float, not an approximation
+
     def test_trr_zero_iff_last_element_novel(self):
         rng = random.Random(5)
         for _ in range(200):

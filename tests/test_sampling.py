@@ -356,6 +356,17 @@ def http_endpoint():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions", _ScriptedHandler
     server.shutdown()
+    server.server_close()
+
+
+@pytest.fixture
+def closing():
+    """Registers backends to close when the test ends, so no test leaves
+    its sessions' sockets open."""
+    backends = []
+    yield lambda backend: backends.append(backend) or backend
+    for backend in backends:
+        backend.close()
 
 
 def _request(seed=None):
@@ -408,10 +419,10 @@ def _generate_from_two_threads(backend):
 
 
 class TestHttpChatBackend:
-    def test_wire_protocol_fields_and_usage(self, http_endpoint, monkeypatch):
+    def test_wire_protocol_fields_and_usage(self, http_endpoint, closing, monkeypatch):
         url, handler = http_endpoint
         monkeypatch.setenv("RD_TOKEN", "sekrit")
-        backend = HttpChatBackend(url, auth_env="RD_TOKEN")
+        backend = closing(HttpChatBackend(url, auth_env="RD_TOKEN"))
         result = backend.generate(_request(seed=3))
         assert result.raw_text == "thinking... [1] > [2]"
         assert result.endpoint_token_count == 42
@@ -420,40 +431,40 @@ class TestHttpChatBackend:
         assert set(body) == {"model", "messages", "temperature", "top_p", "max_tokens", "seed"}
         assert handler.requests_seen[0]["auth"] == "Bearer sekrit"
 
-    def test_transient_statuses_are_retried(self, http_endpoint):
+    def test_transient_statuses_are_retried(self, http_endpoint, closing):
         url, handler = http_endpoint
         handler.script = [(429, {"error": "slow down"}), (500, {"error": "oops"})]
-        backend = HttpChatBackend(url, max_retries=3, sleep=lambda s: None)
+        backend = closing(HttpChatBackend(url, max_retries=3, sleep=lambda s: None))
         result = backend.generate(_request())
         assert result.raw_text
         assert len(handler.requests_seen) == 3
 
-    def test_retry_exhaustion_is_transport_error(self, http_endpoint):
+    def test_retry_exhaustion_is_transport_error(self, http_endpoint, closing):
         url, handler = http_endpoint
         handler.script = [(503, {})] * 10
-        backend = HttpChatBackend(url, max_retries=2, sleep=lambda s: None)
+        backend = closing(HttpChatBackend(url, max_retries=2, sleep=lambda s: None))
         with pytest.raises(TransportError, match="HTTP 503"):
             backend.generate(_request())
         assert len(handler.requests_seen) == 3  # initial try + 2 retries
 
-    def test_non_transient_status_not_retried(self, http_endpoint):
+    def test_non_transient_status_not_retried(self, http_endpoint, closing):
         url, handler = http_endpoint
         handler.script = [(400, {"error": "bad request"})]
-        backend = HttpChatBackend(url, max_retries=5, sleep=lambda s: None)
+        backend = closing(HttpChatBackend(url, max_retries=5, sleep=lambda s: None))
         with pytest.raises(MalformedResponseError, match="HTTP 400"):
             backend.generate(_request())
         assert len(handler.requests_seen) == 1
 
-    def test_malformed_body_rejected(self, http_endpoint):
+    def test_malformed_body_rejected(self, http_endpoint, closing):
         url, handler = http_endpoint
         handler.script = [(200, {"not": "a chat response"})]
-        backend = HttpChatBackend(url, sleep=lambda s: None)
+        backend = closing(HttpChatBackend(url, sleep=lambda s: None))
         with pytest.raises(MalformedResponseError, match="shape"):
             backend.generate(_request())
 
-    def test_connection_refused_becomes_transport_error(self):
-        backend = HttpChatBackend("http://127.0.0.1:1/never", max_retries=1,
-                                  timeout_s=0.2, sleep=lambda s: None)
+    def test_connection_refused_becomes_transport_error(self, closing):
+        backend = closing(HttpChatBackend("http://127.0.0.1:1/never", max_retries=1,
+                                          timeout_s=0.2, sleep=lambda s: None))
         with pytest.raises(TransportError):
             backend.generate(_request())
 
@@ -475,6 +486,79 @@ class TestHttpChatBackend:
         assert len(made) == 2
         assert [len(session.threads) for session in made] == [1, 1]
         assert made[0].threads != made[1].threads
+
+    def test_close_closes_the_sessions_it_made(self, monkeypatch):
+        made = []
+
+        class ClosableSession(_ReplySession):
+            def __init__(self):
+                super().__init__(_FakeResponse())
+                self.closed = False
+                made.append(self)
+
+            def close(self):
+                self.closed = True
+
+        monkeypatch.setattr(requests, "Session", ClosableSession)
+        backend = HttpChatBackend("http://x.example/v1", sleep=lambda s: None)
+        _generate_from_two_threads(backend)
+        backend.close()
+        assert [session.closed for session in made] == [True, True]
+        backend.generate(_request())  # a request after close makes a new session
+        backend.close()
+        assert [session.closed for session in made] == [True, True, True]
+
+    def test_close_leaves_an_injected_session_open(self):
+        class InjectedSession(_ReplySession):
+            def close(self):
+                raise AssertionError("the backend closed a session it did not make")
+
+        backend = HttpChatBackend("http://x.example/v1", session=InjectedSession(_FakeResponse()))
+        backend.generate(_request())
+        backend.close()
+
+    def test_a_dropped_reply_body_is_retried(self):
+        class DropsFirstBody(_ReplySession):
+            posts = 0
+
+            def post(self, url, **kwargs):
+                self.posts += 1
+                if self.posts == 1:
+                    raise requests.exceptions.ChunkedEncodingError("connection broken mid-body")
+                return self.response
+
+        session = DropsFirstBody(_FakeResponse())
+        sleeps = []
+        backend = HttpChatBackend("http://x.example/v1", max_retries=3, backoff_base_s=0.25,
+                                  session=session, sleep=sleeps.append)
+        assert backend.generate(_request()).raw_text == "[1] > [2]"
+        assert session.posts == 2
+        assert sleeps == [0.25]
+
+    def test_a_body_dropped_every_time_is_transport_error(self):
+        class DropsEveryBody(_ReplySession):
+            posts = 0
+
+            def post(self, url, **kwargs):
+                self.posts += 1
+                raise requests.exceptions.ChunkedEncodingError("connection broken mid-body")
+
+        session = DropsEveryBody(_FakeResponse())
+        backend = HttpChatBackend("http://x.example/v1", max_retries=2, session=session, sleep=lambda s: None)
+        with pytest.raises(TransportError, match="connection broken mid-body"):
+            backend.generate(_request())
+        assert session.posts == 3  # initial try + 2 retries
+
+    @pytest.mark.parametrize("usage", [["n/a"], "n/a", 5])
+    def test_usage_that_is_not_an_object_reports_no_count(self, usage):
+        class UsageResponse(_FakeResponse):
+            def json(self):
+                return {**super().json(), "usage": usage}
+
+        backend = HttpChatBackend("http://x.example/v1", session=_ReplySession(UsageResponse()))
+        result = backend.generate(_request())
+        assert result.raw_text == "[1] > [2]"
+        assert result.endpoint_token_count is None
 
     def test_injected_session_is_used_from_every_thread(self, monkeypatch):
         made = []
