@@ -282,6 +282,24 @@ def cmd_analyze_redundancy(args) -> int:
     return 0
 
 
+def _read_eval_report(path: str) -> dict:
+    """The eval report at `path`, refused with a ConfigError naming the
+    member when one that `report` reads is missing or of another type."""
+    payload = rio.read_report(path)
+    if payload.get("kind") != "eval":
+        raise ConfigError(f"{path} is a {payload.get('kind')!r} report; report merges eval reports")
+    per_query = payload.get("per_query")
+    if type(per_query) is not dict or not per_query:
+        raise ConfigError(f"{path}: eval report member 'per_query' must be a non-empty object")
+    for name in ("mean_ndcg10", "mean_len"):
+        if type(payload.get(name)) not in (int, float):
+            raise ConfigError(f"{path}: eval report member {name!r} must be a number")
+    for qid, entry in per_query.items():
+        if type(entry) is not dict or not all(type(entry.get(name)) in (int, float) for name in ("ndcg10", "gen_len")):
+            raise ConfigError(f"{path}: eval report member per_query[{qid!r}] must hold numbers 'ndcg10' and 'gen_len'")
+    return payload
+
+
 def cmd_report(args) -> int:
     inputs = []
     for spec_arg in args.inputs:
@@ -291,10 +309,7 @@ def cmd_report(args) -> int:
         _distinct_files("--out", args.out, [(spec_arg, path)])
         if any(tag == seen for seen, _ in inputs):
             raise ConfigError(f"report tag {tag!r} is given twice")
-        payload = rio.read_report(path)
-        if payload.get("kind") != "eval":
-            raise ConfigError(f"{path} is a {payload.get('kind')!r} report; report merges eval reports")
-        inputs.append((tag, payload))
+        inputs.append((tag, _read_eval_report(path)))
 
     reference_tag, reference = inputs[0]
     ref_queries = set(reference["per_query"])

@@ -17,12 +17,13 @@ import math
 import operator
 import os
 from collections.abc import Container, Iterable, Iterator, Mapping, Sequence
-from dataclasses import fields, replace
+from dataclasses import replace
 from json.encoder import encode_basestring
 from typing import TextIO
 
 from .errors import ConfigError, ParseError
 from .models import (
+    SAMPLE_FIELD_TYPES,
     CandidateDoc,
     CandidateSet,
     DistillationRecord,
@@ -33,6 +34,7 @@ from .models import (
     QueryFilterStats,
     Ranking,
     TrajectorySample,
+    field_type_error,
 )
 from .sampling import PromptTemplate, build_prompt, hash_messages
 
@@ -196,56 +198,17 @@ def candidates_from_run(run: Mapping[str, Sequence[str]], texts: Mapping[str, st
 # rely on it to hold one query's samples at a time.
 
 _BAD_RANKING = "a ranking must be a non-empty list of tie groups, each a list of doc-id strings"
-_TUPLE_ONLY = frozenset((tuple,))
-# The JSON types each TrajectorySample field may hold in a record, by the
-# field's annotation; a ranking is held as a list. A field whose annotation
-# is not listed here fails at import, so a new field cannot go unchecked.
-# The writer checks its scalar fields against the same table, so it writes
-# no value the reader would refuse.
-_JSON_TYPES = {
-    "str": (str,),
-    "int": (int,),
-    "bool": (bool,),
-    "TokenLenSource": (str,),
-    "str | None": (str, type(None)),
-    "float | None": (float, type(None)),
-    "Ranking | None": (list, type(None)),
-    "tuple[Ranking, ...]": (list,),
-}
-_FIELD_TYPES = {f.name: _JSON_TYPES[f.type] for f in fields(TrajectorySample)}
-
-
-def _type_error(name: str, value: object) -> ValueError:
-    kinds = _FIELD_TYPES[name]
-    expected = " or ".join("null" if kind is type(None) else kind.__name__ for kind in kinds)
-    return ValueError(f"field {name!r} must be {expected}, got {type(value).__name__}")
-
-
+_LIST_ONLY = frozenset((list,))
 # The scalar members `write_samples` writes before "schema_version", in
 # key order, and the members from "score" on, which sort last.
 _HEAD_FIELDS = ("coverage", "error", "prompt_hash", "query_id", "raw_text", "reasoning_text", "sample_index")
 _TAIL_FIELDS = ("score", "token_len", "token_len_source", "valid")
 _head_values = operator.attrgetter(*_HEAD_FIELDS)
 _tail_values = operator.attrgetter(*_TAIL_FIELDS[1:])
-
-
-def _types_of(names: tuple[str, ...]) -> frozenset[tuple[type, ...]]:
-    """Every combination of types the record fields `names` may hold."""
-    return frozenset(itertools.product(*(_FIELD_TYPES[name] for name in names)))
-
-
-_HEAD_TYPES, _TAIL_TYPES = _types_of(_HEAD_FIELDS), _types_of(_TAIL_FIELDS)
 # The writer lists the record's fields by hand: a TrajectorySample field it
 # leaves out fails at import, rather than every store it writes at read.
-if set(_HEAD_FIELDS + _TAIL_FIELDS) | {"final_ranking", "ranking_sequence"} != set(_FIELD_TYPES):
+if set(_HEAD_FIELDS + _TAIL_FIELDS) | {"final_ranking", "ranking_sequence"} != set(SAMPLE_FIELD_TYPES):
     raise TypeError("write_samples must write every TrajectorySample field and no other")
-
-
-def _first_type_error(names: tuple[str, ...], values: tuple) -> ValueError:
-    """The ValueError naming the first of the fields `names` whose value
-    has a type the field may not hold (a bool score, an int `valid`)."""
-    return next(_type_error(name, value) for name, value in zip(names, values)
-                if type(value) not in _FIELD_TYPES[name])
 
 
 def _float_json(value: float | None) -> str:
@@ -259,26 +222,17 @@ def _str_json(value: str | None) -> str:
     return "null" if value is None else encode_basestring(value)
 
 
-def _ranking_json(ranking: object, field: str) -> str:
+def _ranking_json(ranking: Ranking) -> str:
     """The JSON text of a Ranking, its list of tie groups."""
-    if type(ranking) is not Ranking:
-        raise ValueError(f"field {field!r} must hold Rankings, got {type(ranking).__name__}")
-    groups = ranking.groups
-    bad = f"field {field!r}: {_BAD_RANKING}"
-    if not _TUPLE_ONLY.issuperset(map(type, groups)):
-        raise ValueError(bad)
-    try:
-        return "[" + ", ".join(["[" + ", ".join(map(encode_basestring, group)) + "]" for group in groups]) + "]"
-    except TypeError:  # a doc id that is not a string
-        raise ValueError(bad) from None
+    return "[" + ", ".join(["[" + ", ".join(map(encode_basestring, group)) + "]" for group in ranking.groups]) + "]"
 
 
 def _record_tail(sample: TrajectorySample, score: float | None) -> str:
     """What `write_samples` writes last in the record of `sample` with
     `score`: its members from "score" on, and the closing brace."""
+    if type(score) not in SAMPLE_FIELD_TYPES["score"]:
+        raise field_type_error("score", score)
     token_len, source, valid = _tail_values(sample)
-    if (type(score), type(token_len), type(source), type(valid)) not in _TAIL_TYPES:
-        raise _first_type_error(_TAIL_FIELDS, (score, token_len, source, valid))
     return (f', "score": {_float_json(score)}, "token_len": {token_len}, '
             f'"token_len_source": {encode_basestring(source)}, "valid": {"true" if valid else "false"}}}')
 
@@ -289,23 +243,21 @@ def write_samples(samples: Sequence[TrajectorySample], out: TextIO) -> None:
     `json.dumps(record, sort_keys=True, ensure_ascii=False)` writes them. A
     ranking is stored as its list of tie groups.
 
-    Each distinct Ranking object of the call is rendered once. A field
-    whose value has another type than the store's (a bool score, an int
-    `valid`) is a ValueError naming the field.
+    Each distinct Ranking object of the call is rendered once. A
+    TrajectorySample checked its field types when it was built, so every
+    record written holds types the reader accepts.
     """
     # Keyed by id: `samples` holds every ranking for the whole call, so no
     # id is reused.
     rendered: dict[int, str] = {}
     for sample in samples:
-        coverage, error, prompt_hash, query_id, raw_text, reasoning_text, sample_index = head = _head_values(sample)
-        if tuple(map(type, head)) not in _HEAD_TYPES:
-            raise _first_type_error(_HEAD_FIELDS, head)
+        coverage, error, prompt_hash, query_id, raw_text, reasoning_text, sample_index = _head_values(sample)
         final, sequence = sample.final_ranking, sample.ranking_sequence
         if final is not None and id(final) not in rendered:
-            rendered[id(final)] = _ranking_json(final, "final_ranking")
+            rendered[id(final)] = _ranking_json(final)
         for ranking in sequence:
             if id(ranking) not in rendered:
-                rendered[id(ranking)] = _ranking_json(ranking, "ranking_sequence")
+                rendered[id(ranking)] = _ranking_json(ranking)
         out.write(
             f'{{"coverage": {_float_json(coverage)}, "error": {_str_json(error)}, '
             f'"final_ranking": {"null" if final is None else rendered[id(final)]}, '
@@ -339,9 +291,6 @@ def write_scored_samples(lines: Sequence[str], samples: Sequence[TrajectorySampl
             write_samples((replace(sample, score=score),), out)
 
 
-_LIST_ONLY = frozenset((list,))
-
-
 def _decode_ranking(groups: object, decoded: dict[tuple, Ranking], field: str) -> Ranking:
     """The Ranking a stored list of tie groups spells; `field` names the
     record field it came from in an error.
@@ -350,20 +299,19 @@ def _decode_ranking(groups: object, decoded: dict[tuple, Ranking], field: str) -
     so each distinct ranking is checked and built once. A string group has
     the tuple form of the list of its characters, and a JSON object that of
     the list of its keys, so the list shape is checked on every call,
-    before the lookup.
+    before the lookup; the doc ids are checked by Ranking.
     """
     if type(groups) is not list or not groups or not _LIST_ONLY.issuperset(map(type, groups)):
         raise ValueError(f"field {field!r}: {_BAD_RANKING}")
     key = tuple(map(tuple, groups))
-    ranking = decoded.get(key)
-    if ranking is None:
-        try:
-            "".join(map("".join, key))  # a TypeError unless every doc id is a string
+    try:
+        ranking = decoded.get(key)
+        if ranking is None:
             ranking = decoded[key] = Ranking(groups=key)
-        except TypeError:
-            raise ValueError(f"field {field!r}: {_BAD_RANKING}") from None
-        except ValueError as exc:
-            raise ValueError(f"field {field!r}: {exc}") from None
+    except TypeError:  # a doc id that is a list or an object, which cannot be hashed
+        raise ValueError(f"field {field!r}: {_BAD_RANKING}") from None
+    except ValueError as exc:
+        raise ValueError(f"field {field!r}: {exc}") from None
     return ranking
 
 
@@ -416,8 +364,8 @@ def iter_samples(path: str) -> Iterator[tuple[list[str], list[TrajectorySample]]
 
 def read_samples(path: str, entries: Iterable[tuple[int, dict]]) -> list[TrajectorySample]:
     """The samples of one query's `(line number, record)` entries from the
-    store at `path`, with every field type-checked. Samples that state the
-    same ranking share one Ranking object."""
+    store at `path`; TrajectorySample checks each field's type. Samples
+    that state the same ranking share one Ranking object."""
     decoded: dict[tuple, Ranking] = {}
     samples = []
     for line_no, record in entries:
@@ -427,16 +375,15 @@ def read_samples(path: str, entries: Iterable[tuple[int, dict]]) -> list[Traject
                 f"schema version mismatch: file has {version!r}, reader supports {SAMPLES_SCHEMA_VERSION}",
                 path, line_no,
             )
-        values = {}
         try:
-            for name, kinds in _FIELD_TYPES.items():
-                value = values[name] = record[name]
-                if type(value) not in kinds:
-                    raise _type_error(name, value)
-            if values["final_ranking"] is not None:
-                values["final_ranking"] = _decode_ranking(values["final_ranking"], decoded, "final_ranking")
+            values = {name: record[name] for name in SAMPLE_FIELD_TYPES}
+            final, sequence = values["final_ranking"], values["ranking_sequence"]
+            if type(sequence) is not list:
+                raise ValueError(f"field 'ranking_sequence' must be list, got {type(sequence).__name__}")
+            if final is not None:
+                values["final_ranking"] = _decode_ranking(final, decoded, "final_ranking")
             values["ranking_sequence"] = tuple([_decode_ranking(groups, decoded, "ranking_sequence")
-                                                for groups in values["ranking_sequence"]])
+                                                for groups in sequence])
             samples.append(TrajectorySample(**values))
         except (KeyError, ValueError) as exc:
             raise ParseError(f"invalid sample record: {exc}", path, line_no) from None

@@ -2,14 +2,17 @@
 
 All types are immutable value objects: construction validates the type's
 invariants and raises ValueError on violation, after which instances are
-safe to share across threads.
+safe to share across threads. A TrajectorySample and its Rankings also
+check the exact type of each field, so whatever holds one holds values
+the sample store can write and read back.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal, Mapping
+from types import UnionType
+from typing import Literal, Mapping, get_args, get_origin, get_type_hints
 
 TokenLenSource = Literal["endpoint-reported", "approximated"]
 
@@ -86,6 +89,9 @@ class Qrels:
         return {qid for qid, _ in self.judgments}
 
 
+_BAD_GROUP = "Ranking groups must be non-empty tuples of doc-id strings"
+
+
 @dataclass(frozen=True)
 class Ranking:
     """An ordered list of tie groups over doc_ids.
@@ -100,9 +106,11 @@ class Ranking:
     def __post_init__(self) -> None:
         seen: set[str] = set()
         for group in self.groups:
-            if not group:
-                raise ValueError("Ranking groups must be non-empty")
+            if type(group) is not tuple or not group:
+                raise ValueError(_BAD_GROUP)
             for doc_id in group:
+                if type(doc_id) is not str:
+                    raise ValueError(_BAD_GROUP)
                 if doc_id in seen:
                     raise ValueError(f"doc_id {doc_id!r} appears twice in Ranking")
                 seen.add(doc_id)
@@ -137,6 +145,12 @@ class TrajectorySample:
     prompt_hash: str | None = None
 
     def __post_init__(self) -> None:
+        for name, value in self.__dict__.items():
+            if type(value) not in SAMPLE_FIELD_TYPES[name]:
+                raise field_type_error(name, value)
+        if not _RANKING_ONLY.issuperset(map(type, self.ranking_sequence)):
+            kind = next(type(r) for r in self.ranking_sequence if type(r) is not Ranking)
+            raise ValueError(f"field 'ranking_sequence' must hold Rankings, got {kind.__name__}")
         if self.sample_index < 1:
             raise ValueError("sample_index is 1-based and must be >= 1")
         if self.token_len < 0:
@@ -147,6 +161,28 @@ class TrajectorySample:
             raise ValueError("a valid sample must carry a final_ranking")
         if self.score is not None and not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must lie in [0, 1], got {self.score}")
+
+
+def _exact_types(hint: object) -> tuple[type, ...]:
+    """The types a value of the annotation `hint` may have, told apart
+    exactly: a bool is not an int, nor an int a float."""
+    origin = get_origin(hint)
+    if origin is Literal:
+        return tuple(dict.fromkeys(map(type, get_args(hint))))
+    return get_args(hint) if origin is UnionType else (origin or hint,)
+
+
+# What each TrajectorySample field may hold, by its annotation. The sample
+# store writes and reads these fields, so no other module lists them.
+SAMPLE_FIELD_TYPES = {name: _exact_types(hint) for name, hint in get_type_hints(TrajectorySample).items()}
+_RANKING_ONLY = frozenset((Ranking,))
+
+
+def field_type_error(name: str, value: object) -> ValueError:
+    """The ValueError for TrajectorySample field `name` holding `value`,
+    whose type the field may not hold."""
+    expected = " or ".join("null" if kind is type(None) else kind.__name__ for kind in SAMPLE_FIELD_TYPES[name])
+    return ValueError(f"field {name!r} must be {expected}, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)

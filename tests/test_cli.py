@@ -263,6 +263,25 @@ class TestPipelineStages:
         assert "error: report tag 'a' is given twice" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("payload, member", [
+        ({"kind": "eval"}, "'per_query'"),
+        ({"kind": "eval", "per_query": {}, "mean_ndcg10": 0.5, "mean_len": 10.0}, "'per_query'"),
+        ({"kind": "eval", "per_query": {"q1": {"ndcg10": 0.5, "gen_len": 10}}, "mean_len": 10.0}, "'mean_ndcg10'"),
+        ({"kind": "eval", "per_query": {"q1": {"ndcg10": 0.5, "gen_len": 10}}, "mean_ndcg10": 0.5,
+          "mean_len": "10"}, "'mean_len'"),
+        ({"kind": "eval", "per_query": {"q1": 3}, "mean_ndcg10": 0.5, "mean_len": 10.0}, "per_query['q1']"),
+        ({"kind": "eval", "per_query": {"q1": {"ndcg10": 0.5}}, "mean_ndcg10": 0.5, "mean_len": 10.0},
+         "per_query['q1']"),
+    ])
+    def test_report_refuses_an_eval_report_with_a_missing_or_mistyped_member(self, tmp_path, capsys, payload, member):
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(payload))
+        code = main(["report", f"a={path}", "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and member in err
+        assert not (tmp_path / "m.json").exists()
+
     def test_report_two_tags_two_rows(self, workspace, tmp_path):
         _, paths = workspace
         from rerank_distill.io import write_report

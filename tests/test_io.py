@@ -325,6 +325,10 @@ class TestSamples:
         ("final_ranking", [["1"], ["1"]]),
         ("ranking_sequence", [["D1", "X2"]]),
         ("ranking_sequence", [[["1", None]]]),
+        ("final_ranking", [[["x"]]]),
+        ("final_ranking", [[{"a": 1}]]),
+        ("ranking_sequence", [[[["x"]]]]),
+        ("ranking_sequence", [[[{"a": 1}]]]),
     ])
     def test_malformed_ranking_names_the_line(self, tmp_path, field, value):
         # Line 1 holds [["D", "1"], ["X", "2"]], whose tuple form is also
@@ -400,21 +404,6 @@ class TestSamples:
         sample = make_sample(1)
         with pytest.raises(ValueError, match="field 'score' must be float or null, got "):
             write_scored_samples([self.encoded(sample)], [sample], [score], io.StringIO())
-
-    @pytest.mark.parametrize("field, value, message", [
-        ("score", True, "field 'score' must be float or null, got bool"),
-        ("valid", 1, "field 'valid' must be bool, got int"),
-        ("token_len", "17", "field 'token_len' must be int, got str"),
-        ("coverage", 1, "field 'coverage' must be float or null, got int"),
-        ("final_ranking", (("1",), ("2",)), "field 'final_ranking' must hold Rankings, got tuple"),
-        ("ranking_sequence", (Ranking(groups=((1,), (2,))),), "field 'ranking_sequence': a ranking must be"),
-        ("final_ranking", Ranking(groups=("12", ("3",))), "field 'final_ranking': a ranking must be"),
-    ])
-    def test_field_of_another_type_is_refused(self, field, value, message):
-        sample = make_sample(1)
-        object.__setattr__(sample, field, value)  # past the sample's own checks, which "17" fails
-        with pytest.raises(ValueError, match=message):
-            write_samples([make_sample(2), sample], io.StringIO())
 
     def test_unknown_key_is_ignored(self, tmp_path):
         p = tmp_path / "samples.jsonl"

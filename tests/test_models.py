@@ -89,6 +89,25 @@ def test_trajectory_sample_invariants():
     assert not s.valid
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("score", True, "field 'score' must be float or null, got bool"),
+    ("valid", 1, "field 'valid' must be bool, got int"),
+    ("token_len", "17", "field 'token_len' must be int, got str"),
+    ("coverage", 1, "field 'coverage' must be float or null, got int"),
+    ("final_ranking", (("1",), ("2",)), "field 'final_ranking' must be Ranking or null, got tuple"),
+    ("ranking_sequence", (("1",), ("2",)), "field 'ranking_sequence' must hold Rankings, got tuple"),
+])
+def test_trajectory_sample_refuses_a_field_of_another_type(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        _sample(**{field: value})
+
+
+@pytest.mark.parametrize("groups", [((1,), (2,)), ("12", ("3",))])
+def test_ranking_refuses_groups_other_than_tuples_of_strings(groups):
+    with pytest.raises(ValueError, match="Ranking groups must be non-empty tuples of doc-id strings"):
+        Ranking(groups=groups)
+
+
 def test_sampling_config_invariants():
     ok = SamplingConfig(k_samples=16, temperature=0.7, top_p=0.95, max_tokens=8192)
     assert ok.max_in_flight >= 1
