@@ -282,24 +282,6 @@ def cmd_analyze_redundancy(args) -> int:
     return 0
 
 
-def _read_eval_report(path: str) -> dict:
-    """The eval report at `path`, refused with a ConfigError naming the
-    member when one that `report` reads is missing or of another type."""
-    payload = rio.read_report(path)
-    if payload.get("kind") != "eval":
-        raise ConfigError(f"{path} is a {payload.get('kind')!r} report; report merges eval reports")
-    per_query = payload.get("per_query")
-    if type(per_query) is not dict or not per_query:
-        raise ConfigError(f"{path}: eval report member 'per_query' must be a non-empty object")
-    for name in ("mean_ndcg10", "mean_len"):
-        if type(payload.get(name)) not in (int, float):
-            raise ConfigError(f"{path}: eval report member {name!r} must be a number")
-    for qid, entry in per_query.items():
-        if type(entry) is not dict or not all(type(entry.get(name)) in (int, float) for name in ("ndcg10", "gen_len")):
-            raise ConfigError(f"{path}: eval report member per_query[{qid!r}] must hold numbers 'ndcg10' and 'gen_len'")
-    return payload
-
-
 def cmd_report(args) -> int:
     inputs = []
     for spec_arg in args.inputs:
@@ -309,12 +291,12 @@ def cmd_report(args) -> int:
         _distinct_files("--out", args.out, [(spec_arg, path)])
         if any(tag == seen for seen, _ in inputs):
             raise ConfigError(f"report tag {tag!r} is given twice")
-        inputs.append((tag, _read_eval_report(path)))
+        inputs.append((tag, rio.read_eval_report(path)))
 
     reference_tag, reference = inputs[0]
-    ref_queries = set(reference["per_query"])
-    for tag, payload in inputs[1:]:
-        queries = set(payload["per_query"])
+    ref_queries = set(reference.per_query)
+    for tag, report in inputs[1:]:
+        queries = set(report.per_query)
         if queries != ref_queries:
             only_ref = sorted(ref_queries - queries)
             only_here = sorted(queries - ref_queries)
@@ -323,19 +305,11 @@ def cmd_report(args) -> int:
                 f"only in {reference_tag!r}: {only_ref}; only in {tag!r}: {only_here}"
             )
 
-    rows = []
-    curves = {}
-    for tag, payload in inputs:
-        per_query = {
-            qid: (entry["ndcg10"], entry["gen_len"])
-            for qid, entry in payload["per_query"].items()
-        }
-        rows.append({
-            "tag": tag,
-            "mean_ndcg10": payload["mean_ndcg10"],
-            "mean_len": payload["mean_len"],
-        })
-        curves[tag] = rio.length_bucket_rows(length_buckets(per_query, args.bucket_count))
+    # Each file's stored means: a mean of its 6-decimal per-query values
+    # can round otherwise.
+    rows = [{"tag": tag, "mean_ndcg10": report.mean_ndcg10, "mean_len": report.mean_len} for tag, report in inputs]
+    curves = {tag: rio.length_bucket_rows(length_buckets(report.per_query, args.bucket_count))
+              for tag, report in inputs}
     merged = {"kind": "comparison", "rows": rows, "curves": curves}
     rio.write_report(merged, args.out, format=args.format)
     for row in rows:

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field, fields
-from typing import Mapping
+from dataclasses import dataclass, field
+from typing import Mapping, get_type_hints
 
 import yaml
 
 from .errors import ConfigError
-from .models import SamplingConfig
+from .models import SamplingConfig, text_types, type_message
 from .parsing import THINK_MARKERS
 from .sampling import MockMode, MockProfile
 
@@ -31,16 +31,6 @@ DEFAULT_PROFILES: dict[str, dict] = {
 # Keys with one accepted value. Any other value is refused, not ignored: it
 # would ask for another token length or reasoning split than the one stored.
 _FIXED_KEYS = {"tokenizer_mode": "auto", "think_markers": list(THINK_MARKERS)}
-
-# The YAML types a setting accepts, by its field's annotation: a bool is
-# not a number, and an int is a float.
-_SETTING_TYPES = {
-    "str": (str,),
-    "str | None": (str, type(None)),
-    "int": (int,),
-    "int | None": (int, type(None)),
-    "float": (int, float),
-}
 
 
 @dataclass(frozen=True)
@@ -63,17 +53,13 @@ class PipelineConfig:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        _check_types({"seed": self.seed}, PipelineConfig, "")
-        for name in self.profiles:
-            self.sampling_config(name)  # raises ConfigError on invalid profiles
         # os.path.exists takes an int as a file descriptor, so a path must be
         # a string before it is looked up.
-        if self.prompt_template is not None:
-            if not isinstance(self.prompt_template, str):
-                raise ConfigError(f"prompt_template must be a path string, "
-                                  f"got {type(self.prompt_template).__name__}")
-            if not os.path.exists(self.prompt_template):
-                raise ConfigError(f"prompt template file does not exist: {self.prompt_template}")
+        _check_types({"seed": self.seed, "prompt_template": self.prompt_template}, PipelineConfig, "")
+        for name in self.profiles:
+            self.sampling_config(name)  # raises ConfigError on invalid profiles
+        if self.prompt_template is not None and not os.path.exists(self.prompt_template):
+            raise ConfigError(f"prompt template file does not exist: {self.prompt_template}")
         for key, path in self.paths.items():
             if not isinstance(path, str):
                 raise ConfigError(f"configured path {key!r} must be a path string, got {type(path).__name__}")
@@ -125,16 +111,12 @@ def _interpolate(value: object) -> object:
 
 def _check_types(settings: Mapping, cls: type, prefix: str) -> None:
     """Refuse each setting of `settings` that names a field of the dataclass
-    `cls` but has a type the field's annotation does not accept; the error
-    names the setting as `prefix` + field name. Other keys are left to the
-    constructor."""
-    for f in fields(cls):
-        if f.name not in settings:
-            continue
-        value, kinds = settings[f.name], _SETTING_TYPES[f.type]
-        if type(value) not in kinds:
-            expected = " or ".join("null" if kind is type(None) else kind.__name__ for kind in kinds)
-            raise ConfigError(f"{prefix}{f.name} must be {expected}, got {type(value).__name__} {value!r}")
+    `cls` but has a type its annotation does not accept (`text_types`); the
+    error names it as `prefix` + field name. Others are left to `cls`."""
+    for name, hint in get_type_hints(cls).items():
+        kinds = text_types(hint)
+        if name in settings and type(settings[name]) not in kinds:
+            raise ConfigError(f"{type_message(prefix + name, settings[name], kinds)} {settings[name]!r}")
 
 
 def _endpoint_settings(raw: Mapping) -> EndpointSettings:
@@ -148,8 +130,7 @@ def _endpoint_settings(raw: Mapping) -> EndpointSettings:
 def _mock_profile(raw: Mapping) -> MockProfile:
     modes = []
     for i, mode in enumerate(raw.get("modes", [{}])):
-        if not isinstance(mode, Mapping):
-            raise ConfigError(f"mock.modes[{i}] must be a mapping, got {type(mode).__name__}")
+        mode = _mapping(mode, f"mock.modes[{i}]")
         _check_types(mode, MockMode, f"mock.modes[{i}].")
         modes.append(MockMode(**mode))
     return MockProfile(modes=tuple(modes))

@@ -571,7 +571,26 @@ def write_report(report: EvalReport | Mapping, path: str, format: str = "json") 
 def read_report(path: str) -> dict:
     """Load a JSON report written by write_report."""
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"not a JSON report: {exc.msg} (column {exc.colno})", path, exc.lineno) from None
     if not isinstance(payload, dict) or "kind" not in payload:
         raise ParseError("not a report file (missing kind)", path)
     return payload
+
+
+def read_eval_report(path: str) -> EvalReport:
+    """The EvalReport in the eval report file at `path`, the inverse of
+    `eval_report_payload` but for the length buckets, which it leaves out."""
+    payload = read_report(path)
+    if payload["kind"] != "eval":
+        raise ParseError(f"a {payload['kind']!r} report, not an eval report", path)
+    per_query = payload.get("per_query")
+    if type(per_query) is dict:
+        per_query = {qid: (entry.get("ndcg10"), entry.get("gen_len")) if type(entry) is dict else entry
+                     for qid, entry in per_query.items()}
+    try:
+        return EvalReport(per_query, payload.get("mean_ndcg10"), payload.get("mean_len"))
+    except ValueError as exc:
+        raise ParseError(f"eval report {exc}", path) from None

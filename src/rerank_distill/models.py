@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import UnionType
-from typing import Literal, Mapping, get_args, get_origin, get_type_hints
+from typing import Literal, Mapping, Union, get_args, get_origin, get_type_hints
 
 TokenLenSource = Literal["endpoint-reported", "approximated"]
 
@@ -169,7 +169,21 @@ def _exact_types(hint: object) -> tuple[type, ...]:
     origin = get_origin(hint)
     if origin is Literal:
         return tuple(dict.fromkeys(map(type, get_args(hint))))
-    return get_args(hint) if origin is UnionType else (origin or hint,)
+    return get_args(hint) if origin in (Union, UnionType) else (origin or hint,)
+
+
+def text_types(hint: object) -> tuple[type, ...]:
+    """The types a value of the annotation `hint` may have when it is read
+    from YAML or JSON text, which may write a whole float as an int: those
+    of `_exact_types`, and int where float is one of them."""
+    kinds = _exact_types(hint)
+    return (int, *kinds) if float in kinds else kinds
+
+
+def type_message(name: str, value: object, kinds: tuple[type, ...]) -> str:
+    """The message for `name` holding `value`, whose type is none of `kinds`."""
+    expected = " or ".join("null" if kind is type(None) else kind.__name__ for kind in kinds)
+    return f"{name} must be {expected}, got {type(value).__name__}"
 
 
 # What each TrajectorySample field may hold, by its annotation. The sample
@@ -181,8 +195,7 @@ _RANKING_ONLY = frozenset((Ranking,))
 def field_type_error(name: str, value: object) -> ValueError:
     """The ValueError for TrajectorySample field `name` holding `value`,
     whose type the field may not hold."""
-    expected = " or ".join("null" if kind is type(None) else kind.__name__ for kind in SAMPLE_FIELD_TYPES[name])
-    return ValueError(f"field {name!r} must be {expected}, got {type(value).__name__}")
+    return ValueError(type_message(f"field {name!r}", value, SAMPLE_FIELD_TYPES[name]))
 
 
 @dataclass(frozen=True)
@@ -288,7 +301,9 @@ class LengthBucket:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-query quality/length results plus their aggregate view."""
+    """Per-query quality/length results plus their aggregate view. Member
+    types are checked as `text_types` reads the annotations; each mean must
+    match the per-query values to a report file's 6-decimal resolution."""
 
     per_query: Mapping[str, tuple[float, int]]
     mean_ndcg10: float
@@ -296,11 +311,22 @@ class EvalReport:
     length_buckets: tuple[LengthBucket, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if not self.per_query:
-            raise ValueError("EvalReport requires at least one query")
-        ndcgs = [v[0] for v in self.per_query.values()]
-        lens = [v[1] for v in self.per_query.values()]
-        if not math.isclose(self.mean_ndcg10, sum(ndcgs) / len(ndcgs), abs_tol=1e-9):
-            raise ValueError("mean_ndcg10 does not equal the mean of per_query values")
-        if not math.isclose(self.mean_len, sum(lens) / len(lens), abs_tol=1e-9):
-            raise ValueError("mean_len does not equal the mean of per_query values")
+        if not isinstance(self.per_query, Mapping) or not self.per_query:
+            raise ValueError("member 'per_query' must map at least one query to its (ndcg10, gen_len) pair")
+        for qid, pair in self.per_query.items():
+            if type(pair) is not tuple or len(pair) != 2:
+                raise ValueError(f"member per_query[{qid!r}] must be an (ndcg10, gen_len) pair, got {pair!r}")
+            for name, value, kinds in zip(("ndcg10", "gen_len"), pair, _PAIR_TYPES):
+                if type(value) not in kinds:
+                    raise ValueError(type_message(f"member per_query[{qid!r}][{name!r}]", value, kinds))
+        for index, name in enumerate(("mean_ndcg10", "mean_len")):
+            value, kinds = getattr(self, name), text_types(_REPORT_HINTS[name])
+            if type(value) not in kinds:
+                raise ValueError(type_message(f"member {name!r}", value, kinds))
+            mean = sum(pair[index] for pair in self.per_query.values()) / len(self.per_query)
+            if not math.isclose(value, mean, abs_tol=1e-6):
+                raise ValueError(f"member {name!r} is {value}, but the per_query values average {mean}")
+
+
+_REPORT_HINTS = get_type_hints(EvalReport)
+_PAIR_TYPES = tuple(map(text_types, get_args(get_args(_REPORT_HINTS["per_query"])[1])))

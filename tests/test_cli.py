@@ -5,18 +5,22 @@ import json
 import logging
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rerank_distill
 from rerank_distill import cli
 from rerank_distill.cli import main
 from rerank_distill.errors import TransportError
-from rerank_distill.io import read_report
+from rerank_distill.io import read_report, write_report
+from rerank_distill.metrics import aggregate_report
 from rerank_distill.models import Ranking, TrajectorySample
 from rerank_distill.sampling import GenerationBackend
 
@@ -272,6 +276,10 @@ class TestPipelineStages:
         ({"kind": "eval", "per_query": {"q1": 3}, "mean_ndcg10": 0.5, "mean_len": 10.0}, "per_query['q1']"),
         ({"kind": "eval", "per_query": {"q1": {"ndcg10": 0.5}}, "mean_ndcg10": 0.5, "mean_len": 10.0},
          "per_query['q1']"),
+        ({"kind": "eval", "per_query": {"q1": {"ndcg10": 0.5, "gen_len": 10.0}}, "mean_ndcg10": 0.5,
+          "mean_len": 10.0}, "per_query['q1']['gen_len'] must be int, got float"),
+        ({"kind": "eval", "per_query": {"q1": {"ndcg10": True, "gen_len": 10}}, "mean_ndcg10": 0.5,
+          "mean_len": 10.0}, "per_query['q1']['ndcg10'] must be int or float, got bool"),
     ])
     def test_report_refuses_an_eval_report_with_a_missing_or_mistyped_member(self, tmp_path, capsys, payload, member):
         path = tmp_path / "a.json"
@@ -281,6 +289,38 @@ class TestPipelineStages:
         err = capsys.readouterr().err
         assert str(path) in err and member in err
         assert not (tmp_path / "m.json").exists()
+
+    def test_report_refuses_means_that_contradict_the_per_query_values(self, tmp_path, capsys):
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({"kind": "eval", "per_query": {"q": {"ndcg10": 0.5, "gen_len": 10}},
+                                    "mean_ndcg10": 0.9, "mean_len": 10.0, "length_buckets": []}))
+        assert main(["report", f"a={path}", "--out", str(tmp_path / "m.json")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}: eval report member 'mean_ndcg10' is 0.9" in err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_report_on_a_file_that_is_not_json_names_the_file_and_line(self, tmp_path, capsys):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps({"kind": "eval", "per_query": {"q": {"ndcg10": 0.5, "gen_len": 10}},
+                                    "mean_ndcg10": 0.5, "mean_len": 10.0}))
+        bad.write_text("{")
+        assert main(["report", f"a={good}", f"b={bad}", "--out", str(tmp_path / "m.json")]) == 1
+        assert f"error: {bad}:1: not a JSON report" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(st.text("q0123456789", min_size=1, max_size=4),
+                           st.tuples(st.floats(0.0, 1.0), st.integers(0, 10_000)), min_size=1, max_size=30))
+    # Written at 6 decimal places, the per-query values average 0.3333335
+    # and the mean reads 0.333334, as on eval-wide's own eval report.
+    @example({"q1": (0.3333334, 10), "q2": (0.3333336, 20)})
+    def test_report_reads_every_eval_report_evaluate_writes(self, per_query):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = f"{tmp}/eval.json", f"{tmp}/m.json"
+            write_report(aggregate_report(per_query), path)
+            assert main(["report", f"a={path}", "--out", out]) == 0
+            [row], stored = read_report(out)["rows"], read_report(path)
+            assert (row["mean_ndcg10"], row["mean_len"]) == (stored["mean_ndcg10"], stored["mean_len"])
 
     def test_report_two_tags_two_rows(self, workspace, tmp_path):
         _, paths = workspace

@@ -36,7 +36,7 @@ def test_mock_name_is_ignored(tmp_path):
 
 @pytest.mark.parametrize("text, message", [
     # os.path.exists(0) and os.path.exists(1) test file descriptors, which are open.
-    ("prompt_template: 0\n", "prompt_template must be a path string, got int"),
+    ("prompt_template: 0\n", "prompt_template must be str or null, got int"),
     ("paths: {run: 1}\n", "configured path 'run' must be a path string, got int"),
 ])
 def test_non_string_path_is_config_error(tmp_path, text, message):
@@ -105,3 +105,8 @@ def test_sampling_floats_may_be_ints(tmp_path):
     config = _load(tmp_path, "profiles: {eval: {temperature: 0, top_p: 1}}\nseed: null\n")
     sampling = config.sampling_config("eval")
     assert (sampling.temperature, sampling.top_p, config.seed) == (0, 1, None)
+
+
+def test_null_mock_mode_is_the_default_mode(tmp_path):
+    assert _load(tmp_path, "mock: {modes: [null, {quality: worst}]}\n").mock == MockProfile(
+        modes=(MockMode(), MockMode(quality="worst")))

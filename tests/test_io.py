@@ -17,6 +17,7 @@ from rerank_distill.io import (
     filter_stats_report,
     iter_samples,
     read_corpus_texts,
+    read_eval_report,
     read_qrels,
     read_report,
     read_run,
@@ -538,6 +539,19 @@ class TestReports:
                             mean_ndcg10=0.123456789, mean_len=10.0)
         write_report(report, str(p))
         assert read_report(str(p))["mean_ndcg10"] == pytest.approx(0.123456789, abs=1e-6)
+
+    def test_eval_report_reads_back_what_it_wrote(self, tmp_path):
+        p = tmp_path / "r.json"
+        write_report(self._eval_report(), str(p))
+        report = read_eval_report(str(p))
+        assert (report.per_query, report.mean_ndcg10, report.mean_len) == ({"q1": (0.4, 100), "q2": (0.8, 300)},
+                                                                           0.6, 200.0)
+
+    def test_report_of_another_kind_is_not_an_eval_report(self, tmp_path):
+        p = tmp_path / "r.json"
+        write_report(redundancy_report(rows=[]), str(p))
+        with pytest.raises(ParseError, match="a 'redundancy' report, not an eval report"):
+            read_eval_report(str(p))
 
     def test_identical_bytes_for_identical_values(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,3 +1,5 @@
+from typing import Optional
+
 import pytest
 
 from rerank_distill.models import (
@@ -12,6 +14,8 @@ from rerank_distill.models import (
     RedundancyMetrics,
     SamplingConfig,
     TrajectorySample,
+    _exact_types,
+    text_types,
 )
 
 from conftest import make_query, make_universe
@@ -157,3 +161,34 @@ def test_eval_report_checks_means():
         EvalReport(per_query=per_query, mean_ndcg10=0.7, mean_len=200.0)
     with pytest.raises(ValueError, match="at least one"):
         EvalReport(per_query={}, mean_ndcg10=0.0, mean_len=0.0)
+
+
+def test_eval_report_compares_means_at_a_report_file_resolution():
+    # Each value and the mean rounded to 6 decimal places, as a report file
+    # stores them: the values average 0.3333335, the mean reads 0.333334.
+    EvalReport(per_query={"a": (0.333333, 10), "b": (0.333334, 20)}, mean_ndcg10=0.333334, mean_len=15.0)
+    with pytest.raises(ValueError, match="member 'mean_len' is 15.000002"):
+        EvalReport(per_query={"a": (0.5, 10), "b": (0.5, 20)}, mean_ndcg10=0.5, mean_len=15.000002)
+
+
+@pytest.mark.parametrize("per_query, means, message", [
+    ({"a": (0.5, 10.0)}, (0.5, 10.0), r"member per_query\['a'\]\['gen_len'\] must be int, got float"),
+    ({"a": (True, 10)}, (1.0, 10.0), r"member per_query\['a'\]\['ndcg10'\] must be int or float, got bool"),
+    ({"a": [0.5, 10]}, (0.5, 10.0), r"member per_query\['a'\] must be an \(ndcg10, gen_len\) pair, got \[0.5, 10\]"),
+    ({"a": (0.5, 10, 1)}, (0.5, 10.0), r"member per_query\['a'\] must be an \(ndcg10, gen_len\) pair"),
+    ({"a": (0.5, 10)}, ("0.5", 10.0), "member 'mean_ndcg10' must be int or float, got str"),
+    ({"a": (0.5, 10)}, (0.5, None), "member 'mean_len' must be int or float, got NoneType"),
+    ([("a", (0.5, 10))], (0.5, 10.0), "member 'per_query' must map at least one query"),
+])
+def test_eval_report_refuses_a_member_of_another_type(per_query, means, message):
+    with pytest.raises(ValueError, match=message):
+        EvalReport(per_query, *means)
+
+
+def test_eval_report_takes_an_int_where_a_float_belongs():
+    assert EvalReport({"a": (1, 10)}, 1, 10).mean_len == 10
+
+
+def test_union_annotations_read_alike():
+    assert _exact_types(Optional[int]) == _exact_types(int | None) == (int, type(None))
+    assert text_types(Optional[float]) == (int, float, type(None))
