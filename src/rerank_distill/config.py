@@ -146,6 +146,8 @@ def load_config(path: str | None) -> PipelineConfig:
             raw = yaml.safe_load(fh) or {}
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text ({exc.reason})") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from None
     if not isinstance(raw, dict):

@@ -3,7 +3,11 @@ SFT corpus, and analysis reports.
 
 Writers are deterministic: the same in-memory value always produces a
 byte-identical file, and each writes through `atomic_write`. Readers reject
-malformed input with line-accurate diagnostics instead of guessing.
+malformed input, a file that is not UTF-8 included, with line-accurate
+diagnostics instead of guessing. The store reader reads a line in the
+layout `write_samples` writes without decoding again the rankings its
+query has already stated; any other valid line reads through the general
+decode, which alone words the errors.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import logging
 import math
 import operator
 import os
+import re
 from collections.abc import Container, Iterable, Iterator, Mapping, Sequence
 from dataclasses import replace
 from json.encoder import encode_basestring
@@ -61,13 +66,34 @@ def atomic_write(path: str, newline: str | None = None) -> Iterator[TextIO]:
             os.remove(tmp)
 
 
+@contextlib.contextmanager
+def _read_text(path: str) -> Iterator[TextIO]:
+    """`path` open for reading as UTF-8 text. A byte that is not UTF-8 is a
+    ParseError naming the file and the line it is on."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text ({exc.reason})", path, _first_undecodable_line(path)) from None
+
+
+def _first_undecodable_line(path: str) -> int | None:
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return line_no
+    return None
+
+
 # --- TREC qrels ---------------------------------------------------------------
 
 def read_qrels(path: str) -> Qrels:
     """Parse "qid 0 docid grade" lines. Repeated (qid, docid) pairs are
     tolerated with a warning; the last grade wins."""
     judgments: dict[tuple[str, str], int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with _read_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -103,7 +129,7 @@ def read_run(path: str, depth: int) -> dict[str, list[str]]:
         raise ValueError("depth must be >= 1")
     entries: dict[str, list[tuple[int, float, str]]] = {}
     seen: set[tuple[str, str]] = set()
-    with open(path, encoding="utf-8") as fh:
+    with _read_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -141,7 +167,7 @@ def read_topics(path: str) -> list[Query]:
     """Parse tab-separated "qid<TAB>query text" lines; ids must be unique."""
     queries: list[Query] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with _read_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -162,7 +188,7 @@ def read_corpus_texts(path: str, doc_ids: Container[str]) -> dict[str, str]:
     corpus that may hold millions. Repeats of a kept id are tolerated with a
     warning, last wins. Every line is still checked for its tab."""
     texts: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with _read_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -315,27 +341,140 @@ def _decode_ranking(groups: object, decoded: dict[tuple, Ranking], field: str) -
     return ranking
 
 
-def _store_records(path: str, lines: Iterable[str]) -> Iterator[tuple[int, dict, str]]:
+# A line in the layout `write_samples` writes is cut at its two ranking
+# members (`_cut_rankings`). If it repeats a ranking, the rest of it is
+# decoded (`_split_record`), and each ranking from its text only the first
+# time its query states it. These patterns match the members before
+# "final_ranking" and those from its end up to the "ranking_sequence"
+# list, token by token, so that what is cut out from between them are
+# those two members' values.
+_JSON_STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
+_BEFORE_FINAL = re.compile(r'(\{"coverage": (?:null|NaN|-?Infinity|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?), '
+                           rf'"error": (?:null|{_JSON_STRING})), "final_ranking": ')
+_BEFORE_SEQUENCE = re.compile(rf'(, "prompt_hash": (?:null|{_JSON_STRING}), "query_id": ({_JSON_STRING})), '
+                              r'"ranking_sequence": \[')
+_SPLIT_KEYS = frozenset(_HEAD_FIELDS + _TAIL_FIELDS + ("schema_version",))
+# A store line as `_store_records` yields it.
+_StoreEntry = tuple[int, dict, str, dict | None]
+# Its `raw_decode` leaves out the checks for a byte-order mark and for
+# white space around the value that `json.loads` makes, which a ranking
+# text cut from a line does not need.
+_JSON = json.JSONDecoder()
+
+
+def _inner_text(line: str, start: int, end: int) -> str | None:
+    """The text of a stored ranking, `line[start:end]`, between its opening
+    `[[` and closing `]]`, or None if it lacks them."""
+    if end - start >= 4 and line.startswith("[[", start) and line.endswith("]]", start, end):
+        return line[start + 2:end - 2]
+    return None
+
+
+def _cut_rankings(line: str) -> tuple[str, str | None, list[str], tuple[int, int, int, int]] | None:
+    """A store line in the layout `write_samples` writes, cut at its two
+    ranking members: `(query id, final, sequence, cuts)`, the JSON text of
+    its query id, the inner text (`_inner_text`) of its final ranking or
+    None, a list of the inner texts of its rankings, and where the two
+    members start and end. None for a line in another layout."""
+    head = _BEFORE_FINAL.match(line)
+    middle = None if head is None else _BEFORE_SEQUENCE.search(line, head.end())
+    if middle is None:
+        return None
+    final_start, final_end, sequence_start = head.end(), middle.start(), middle.end()
+    sequence_end = line.find('], "raw_text": ', sequence_start)
+    if line.startswith("null", final_start) and final_end == final_start + 4:
+        final = None
+    elif (final := _inner_text(line, final_start, final_end)) is None:
+        return None
+    if sequence_end == sequence_start:
+        sequence = []
+    elif (inner := _inner_text(line, sequence_start, sequence_end)) is None:
+        return None
+    else:
+        sequence = inner.split("]], [[")
+    return middle[2], final, sequence, (head.end(1), final_end, middle.end(1), sequence_end + 1)
+
+
+def _split_record(line: str, cut: tuple) -> dict | None:
+    """The record of a line `_cut_rankings` cut, with its rankings left as
+    text; None if the line less its ranking members does not decode to
+    exactly the other fields and "schema_version".
+
+    Then the line is JSON, and decodes to this record with the rankings
+    decoded, if and only if `[[<text>]]` is one JSON value for each
+    ranking text. A doc id that holds the text `]], [[` splits its ranking
+    in the wrong place, and such a line fails that check.
+    """
+    _, final, sequence, (final_start, final_end, sequence_start, sequence_end) = cut
+    try:
+        record = json.loads(line[:final_start] + line[final_end:sequence_start] + line[sequence_end:])
+    except json.JSONDecodeError:
+        return None
+    if record.keys() != _SPLIT_KEYS:
+        return None
+    record["final_ranking"], record["ranking_sequence"] = final, sequence
+    return record
+
+
+def _decoded_texts(texts: Iterable[str]) -> dict[str, object] | None:
+    """Each ranking text mapped to the JSON value `[[<text>]]` holds; None
+    if one of them is not one JSON value."""
+    decoded = {}
+    for text in texts:
+        try:
+            decoded[text], end = _JSON.raw_decode(f"[[{text}]]")
+        except json.JSONDecodeError:
+            return None
+        if end != len(text) + 4:
+            return None
+    return decoded
+
+
+def _store_records(path: str, lines: Iterable[str]) -> Iterator[_StoreEntry]:
     """Each non-blank line of a store with its line number and the JSON
-    object it holds: `(line number, record, line)`."""
+    object it holds: `(line number, record, line, new)`.
+
+    `new` is None for a record decoded whole. A line in the layout
+    `write_samples` writes that states a ranking twice, or one an earlier
+    line of its query stated, is split: it keeps its rankings as text in
+    `record`, and `new` maps each of them that no earlier line of the
+    query had decoded to the JSON it holds. Other lines are decoded whole,
+    which costs less when nothing repeats. So a line that is not JSON
+    fails here in either case.
+    """
+    query_id = shown = checked = None
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"corrupted sample record: {exc.msg}", path, line_no) from None
-        if not isinstance(record, dict):
-            raise ParseError("invalid sample record: not a JSON object", path, line_no)
-        yield line_no, record, line
+        cut, new = _cut_rankings(line), None
+        if cut is not None:
+            line_query, final, sequence, _ = cut
+            if line_query != query_id:
+                query_id, shown, checked = line_query, set(), set()
+            texts = sequence if final is None else [final, *sequence]
+            distinct = set(texts)
+            repeats = len(distinct) < len(texts) or not shown.isdisjoint(distinct)
+            shown |= distinct
+            if repeats and (record := _split_record(line, cut)) is not None:
+                new = _decoded_texts(distinct - checked)
+                if new is not None:
+                    checked |= new.keys()
+        if new is None:
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"corrupted sample record: {exc.msg}", path, line_no) from None
+            if not isinstance(record, dict):
+                raise ParseError("invalid sample record: not a JSON object", path, line_no)
+        yield line_no, record, line, new
 
 
-def _kept_lines(entries: Iterable[tuple[int, dict, str]], lines: list[str]) -> Iterator[tuple[int, dict]]:
-    """The `(line number, record)` of each store entry, appending its line
-    to `lines` as it goes: the records are still decoded in line order."""
-    for line_no, record, line in entries:
-        lines.append(line)
-        yield line_no, record
+def _kept_lines(entries: Iterable[_StoreEntry], lines: list[str]) -> Iterator[_StoreEntry]:
+    """Each store entry, appending its line to `lines` as it goes: the
+    records are still decoded in line order."""
+    for entry in entries:
+        lines.append(entry[2])
+        yield entry
 
 
 def iter_samples(path: str) -> Iterator[tuple[list[str], list[TrajectorySample]]]:
@@ -343,12 +482,15 @@ def iter_samples(path: str) -> Iterator[tuple[list[str], list[TrajectorySample]]
     `write_samples`, in store order, one query at a time: its samples, and
     the store line each was decoded from, in the same order.
 
-    A query id that does not follow the one before it in strictly
+    A line in the layout `write_samples` writes that repeats a ranking is
+    read from its ranking texts, each distinct one decoded once per query;
+    any other valid line reads through the general decode, to the same
+    samples. A query id that does not follow the one before it in strictly
     ascending order means that a query's records are not contiguous or not
     in store order: a ParseError naming the query's first line.
     """
     previous = None
-    with open(path, encoding="utf-8") as fh:
+    with _read_text(path) as fh:
         for query_id, entries in itertools.groupby(_store_records(path, fh), lambda entry: entry[1].get("query_id")):
             first = next(entries)
             lines: list[str] = []
@@ -362,32 +504,66 @@ def iter_samples(path: str) -> Iterator[tuple[list[str], list[TrajectorySample]]
             yield lines, samples
 
 
-def read_samples(path: str, entries: Iterable[tuple[int, dict]]) -> list[TrajectorySample]:
-    """The samples of one query's `(line number, record)` entries from the
-    store at `path`; TrajectorySample checks each field's type. Samples
-    that state the same ranking share one Ranking object."""
+def read_samples(path: str, entries: Iterable[_StoreEntry]) -> list[TrajectorySample]:
+    """The samples of one query's `_store_records` entries from the store
+    at `path`; TrajectorySample checks each field's type. Samples that
+    state the same ranking share one Ranking object.
+
+    A split record's rankings are looked up by their text, decoded once
+    per query. If that fails, its line goes through the general decode,
+    which raises the ParseError that says what is wrong.
+    """
     decoded: dict[tuple, Ranking] = {}
+    by_text: dict[str, Ranking] = {}
     samples = []
-    for line_no, record in entries:
-        version = record.get("schema_version")
-        if version != SAMPLES_SCHEMA_VERSION:
-            raise ParseError(
-                f"schema version mismatch: file has {version!r}, reader supports {SAMPLES_SCHEMA_VERSION}",
-                path, line_no,
-            )
-        try:
-            values = {name: record[name] for name in SAMPLE_FIELD_TYPES}
-            final, sequence = values["final_ranking"], values["ranking_sequence"]
-            if type(sequence) is not list:
-                raise ValueError(f"field 'ranking_sequence' must be list, got {type(sequence).__name__}")
-            if final is not None:
-                values["final_ranking"] = _decode_ranking(final, decoded, "final_ranking")
-            values["ranking_sequence"] = tuple([_decode_ranking(groups, decoded, "ranking_sequence")
-                                                for groups in sequence])
-            samples.append(TrajectorySample(**values))
-        except (KeyError, ValueError) as exc:
-            raise ParseError(f"invalid sample record: {exc}", path, line_no) from None
+    for line_no, record, line, new in entries:
+        sample = None if new is None else _split_sample(record, new, by_text, decoded)
+        if sample is None:
+            sample = _decode_sample(path, line_no, record if new is None else json.loads(line), decoded)
+        samples.append(sample)
     return samples
+
+
+def _split_sample(record: dict, new: Mapping[str, object], by_text: dict[str, Ranking],
+                  decoded: dict[tuple, Ranking]) -> TrajectorySample | None:
+    """The sample of a split record whose ranking texts are in `by_text`
+    or `new`, adding those of `new` to `by_text`; None if the record is
+    not a valid sample."""
+    try:
+        for text, groups in new.items():
+            by_text[text] = _decode_ranking(groups, decoded, "ranking")
+        if record.pop("schema_version") != SAMPLES_SCHEMA_VERSION:
+            return None
+        final = record["final_ranking"]
+        if final is not None:
+            record["final_ranking"] = by_text[final]
+        record["ranking_sequence"] = tuple(map(by_text.__getitem__, record["ranking_sequence"]))
+        return TrajectorySample(**record)
+    except (KeyError, ValueError):
+        return None
+
+
+def _decode_sample(path: str, line_no: int, record: dict, decoded: dict[tuple, Ranking]) -> TrajectorySample:
+    """The sample the store record on line `line_no` holds, its rankings
+    decoded through `decoded`."""
+    version = record.get("schema_version")
+    if version != SAMPLES_SCHEMA_VERSION:
+        raise ParseError(
+            f"schema version mismatch: file has {version!r}, reader supports {SAMPLES_SCHEMA_VERSION}",
+            path, line_no,
+        )
+    try:
+        values = {name: record[name] for name in SAMPLE_FIELD_TYPES}
+        final, sequence = values["final_ranking"], values["ranking_sequence"]
+        if type(sequence) is not list:
+            raise ValueError(f"field 'ranking_sequence' must be list, got {type(sequence).__name__}")
+        if final is not None:
+            values["final_ranking"] = _decode_ranking(final, decoded, "final_ranking")
+        values["ranking_sequence"] = tuple([_decode_ranking(groups, decoded, "ranking_sequence")
+                                            for groups in sequence])
+        return TrajectorySample(**values)
+    except (KeyError, ValueError) as exc:
+        raise ParseError(f"invalid sample record: {exc}", path, line_no) from None
 
 
 # --- SFT corpus -----------------------------------------------------------------
@@ -570,7 +746,7 @@ def write_report(report: EvalReport | Mapping, path: str, format: str = "json") 
 
 def read_report(path: str) -> dict:
     """Load a JSON report written by write_report."""
-    with open(path, encoding="utf-8") as fh:
+    with _read_text(path) as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:

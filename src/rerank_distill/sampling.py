@@ -69,7 +69,10 @@ def default_template() -> PromptTemplate:
 
 def load_template(path: str) -> PromptTemplate:
     with open(path, encoding="utf-8") as fh:
-        return _template_from_mapping(yaml.safe_load(fh), path)
+        try:
+            return _template_from_mapping(yaml.safe_load(fh), path)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"prompt template {path} is not UTF-8 text ({exc.reason})") from None
 
 
 def _template_from_mapping(raw: object, source: str) -> PromptTemplate:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
+from rerank_distill import io as rio
 from rerank_distill.io import atomic_write, iter_samples, write_samples
 from rerank_distill.models import CandidateDoc, CandidateSet, Qrels, Query, Ranking, TrajectorySample
 
@@ -25,6 +26,16 @@ def write_store(samples: list[TrajectorySample], path) -> None:
 def read_store(path) -> list[TrajectorySample]:
     """Every sample of the store at `path`, in store order."""
     return [sample for _, samples in iter_samples(str(path)) for sample in samples]
+
+
+def splits(line: str) -> bool:
+    """Whether the store reader can read `line` from its cut-out ranking
+    texts, as it does when a ranking repeats."""
+    cut = rio._cut_rankings(line)
+    if cut is None or rio._split_record(line, cut) is None:
+        return False
+    _, final, sequence, _ = cut
+    return rio._decoded_texts(sequence + [final] * (final is not None)) is not None
 
 
 def make_query(query_id: str = "q1") -> Query:

@@ -24,7 +24,7 @@ from rerank_distill.metrics import aggregate_report
 from rerank_distill.models import Ranking, TrajectorySample
 from rerank_distill.sampling import GenerationBackend
 
-from conftest import MIXED_MODES_YAML, read_store, write_pipeline_workspace, write_store
+from conftest import MIXED_MODES_YAML, read_store, splits, write_pipeline_workspace, write_store
 
 
 # sha256 of each output of run_pipeline(seed=77) over
@@ -307,6 +307,12 @@ class TestPipelineStages:
         assert main(["report", f"a={good}", f"b={bad}", "--out", str(tmp_path / "m.json")]) == 1
         assert f"error: {bad}:1: not a JSON report" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
+
+    def test_report_on_a_file_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad8.json"
+        bad.write_bytes(b"\xff{}")
+        assert main(["report", f"a={bad}", "--out", str(tmp_path / "m.json")]) == 1
+        assert f"error: {bad}:1: not UTF-8 text (invalid start byte)" in capsys.readouterr().err
 
     @settings(max_examples=60, deadline=None)
     @given(st.dictionaries(st.text("q0123456789", min_size=1, max_size=4),
@@ -614,15 +620,67 @@ class TestStoreStreaming:
             "analyze-redundancy", "--samples", store, "--out", str(out / "redundancy.json")],
     }
 
-    @pytest.fixture
-    def scored(self, tmp_path):
-        """A scored store of 5 queries x K=2, and the workspace it came from."""
-        paths = sample_workspace(tmp_path, 5, "profiles: {distill: {k_samples: 2}}\n")
+    @staticmethod
+    def scored_store(tmp_path, paths):
+        """The scored store `sample` and `evaluate` write from the workspace
+        `paths`, and the workspace."""
         assert sample_stage(paths, tmp_path / "s.jsonl") == 0
         assert main(["evaluate", "--samples", str(tmp_path / "s.jsonl"), "--qrels", paths["qrels"],
                      "--out", str(tmp_path / "eval.json"),
                      "--scored-out", str(tmp_path / "scored.jsonl")]) == 0
         return tmp_path / "scored.jsonl", paths
+
+    @pytest.fixture
+    def scored(self, tmp_path):
+        """A scored store of 5 queries x K=2, and the workspace it came from."""
+        return self.scored_store(tmp_path, sample_workspace(tmp_path, 5, "profiles: {distill: {k_samples: 2}}\n"))
+
+    @pytest.fixture
+    def accented(self, tmp_path):
+        """`scored`, with doc ids that are not ASCII."""
+        paths = sample_workspace(tmp_path, 5, "profiles: {distill: {k_samples: 2}}\n")
+        for name in ("run", "corpus", "qrels"):
+            path = Path(paths[name])
+            path.write_text(path.read_text(encoding="utf-8").replace("-d", "-d\u00e9"), encoding="utf-8")
+        return self.scored_store(tmp_path, paths)
+
+    def test_every_line_sample_or_evaluate_writes_can_be_split(self, scored):
+        store, _ = scored
+        for path in (store.parent / "s.jsonl", store):
+            with open(path, encoding="utf-8") as fh:
+                lines = list(fh)
+            assert len(lines) == 10
+            assert all(map(splits, lines))
+
+    LAYOUTS = {
+        "keys in another order": lambda record: json.dumps(dict(reversed(record.items())), ensure_ascii=False),
+        "compact separators": lambda record: json.dumps(record, sort_keys=True, ensure_ascii=False,
+                                                        separators=(",", ":")),
+        "ascii escapes": lambda record: json.dumps(record, sort_keys=True),
+    }
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("stage", OFFLINE)
+    def test_store_in_another_layout_gives_the_same_outputs(self, accented, tmp_path, stage, layout):
+        store, paths = accented
+        other = tmp_path / "other.jsonl"
+        other.write_text("".join(self.LAYOUTS[layout](json.loads(line)) + "\n"
+                                 for line in store.read_text(encoding="utf-8").splitlines()), encoding="utf-8")
+        assert other.read_bytes() != store.read_bytes()
+        outputs = []
+        for name, path in (("from-store", store), ("from-other", other)):
+            out = tmp_path / name
+            out.mkdir()
+            assert main(self.OFFLINE[stage](str(path), paths, out)) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        if (stage, layout) == ("evaluate", "ascii escapes"):
+            # evaluate copies a line that ends as the writer ends it up to its
+            # score, escapes included: the same samples, in other bytes.
+            assert read_store(tmp_path / "from-other" / "scored.jsonl") == read_store(
+                tmp_path / "from-store" / "scored.jsonl")
+            for files in outputs:
+                del files["scored.jsonl"]
+        assert outputs[1] == outputs[0]
 
     @pytest.mark.parametrize("stage", OFFLINE)
     @pytest.mark.parametrize("order", [
@@ -891,7 +949,8 @@ class TestScoredStore:
         assert encoded == []
         assert (expected == before) == (qrels == "same")
 
-    @pytest.mark.parametrize("layout", ["keys in another order", "a key after valid", "trailing spaces"])
+    @pytest.mark.parametrize("layout", ["keys in another order", "a key after valid", "trailing spaces",
+                                        "compact separators"])
     def test_record_in_another_layout_is_encoded_again(self, store, tmp_path, encoded, layout):
         path, paths = store
         lines = path.read_text().splitlines(keepends=True)
@@ -900,6 +959,8 @@ class TestScoredStore:
             lines[4] = json.dumps(dict(reversed(record.items()))) + "\n"
         elif layout == "a key after valid":
             lines[4] = json.dumps({**record, "zz_note": "kept out"}, sort_keys=True) + "\n"
+        elif layout == "compact separators":
+            lines[4] = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
         else:
             lines[4] = lines[4][:-1] + "   \n"
         path.write_text("".join(lines))

@@ -44,6 +44,13 @@ def test_non_string_path_is_config_error(tmp_path, text, message):
         _load(tmp_path, text)
 
 
+def test_config_that_is_not_utf8_is_config_error(tmp_path):
+    path = tmp_path / "config.yaml"
+    path.write_bytes(b"seed: 1\nendpoint: {model: caf\xe9}\n")
+    with pytest.raises(ConfigError, match=r"config .*config\.yaml is not UTF-8 text \(invalid continuation byte\)"):
+        load_config(str(path))
+
+
 def test_fixed_token_settings_still_load(tmp_path):
     _load(tmp_path, 'tokenizer_mode: auto\nthink_markers: ["<think>", "</think>"]\n')
 

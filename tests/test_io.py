@@ -5,11 +5,13 @@ import logging
 import random
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rerank_distill import io as rio
 from rerank_distill.errors import ConfigError, ParseError
 from rerank_distill.io import (
     candidates_from_run,
@@ -40,7 +42,7 @@ from rerank_distill.models import (
 )
 from rerank_distill.sampling import build_prompt, default_template, hash_messages
 
-from conftest import make_query, make_universe, read_store, write_store
+from conftest import make_query, make_universe, read_store, splits, write_store
 
 
 class TestQrels:
@@ -202,6 +204,30 @@ class TestTopicsAndCorpus:
             candidates_from_run({"q1": ["dX"]}, {})
 
 
+# Each reader with a valid first line for it.
+_READERS = {
+    "read_qrels": (read_qrels, "q1 0 d1 1\n"),
+    "read_run": (lambda path: read_run(path, depth=10), "q1 Q0 d1 1 0.9 t\n"),
+    "read_topics": (read_topics, "q1\thow does it work\n"),
+    "read_corpus_texts": (lambda path: read_corpus_texts(path, {"d1"}), "d1\tpassage text\n"),
+    "iter_samples": (lambda path: list(iter_samples(path)), None),
+    "read_report": (read_report, '{"kind": "eval",\n'),
+}
+
+
+@pytest.mark.parametrize("reader", _READERS)
+def test_a_file_that_is_not_utf8_names_the_file_and_line(tmp_path, reader):
+    read, first = _READERS[reader]
+    if first is None:
+        out = io.StringIO()
+        write_samples([make_sample(1)], out)
+        first = out.getvalue()
+    path = tmp_path / "input.txt"
+    path.write_bytes(first.encode() + b"caf\xe9\n")
+    with pytest.raises(ParseError, match=r"input\.txt:2: not UTF-8 text \(invalid continuation byte\)"):
+        read(str(path))
+
+
 def make_sample(idx, **overrides):
     base = dict(
         query_id="q1", sample_index=idx, raw_text=f"body [1] > [2] #{idx}",
@@ -222,8 +248,8 @@ _FLOATS = st.one_of(st.none(), st.sampled_from([0.0, 1.0, 5e-324, 1e-310]), st.f
 
 
 @st.composite
-def _rankings(draw):
-    doc_ids = draw(st.lists(st.text(_CHARS, min_size=1, max_size=4), min_size=1, max_size=6, unique=True))
+def _rankings(draw, doc_ids=st.text(_CHARS, min_size=1, max_size=4)):
+    doc_ids = draw(st.lists(doc_ids, min_size=1, max_size=6, unique=True))
     ties = draw(st.lists(st.booleans(), min_size=len(doc_ids) - 1, max_size=len(doc_ids) - 1))
     groups = [[doc_ids[0]]]
     for doc_id, tied in zip(doc_ids[1:], ties):
@@ -235,23 +261,79 @@ def _rankings(draw):
 
 
 @st.composite
-def _samples(draw, query_id):
+def _samples(draw, query_id, rankings=_rankings(), texts=_TEXTS):
     valid = draw(st.booleans())
     return TrajectorySample(
         query_id=query_id,
         sample_index=draw(st.integers(1, 2**40)),
-        raw_text=draw(_TEXTS),
-        reasoning_text=draw(_TEXTS),
-        final_ranking=draw(_rankings() if valid else st.none() | _rankings()),
-        ranking_sequence=tuple(draw(st.lists(_rankings(), max_size=3))),
+        raw_text=draw(texts),
+        reasoning_text=draw(texts),
+        final_ranking=draw(rankings if valid else st.none() | rankings),
+        ranking_sequence=tuple(draw(st.lists(rankings, max_size=3))),
         token_len=draw(st.integers(0, 2**40)),
         token_len_source=draw(st.sampled_from(["endpoint-reported", "approximated"])),
         score=draw(_FLOATS),
         valid=valid,
         coverage=draw(_FLOATS | st.floats(allow_nan=False, allow_infinity=False)),
-        error=draw(st.none() | _TEXTS),
-        prompt_hash=draw(st.none() | _TEXTS),
+        error=draw(st.none() | texts),
+        prompt_hash=draw(st.none() | texts),
     )
+
+
+# The texts the store reader cuts a line at, and the characters that
+# decide where a JSON string ends.
+_MARKERS = (', "prompt_hash": ', '], "raw_text": ', ']], [[', '"', "\\")
+_MARKED_TEXTS = st.lists(st.sampled_from(_MARKERS + ("a", "1")), min_size=1, max_size=3).map("".join)
+
+
+@st.composite
+def _stores(draw):
+    """The text of a store of up to two queries, whose samples state
+    rankings from a pool per query, and whose doc ids and texts may hold
+    the markers."""
+    out = io.StringIO()
+    for query_id in sorted(draw(st.lists(_TEXTS | _MARKED_TEXTS, min_size=1, max_size=2, unique=True))):
+        pool = draw(st.lists(_rankings(_MARKED_TEXTS | st.text(_CHARS, min_size=1, max_size=4)),
+                             min_size=1, max_size=2))
+        texts = _MARKED_TEXTS | _TEXTS
+        write_samples(draw(st.lists(_samples(query_id, st.sampled_from(pool), texts), min_size=1, max_size=3)), out)
+    return out.getvalue()
+
+
+def _mutated(draw, text: str) -> str:
+    """`text` with up to three markers inserted or deleted. Half the
+    insertions go just after a quote, bracket or comma."""
+    for _ in range(draw(st.integers(0, 3))):
+        marker = draw(st.sampled_from(_MARKERS))
+        found = [i for i in range(len(text) - len(marker) + 1) if text.startswith(marker, i)]
+        if found and draw(st.booleans()):
+            at = draw(st.sampled_from(found))
+            text = text[:at] + text[at + len(marker):]
+            continue
+        after = [i + 1 for i, c in enumerate(text) if c in '"[],']
+        at = draw(st.sampled_from(after) if after and draw(st.booleans()) else st.integers(0, len(text)))
+        text = text[:at] + marker + text[at:]
+    return text
+
+
+def _read_through(path) -> tuple[list, tuple | None]:
+    """Each query iter_samples yields from the store at `path`, with the
+    index of the first of its rankings that is the same object as each,
+    and the exception it stops with, if any."""
+    queries = []
+    try:
+        for lines, samples in iter_samples(str(path)):
+            rankings = [id(r) for s in samples for r in (s.final_ranking, *s.ranking_sequence) if r is not None]
+            queries.append((lines, samples, [rankings.index(r) for r in rankings]))
+    except Exception as exc:
+        return queries, (type(exc), str(exc))
+    return queries, None
+
+
+def _general_read(path) -> tuple[list, tuple | None]:
+    """`_read_through` with every line decoded whole."""
+    with mock.patch.object(rio, "_split_record", return_value=None):
+        return _read_through(path)
 
 
 class TestSamples:
@@ -465,6 +547,102 @@ class TestSamples:
             path = Path(tmp) / "samples.jsonl"
             path.write_text(out.getvalue(), encoding="utf-8")
             assert read_store(path) == samples
+
+
+class TestSplitRecords:
+    """A line in the layout write_samples writes is read from its cut-out
+    ranking texts, each decoded once per query; it reads as the general
+    decode reads it, or fails as that fails."""
+
+    @staticmethod
+    def store(tmp_path, text: str) -> Path:
+        path = tmp_path / "samples.jsonl"
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_split_reads_what_the_general_decode_reads(self, data):
+        text = _mutated(data.draw, data.draw(_stores()))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = self.store(Path(tmp), text)
+            assert _read_through(path) == _general_read(path)
+
+    @pytest.mark.parametrize("old, new", [
+        ('"schema_version": 1', '"schema_version": 2'),
+        ('"valid": true}', '"valid": tru}'),
+        ('"final_ranking": [["1"], ["2"]]', '"final_ranking": null 1'),
+        # A ranking text that holds more than one JSON value.
+        ('"final_ranking": [["1"], ["2"]]', '"final_ranking": [["1"], ["2"]], [["9"]]'),
+        ('"final_ranking": [["1"], ["2"]]', '"final_ranking": [["1"]], [[], ["2"]]'),
+        # A ranking key repeated after "valid": its last value is the one read.
+        ('"valid": true}', '"valid": true, "final_ranking": [["2"], ["1"]]}'),
+        ('"valid": true}', '"valid": true, "ranking_sequence": []}'),
+        ('"valid": true}', '"valid": true, "final\\u005franking": null}'),
+    ])
+    def test_an_edited_line_reads_as_the_general_decode(self, tmp_path, old, new):
+        """Line 1 states the rankings line 2 does, so line 2's are looked up."""
+        first, second = TestSamples.encoded(make_sample(1)), TestSamples.encoded(make_sample(2))
+        assert old in second
+        path = self.store(tmp_path, first + second.replace(old, new))
+        assert _read_through(path) == _general_read(path)
+
+    @pytest.mark.parametrize("first, second", [
+        # A doc id holding "]], [[": the ranking is cut in the wrong place.
+        ('"ranking_sequence": [[["x]], [[y"]]]', '"final_ranking": [["x]], [["y"]]'),
+        # Rankings cut in the wrong place that make a valid list together;
+        # the second line's final ranking is not JSON.
+        ('"ranking_sequence": [[["a]], [[b"]],[["c"]]]', '"final_ranking": [["a]]'),
+        ('"ranking_sequence": [[["a"], []], [["b"]]]', '"final_ranking": [["a"], []]'),
+    ])
+    def test_rankings_cut_in_the_wrong_place_read_as_the_general_decode(self, tmp_path, first, second):
+        line = TestSamples.encoded(make_sample(1))
+        lines = [line.replace('"ranking_sequence": [[["1"], ["2"]], [["2"], ["1"]]]', first),
+                 line.replace('"final_ranking": [["1"], ["2"]]', second)]
+        path = self.store(tmp_path, "".join(lines))
+        assert _read_through(path) == _general_read(path)
+
+    @pytest.mark.parametrize("member, value", [("prompt_hash", '"abc123"'), ("query_id", '"q1"')])
+    def test_a_member_that_hides_a_ranking_sequence_is_not_split(self, tmp_path, member, value):
+        """An object in place of a string member holds the only
+        "ranking_sequence" key, and the line still has every other key."""
+        line = TestSamples.encoded(make_sample(1)).replace(
+            ', "ranking_sequence": [[["1"], ["2"]], [["2"], ["1"]]]', "").replace(
+            f'"{member}": {value}', f'"{member}": {{"k": 0, "ranking_sequence": [[["1"]]], "raw_text": 0}}')
+        assert rio._cut_rankings(line) is None
+        path = self.store(tmp_path, line)
+        assert _read_through(path) == _general_read(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_every_line_the_writer_writes_is_split(self, data):
+        """A change to the writer's layout fails here, not only in the
+        read times: every line it writes can be split, and one that
+        states only rankings its query stated before is."""
+        query_id = data.draw(_TEXTS)
+        samples = data.draw(st.lists(_samples(query_id), min_size=1, max_size=4))
+        out = io.StringIO()
+        write_samples(samples + samples, out)
+        assert all(map(splits, io.StringIO(out.getvalue())))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = self.store(Path(tmp), out.getvalue())
+            with mock.patch.object(rio, "_decode_sample", wraps=rio._decode_sample) as whole:
+                assert read_store(path) == samples + samples
+        stating = [len(samples) + i for i, s in enumerate(samples, start=1) if s.final_ranking or s.ranking_sequence]
+        assert [call.args[1] for call in whole.call_args_list if call.args[1] in stating] == []
+
+    def test_a_line_that_repeats_no_ranking_is_decoded_whole(self, tmp_path):
+        """Cutting it out costs more than decoding it whole once."""
+        distinct = make_sample(1, final_ranking=Ranking(groups=(("2",), ("1",))),
+                               ranking_sequence=(Ranking(groups=(("1",), ("2",))),))
+        path = self.store(tmp_path, TestSamples.encoded(distinct) + TestSamples.encoded(make_sample(2)))
+        with mock.patch.object(rio, "_decode_sample", wraps=rio._decode_sample) as whole:
+            assert read_store(path) == [distinct, make_sample(2)]
+        assert [call.args[1] for call in whole.call_args_list] == [1]
+
+    @pytest.mark.parametrize("coverage", [float("inf"), float("-inf"), float("nan"), -0.0, 1e16, 5e-324])
+    def test_every_coverage_the_writer_writes_is_split(self, coverage):
+        assert splits(TestSamples.encoded(make_sample(1, coverage=coverage)))
 
 
 class TestSftCorpus:

@@ -26,6 +26,7 @@ from rerank_distill.sampling import (
     PromptTemplate,
     build_prompt,
     default_template,
+    load_template,
     mock_generate,
     sample_trajectories,
 )
@@ -617,3 +618,10 @@ class TestHttpChatBackend:
 
 
 GOLDEN_K3_DIGEST = "a26f7753903d2966a9b8b1c71f2f305dc2b2de95c156f59ba31c722e1a2ac66a"
+
+
+def test_template_that_is_not_utf8_is_config_error(tmp_path):
+    path = tmp_path / "template.yaml"
+    path.write_bytes(b'name: t\nsystem: "caf\xe9"\nuser: "{passages} {query}"\n')
+    with pytest.raises(ConfigError, match=r"prompt template .*template\.yaml is not UTF-8 text"):
+        load_template(str(path))
