@@ -27,7 +27,7 @@ from . import io as rio
 from .config import PipelineConfig, load_config
 from .distill import build_corpus, retention_rate
 from .errors import BackendError, BackendUnreachableError, ConfigError, ParseError
-from .metrics import aggregate_report, attach_scores, length_buckets, redundancy_metrics
+from .metrics import aggregate_report, attach_scores, check_bucket_count, length_buckets, redundancy_metrics
 from .sampling import (
     GenerationBackend,
     HttpChatBackend,
@@ -180,6 +180,7 @@ def _distinct_files(flag: str, path: str, others: list[tuple[str, str | None]]) 
 
 
 def cmd_evaluate(args) -> int:
+    check_bucket_count(args.bucket_count)
     scored_out = args.scored_out or str(Path(args.samples).with_suffix(".scored.jsonl"))
     _distinct_files("--out", args.out, [("--scored-out", scored_out), ("--samples", args.samples),
                                         ("--qrels", args.qrels)])
@@ -283,6 +284,7 @@ def cmd_analyze_redundancy(args) -> int:
 
 
 def cmd_report(args) -> int:
+    check_bucket_count(args.bucket_count)
     inputs = []
     for spec_arg in args.inputs:
         if "=" not in spec_arg:

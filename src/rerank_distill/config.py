@@ -5,6 +5,10 @@ String values may embed ${VAR}; the variable must be set at load time.
 The two built-in sampling profiles mirror the corpus-construction and
 evaluation decoding setups (distill: K=16, t=0.7, p=0.95, 8192 max tokens;
 eval: K=1, t=0.5, p=0.95).
+
+PyYAML is imported by `load_config` when it reads a file, not with this
+module: only `sample` and `build-corpus` read a config or prompt template,
+and the other stages do not pay its import.
 """
 
 from __future__ import annotations
@@ -13,8 +17,6 @@ import os
 import re
 from dataclasses import dataclass, field
 from typing import Mapping, get_type_hints
-
-import yaml
 
 from .errors import ConfigError
 from .models import SamplingConfig, text_types, type_message
@@ -141,6 +143,8 @@ def load_config(path: str | None) -> PipelineConfig:
     defaults."""
     if path is None:
         return PipelineConfig()
+    import yaml
+
     try:
         with open(path, encoding="utf-8") as fh:
             raw = yaml.safe_load(fh) or {}

@@ -13,7 +13,6 @@ decode, which alone words the errors.
 from __future__ import annotations
 
 import contextlib
-import csv
 import itertools
 import json
 import logging
@@ -735,6 +734,8 @@ def write_report(report: EvalReport | Mapping, path: str, format: str = "json") 
         with atomic_write(path) as fh:
             fh.write(_canonical_json(payload) + "\n")
     elif format == "csv":
+        import csv
+
         with atomic_write(path, newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(_CSV_COLUMNS[kind])

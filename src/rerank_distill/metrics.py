@@ -140,6 +140,13 @@ def aggregate_report(per_query: Mapping[str, tuple[float, int]], bucket_count: i
     )
 
 
+def check_bucket_count(bucket_count: int) -> None:
+    """Refuse a length-bucket count below one. The stages that take one
+    call this before they read any input."""
+    if bucket_count < 1:
+        raise ValueError(f"bucket_count must be >= 1, got {bucket_count}")
+
+
 def length_buckets(
     per_query: Mapping[str, tuple[float, int]],
     bucket_count: int,
@@ -149,8 +156,7 @@ def length_buckets(
 
     A zero-width range (all lengths equal) collapses to a single bucket.
     """
-    if bucket_count < 1:
-        raise ValueError(f"bucket_count must be >= 1, got {bucket_count}")
+    check_bucket_count(bucket_count)
     lens = [v[1] for v in per_query.values()]
     lo, hi = float(min(lens)), float(max(lens))
     if lo == hi:

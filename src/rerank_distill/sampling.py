@@ -6,6 +6,10 @@ offline pipeline runs. `sample_trajectories` draws a query's K generations
 one after another, then parses them into TrajectorySamples in one pass, in
 sample_index order. It starts no threads: the `sample` stage decides how
 many queries are sampled at once.
+
+PyYAML is imported by the two functions that read a prompt template, not
+with this module, so only `sample` and `build-corpus`, the stages that
+read a config or template, pay its import.
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from importlib import resources
 from typing import TYPE_CHECKING, Callable, Literal, Mapping, Sequence
-
-import yaml
 
 from .errors import BackendUnreachableError, ConfigError, MalformedResponseError, TransportError
 from .models import CandidateSet, Qrels, Query, Ranking, SamplingConfig, TrajectorySample
@@ -63,16 +65,22 @@ class PromptTemplate:
 
 def default_template() -> PromptTemplate:
     """The template shipped with the package."""
+    import yaml
+
     path = resources.files("rerank_distill").joinpath("templates/listwise_v1.yaml")
     return _template_from_mapping(yaml.safe_load(path.read_text(encoding="utf-8")), "packaged default")
 
 
 def load_template(path: str) -> PromptTemplate:
+    import yaml
+
     with open(path, encoding="utf-8") as fh:
         try:
             return _template_from_mapping(yaml.safe_load(fh), path)
         except UnicodeDecodeError as exc:
             raise ConfigError(f"prompt template {path} is not UTF-8 text ({exc.reason})") from None
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"prompt template {path} is not valid YAML: {exc}") from None
 
 
 def _template_from_mapping(raw: object, source: str) -> PromptTemplate:

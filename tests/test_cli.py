@@ -256,6 +256,34 @@ class TestPipelineStages:
         assert f"error: bucket_count must be >= 1, got {bucket_count}" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("stage", ["evaluate", "report"])
+    def test_bucket_count_below_one_is_refused_before_any_input_is_read(self, tmp_path, capsys, stage):
+        missing = str(tmp_path / "missing")
+        argv = {"evaluate": ["evaluate", "--samples", missing, "--qrels", missing],
+                "report": ["report", f"a={missing}"]}[stage]
+        assert main(argv + ["--bucket-count", "0", "--out", str(tmp_path / "out.json")]) == 1
+        assert "error: bucket_count must be >= 1, got 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("stage", ["sample", "build-corpus"])
+    def test_template_that_is_not_yaml_is_validation_error(self, workspace, capsys, stage):
+        tmp_path, paths = workspace
+        template = tmp_path / "bad.yaml"
+        template.write_text("name: x\nsystem: [")
+        (tmp_path / "s.jsonl").write_text("")
+        inputs = ["--topics", paths["topics"], "--run-file", paths["run"], "--corpus", paths["corpus"],
+                  "--config", paths["config"], "--depth", "8", "--template", str(template)]
+        argv = {"sample": ["sample", *inputs, "--backend", "mock", "--out", str(tmp_path / "out.jsonl")],
+                "build-corpus": ["build-corpus", "--samples", str(tmp_path / "s.jsonl"), *inputs,
+                                 "--out", str(tmp_path / "out.jsonl")]}[stage]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: prompt template {template} is not valid YAML: while parsing a flow node"]
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.jsonl").exists()
+
     def test_report_repeated_tag_is_validation_error(self, tmp_path, capsys):
         from rerank_distill.io import write_report
         a = {"kind": "eval", "per_query": {"q1": {"ndcg10": 0.5, "gen_len": 10}},
@@ -1000,41 +1028,54 @@ class TestScoredStore:
 
 
 # Run in a fresh interpreter: argv is the package's source directory, then
-# the workspace's topics, run, corpus, qrels and config files, then an
-# output directory. Prints the steps after which requests was loaded.
-_REQUESTS_PROBE = """
+# a JSON list of stage argvs. Prints, as JSON, each step with the modules of
+# `watched` that are loaded after it.
+_IMPORT_PROBE = """
+import json
 import sys
 sys.path.insert(0, sys.argv[1])
-topics, run, corpus, qrels, config, out = sys.argv[2:]
-loaded = []
+watched = ("csv", "requests", "yaml")
+steps = []
 def check(step):
-    if "requests" in sys.modules:
-        loaded.append(step)
+    steps.append([step, [name for name in watched if name in sys.modules]])
 import rerank_distill
 check("import rerank_distill")
 from rerank_distill import cli
 check("import rerank_distill.cli")
-stages = [
-    ["sample", "--topics", topics, "--run-file", run, "--corpus", corpus, "--config", config,
-     "--qrels", qrels, "--depth", "8", "--backend", "mock", "--seed", "11", "--out", out + "/s.jsonl"],
-    ["evaluate", "--samples", out + "/s.jsonl", "--qrels", qrels, "--out", out + "/eval.json"],
-    ["report", "mock=" + out + "/eval.json", "--out", out + "/comparison.json"],
-]
-for argv in stages:
+for argv in json.loads(sys.argv[2]):
     assert cli.main(argv) == 0, argv[0]
     check(argv[0])
-print(loaded)
+print(json.dumps(steps))
 """
 
 
-def test_mock_pipeline_never_imports_requests(tmp_path):
-    """Only the HTTP backend needs requests, and it is slow to import."""
-    paths = sample_workspace(tmp_path, 2, "profiles: {distill: {k_samples: 2}}\n")
+def probe_imports(stages: list[list[str]]) -> list:
+    """[step, loaded modules] after importing the package, the CLI and then
+    running each of `stages` in one fresh interpreter."""
     src = str(Path(rerank_distill.__file__).resolve().parent.parent)
-    result = subprocess.run(
-        [sys.executable, "-I", "-c", _REQUESTS_PROBE, src,
-         *(paths[name] for name in ("topics", "run", "corpus", "qrels", "config")), str(tmp_path)],
-        capture_output=True, text=True, timeout=60,
-    )
+    result = subprocess.run([sys.executable, "-I", "-c", _IMPORT_PROBE, src, json.dumps(stages)],
+                            capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "[]"
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_mock_pipeline_never_imports_requests(tmp_path):
+    """Only the HTTP backend needs requests, and it is slow to import; only
+    the stages that read a config or template need yaml, and only a CSV
+    report needs csv. The offline stages run in an interpreter of their own,
+    one where `sample` has not loaded yaml already."""
+    paths = sample_workspace(tmp_path, 2, "profiles: {distill: {k_samples: 2}}\n")
+    out = str(tmp_path)
+    sample = ["sample", "--topics", paths["topics"], "--run-file", paths["run"], "--corpus", paths["corpus"],
+              "--config", paths["config"], "--qrels", paths["qrels"], "--depth", "8", "--backend", "mock",
+              "--seed", "11", "--out", out + "/s.jsonl"]
+    assert probe_imports([sample]) == [
+        ["import rerank_distill", []], ["import rerank_distill.cli", []], ["sample", ["yaml"]]]
+    offline = [
+        ["evaluate", "--samples", out + "/s.jsonl", "--qrels", paths["qrels"], "--out", out + "/eval.json"],
+        ["analyze-redundancy", "--samples", out + "/s.scored.jsonl", "--out", out + "/redundancy.json"],
+        ["report", "mock=" + out + "/eval.json", "--out", out + "/comparison.json"],
+    ]
+    assert probe_imports(offline) == [
+        ["import rerank_distill", []], ["import rerank_distill.cli", []],
+        ["evaluate", []], ["analyze-redundancy", []], ["report", []]]
