@@ -9,7 +9,6 @@ grades. Redundancy treats rankings as tie-aware values: "[1] = [2]" and
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Mapping, Sequence
 
 from .models import (
@@ -42,16 +41,24 @@ def _dcg(grades: Sequence[int], k: int) -> float:
     return sum((2 ** g - 1) / math.log2(i + 2) for i, g in enumerate(grades[:k]))
 
 
+def _occurrences(seq: Sequence[Ranking]) -> tuple[dict[Ranking, int], int]:
+    """One pass over `seq`: each distinct ranking with its count, in
+    first-occurrence order, and t*, the 1-based position of the last
+    ranking no earlier element equals (0 for an empty sequence)."""
+    counts: dict[Ranking, int] = {}
+    t_star = 0
+    for i, ranking in enumerate(seq, start=1):
+        count = counts.get(ranking, 0)
+        if not count:
+            t_star = i
+        counts[ranking] = count + 1
+    return counts, t_star
+
+
 def last_novel_index(seq: Sequence[Ranking]) -> int:
     """1-based index of the last ranking with no equal earlier element;
     0 for an empty sequence."""
-    t_star = 0
-    seen: set[Ranking] = set()
-    for i, ranking in enumerate(seq, start=1):
-        if ranking not in seen:
-            t_star = i
-            seen.add(ranking)
-    return t_star
+    return _occurrences(seq)[1]
 
 
 def tail_repeat_ratio(seq: Sequence[Ranking]) -> float:
@@ -69,20 +76,21 @@ def _tail_repeat_ratio(t: int, t_star: int) -> float:
 def multi_occurrence_ratio(seq: Sequence[Ranking]) -> float:
     """Fraction of distinct rankings that occur more than once; 0.0 when
     the sequence is empty."""
-    if not seq:
-        return 0.0
-    counts = Counter(seq)
-    return sum(1 for c in counts.values() if c >= 2) / len(counts)
+    return _multi_occurrence_ratio(_occurrences(seq)[0])
+
+
+def _multi_occurrence_ratio(counts: Mapping[Ranking, int]) -> float:
+    return sum(1 for c in counts.values() if c >= 2) / len(counts) if counts else 0.0
 
 
 def redundancy_metrics(seq: Sequence[Ranking]) -> RedundancyMetrics:
-    """Bundle T, t*, TRR, and MOR for one trace."""
-    t_star = last_novel_index(seq)
+    """Bundle T, t*, TRR, and MOR for one trace, from one pass over it."""
+    counts, t_star = _occurrences(seq)
     return RedundancyMetrics(
         seq_len=len(seq),
         t_star=t_star,
         trr=_tail_repeat_ratio(len(seq), t_star),
-        mor=multi_occurrence_ratio(seq),
+        mor=_multi_occurrence_ratio(counts),
     )
 
 

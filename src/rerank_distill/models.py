@@ -99,6 +99,12 @@ class Ranking:
     `(("a",), ("b", "c"))` reads "a strictly above b and c, which are tied".
     Equality is tie-aware: identical group structure, not just identical
     flattened order.
+
+    The hash, `hash((groups,))` as the dataclass would compute it, is
+    computed once, when the Ranking is built: redundancy counting and the
+    per-query caches look each ranking up several times. A pickled or
+    copied Ranking is built anew, so a hash never crosses into a process
+    with another PYTHONHASHSEED.
     """
 
     groups: tuple[tuple[str, ...], ...]
@@ -114,6 +120,13 @@ class Ranking:
                 if doc_id in seen:
                     raise ValueError(f"doc_id {doc_id!r} appears twice in Ranking")
                 seen.add(doc_id)
+        object.__setattr__(self, "_hash", hash((self.groups,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple[type[Ranking], tuple]:
+        return Ranking, (self.groups,)
 
     def flatten(self) -> tuple[str, ...]:
         """Stable flattening: group order, then within-group order."""

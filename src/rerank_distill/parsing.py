@@ -218,7 +218,7 @@ def count_tokens(text: str) -> int:
     popcount is the count.
     """
     codes = int.from_bytes(text.translate(_CLASS_TABLE).encode("latin-1"), "little")
-    return (codes & ~(codes << 8)).bit_count()
+    return (codes ^ (codes & (codes << 8))).bit_count()
 
 
 def render_ranking(ranking: Ranking, universe: CandidateSet) -> str:

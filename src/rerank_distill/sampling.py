@@ -7,14 +7,14 @@ one after another, then parses them into TrajectorySamples in one pass, in
 sample_index order. It starts no threads: the `sample` stage decides how
 many queries are sampled at once.
 
-PyYAML is imported by the two functions that read a prompt template, not
-with this module, so only `sample` and `build-corpus`, the stages that
-read a config or template, pay its import.
+PyYAML is imported by the two functions that read a prompt template, and
+hashlib by the two that hash, not with this module, so only `sample` and
+`build-corpus`, the stages that read a config or template and hash a
+prompt, pay their import.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import math
@@ -119,11 +119,15 @@ def hash_messages(messages: Sequence[Message]) -> str:
     """Stable digest of a rendered prompt, stored with each sample so a
     corpus writer can verify it is pairing targets with the prompt that
     produced them."""
+    import hashlib
+
     blob = json.dumps([dict(m) for m in messages], sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _stable_u64(*parts: object) -> int:
+    import hashlib
+
     digest = hashlib.sha256("|".join(str(p) for p in parts).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 

@@ -1027,14 +1027,15 @@ class TestScoredStore:
         assert [s.score for s in read_store(tmp_path / "scored.jsonl")] == [1.0, None, 1.0]
 
 
-# Run in a fresh interpreter: argv is the package's source directory, then
-# a JSON list of stage argvs. Prints, as JSON, each step with the modules of
-# `watched` that are loaded after it.
+# Run in a fresh interpreter: argv is the package's source directory, a
+# JSON list of stage argvs, then a JSON list of module names, `watched`.
+# Prints, as JSON, each step with the modules of `watched` that are loaded
+# after it.
 _IMPORT_PROBE = """
 import json
 import sys
 sys.path.insert(0, sys.argv[1])
-watched = ("csv", "requests", "yaml")
+watched = json.loads(sys.argv[3])
 steps = []
 def check(step):
     steps.append([step, [name for name in watched if name in sys.modules]])
@@ -1049,11 +1050,11 @@ print(json.dumps(steps))
 """
 
 
-def probe_imports(stages: list[list[str]]) -> list:
-    """[step, loaded modules] after importing the package, the CLI and then
-    running each of `stages` in one fresh interpreter."""
+def probe_imports(stages: list[list[str]], watched=("csv", "requests", "yaml")) -> list:
+    """[step, loaded modules of `watched`] after importing the package, the
+    CLI and then running each of `stages` in one fresh interpreter."""
     src = str(Path(rerank_distill.__file__).resolve().parent.parent)
-    result = subprocess.run([sys.executable, "-I", "-c", _IMPORT_PROBE, src, json.dumps(stages)],
+    result = subprocess.run([sys.executable, "-I", "-c", _IMPORT_PROBE, src, json.dumps(stages), json.dumps(watched)],
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout.splitlines()[-1])
@@ -1079,3 +1080,26 @@ def test_mock_pipeline_never_imports_requests(tmp_path):
     assert probe_imports(offline) == [
         ["import rerank_distill", []], ["import rerank_distill.cli", []],
         ["evaluate", []], ["analyze-redundancy", []], ["report", []]]
+
+
+def test_only_the_stages_that_hash_import_hashlib(tmp_path):
+    """`sample` and `build-corpus` hash a prompt; the CLI import and the
+    stages that only read the store or a report do without hashlib."""
+    paths = sample_workspace(tmp_path, 2, "profiles: {distill: {k_samples: 2}}\n")
+    out = str(tmp_path)
+    candidates = ["--topics", paths["topics"], "--run-file", paths["run"], "--corpus", paths["corpus"],
+                  "--config", paths["config"], "--depth", "8"]
+    sample = ["sample", *candidates, "--qrels", paths["qrels"], "--backend", "mock", "--seed", "11",
+              "--out", out + "/s.jsonl"]
+    assert probe_imports([sample], watched=["hashlib"]) == [
+        ["import rerank_distill", []], ["import rerank_distill.cli", []], ["sample", ["hashlib"]]]
+    offline = [
+        ["evaluate", "--samples", out + "/s.jsonl", "--qrels", paths["qrels"], "--out", out + "/eval.json"],
+        ["analyze-redundancy", "--samples", out + "/s.scored.jsonl", "--out", out + "/redundancy.json"],
+        ["report", "mock=" + out + "/eval.json", "--out", out + "/comparison.json"],
+        ["build-corpus", "--samples", out + "/s.scored.jsonl", *candidates,
+         "--out", out + "/corpus.jsonl", "--stats", out + "/corpus.stats.json"],
+    ]
+    assert probe_imports(offline, watched=["hashlib"]) == [
+        ["import rerank_distill", []], ["import rerank_distill.cli", []],
+        ["evaluate", []], ["analyze-redundancy", []], ["report", []], ["build-corpus", ["hashlib"]]]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rerank_distill.metrics import (
     aggregate_report,
     attach_scores,
+    last_novel_index,
     length_buckets,
     length_normalized_nll,
     multi_occurrence_ratio,
@@ -93,6 +94,20 @@ def _seq(labels):
     return [Ranking(groups=((label,),)) for label in labels]
 
 
+@st.composite
+def _tie_structures(draw, docs=("1", "2", "3")):
+    """The groups of a Ranking over `docs`: an order, cut into tie groups."""
+    order = draw(st.permutations(docs))
+    cuts = draw(st.lists(st.booleans(), min_size=len(docs) - 1, max_size=len(docs) - 1))
+    groups, group = [], [order[0]]
+    for doc, cut in zip(order[1:], cuts):
+        if cut:
+            groups.append(tuple(group))
+            group = []
+        group.append(doc)
+    return (*groups, tuple(group))
+
+
 class TestRedundancy:
     def test_trr_examples(self):
         assert tail_repeat_ratio(_seq("A")) == 0.0
@@ -119,20 +134,37 @@ class TestRedundancy:
         rm0 = redundancy_metrics([])
         assert (rm0.seq_len, rm0.t_star, rm0.trr, rm0.mor) == (0, 0, 0.0, 0.0)
 
-    def test_bundle_finds_t_star_once_and_equals_the_separate_metrics(self, monkeypatch):
-        from rerank_distill import metrics
-
-        calls = []
-        inner = metrics.last_novel_index
-        monkeypatch.setattr(metrics, "last_novel_index", lambda seq: calls.append(1) or inner(seq))
+    def test_bundle_finds_t_star_once_and_equals_the_separate_metrics(self):
         rng = random.Random(11)
         for _ in range(200):
             seq = _seq([rng.choice("ABCD") for _ in range(rng.randint(0, 9))])
-            calls.clear()
             rm = redundancy_metrics(seq)
-            assert len(calls) == 1
-            assert (rm.seq_len, rm.t_star, rm.mor) == (len(seq), inner(seq), multi_occurrence_ratio(seq))
+            assert (rm.seq_len, rm.t_star, rm.mor) == (len(seq), last_novel_index(seq), multi_occurrence_ratio(seq))
             assert rm.trr == tail_repeat_ratio(seq)  # the same float, not an approximation
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_bundle_equals_brute_force_definitions(self, data):
+        # A pool of tie structures over three docs, some of them equal; each
+        # element is a pool member's shared Ranking or an equal one built anew.
+        pool = data.draw(st.lists(_tie_structures(), min_size=1, max_size=4))
+        shared = [Ranking(groups=groups) for groups in pool]
+        picks = data.draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.booleans()), max_size=12))
+        seq = [shared[i] if reuse else Ranking(groups=tuple(tuple(list(g)) for g in pool[i]))
+               for i, reuse in picks]
+
+        # Brute force: equality of group tuples only, no hashing.
+        t = len(seq)
+        novel = [i for i in range(t) if all(seq[j].groups != seq[i].groups for j in range(i))]
+        t_star = novel[-1] + 1 if novel else 0
+        distinct = [seq[i].groups for i in novel]
+        recurring = [g for g in distinct if sum(r.groups == g for r in seq) >= 2]
+        trr = (t - t_star) / t if t > 1 else 0.0
+        mor = len(recurring) / len(distinct) if distinct else 0.0
+
+        rm = redundancy_metrics(seq)
+        assert (rm.seq_len, rm.t_star, rm.trr, rm.mor) == (t, t_star, trr, mor)
+        assert (last_novel_index(seq), tail_repeat_ratio(seq), multi_occurrence_ratio(seq)) == (t_star, trr, mor)
 
     def test_trr_zero_iff_last_element_novel(self):
         rng = random.Random(5)

@@ -1,7 +1,15 @@
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 from typing import Optional
 
 import pytest
 
+import rerank_distill
 from rerank_distill.models import (
     CandidateDoc,
     CandidateSet,
@@ -61,6 +69,45 @@ def test_ranking_equality_is_tie_aware():
     strict = Ranking(groups=(("a",), ("b",)))
     assert tied != strict
     assert tied == Ranking(groups=(("a", "b"),))
+
+
+def test_ranking_hash_is_the_dataclass_hash_of_its_groups():
+    for groups in [(("a",),), (("a", "b"),), (("a",), ("b",)), (("b",), ("a", "c"))]:
+        assert hash(Ranking(groups=groups)) == hash((groups,))
+
+
+def test_ranking_copies_hash_as_built():
+    r = Ranking(groups=(("a",), ("b", "c")))
+    for copied in (copy.copy(r), copy.deepcopy(r)):
+        assert copied == r and hash(copied) == hash(r)
+        assert copied in {r}
+    moved = dataclasses.replace(r, groups=(("c",), ("a", "b")))
+    assert hash(moved) == hash(((("c",), ("a", "b")),))
+    assert moved in {Ranking(groups=(("c",), ("a", "b")))}
+    assert moved not in {r}
+
+
+# Run with another PYTHONHASHSEED: prints the string hash there and a
+# pickled Ranking, as hex.
+_PICKLE_PROBE = """
+import pickle, sys
+sys.path.insert(0, sys.argv[1])
+from rerank_distill.models import Ranking
+print(hash("a"), pickle.dumps(Ranking(groups=(("a",), ("b", "c")))).hex())
+"""
+
+
+def test_ranking_pickled_under_another_hash_seed_is_found_in_a_set():
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    src = str(Path(rerank_distill.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-c", _PICKLE_PROBE, src], capture_output=True, text=True,
+                            timeout=60, env={**os.environ, "PYTHONHASHSEED": seed})
+    assert result.returncode == 0, result.stderr
+    their_str_hash, blob = result.stdout.split()
+    assert int(their_str_hash) != hash("a")  # the seeds differ, so a carried hash would be wrong here
+    loaded = pickle.loads(bytes.fromhex(blob))
+    assert loaded == Ranking(groups=(("a",), ("b", "c")))
+    assert loaded in {Ranking(groups=(("a",), ("b", "c"))), Ranking(groups=(("a", "b", "c"),))}
 
 
 def _sample(**overrides):
