@@ -610,30 +610,46 @@ _REPORT_BASES = ((Mapping, dict), (list, list), (tuple, list), (bool, bool), (fl
 def _canonical_json(value: object, indent: int = 0) -> str:
     """Canonical rendering: sorted keys, floats fixed at 6 decimal places.
     Keys and strings are escaped as `json.dumps(..., ensure_ascii=False)`
-    escapes them."""
+    escapes them.
+
+    A dict's or list's members of exactly str, finite float, int, bool or
+    None render inline in its loop; any other member recurses. A report's
+    per-sample rows are mostly such members, and a call per value cost more
+    than rendering them."""
     kind = type(value)
     if kind not in _REPORT_TYPES:
         kind = next((as_kind for base, as_kind in _REPORT_BASES if isinstance(value, base)), kind)
+    if kind is dict or kind is list:
+        is_dict = kind is dict
+        opening, closing = "{}" if is_dict else "[]"
+        if not value:
+            return opening + closing
+        parts = []
+        for key in sorted(value) if is_dict else value:
+            member = value[key] if is_dict else key
+            member_kind = type(member)
+            if member_kind is str:
+                text = encode_basestring(member)
+            elif member_kind is float and math.isfinite(member):
+                text = f"{member:.6f}"
+            elif member_kind is int:
+                text = str(member)
+            elif member_kind is bool:
+                text = "true" if member else "false"
+            elif member is None:
+                text = "null"
+            else:
+                text = _canonical_json(member, indent + 1)
+            parts.append(f"{encode_basestring(str(key))}: {text}" if is_dict else text)
+        pad = "  " * indent
+        inner = pad + "  "
+        return f"{opening}\n{inner}" + f",\n{inner}".join(parts) + f"\n{pad}{closing}"
     if kind is str:
         return encode_basestring(value)
     if kind is float:
         if not math.isfinite(value):
             raise ValueError(f"cannot serialize non-finite float {value}")
         return f"{value:.6f}"
-    pad = "  " * indent
-    if kind is dict:
-        if not value:
-            return "{}"
-        body = ",\n".join(
-            f"{pad}  {encode_basestring(str(k))}: {_canonical_json(value[k], indent + 1)}"
-            for k in sorted(value)
-        )
-        return "{\n" + body + f"\n{pad}}}"
-    if kind is list:
-        if not value:
-            return "[]"
-        body = ",\n".join(f"{pad}  {_canonical_json(v, indent + 1)}" for v in value)
-        return "[\n" + body + f"\n{pad}]"
     if kind is bool:
         return "true" if value else "false"
     if kind is int:

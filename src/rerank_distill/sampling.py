@@ -128,7 +128,7 @@ def hash_messages(messages: Sequence[Message]) -> str:
 def _stable_u64(*parts: object) -> int:
     import hashlib
 
-    digest = hashlib.sha256("|".join(str(p) for p in parts).encode("utf-8")).digest()
+    digest = hashlib.sha256("|".join(map(str, parts)).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -375,12 +375,80 @@ class MockProfile:
         return self.modes[(sample_index - 1) % len(self.modes)]
 
 
-def _alias_text(aliases: Sequence[int], ties: Sequence[bool] = ()) -> str:
-    parts = [f"[{aliases[0]}]"]
-    for i, alias in enumerate(aliases[1:]):
-        sep = " = " if i < len(ties) and ties[i] else " > "
-        parts.append(f"{sep}[{alias}]")
-    return "".join(parts)
+def _alias_text(aliases: Sequence[int]) -> str:
+    return "[" + "] > [".join(map(str, aliases)) + "]"
+
+
+def _statements(final: list[int], mode: MockMode) -> tuple[str, list[str]]:
+    """The final ranking's text and the reasoning's ranking statements, in
+    order: the restatements, then per revert loop a perturbed ranking (the
+    first two aliases swapped, or on odd loops tied) and the revert."""
+    final_text = _alias_text(final)
+    statements = [f"So the ranking would be: {final_text}."] * mode.restatements
+    if mode.revert_loops and len(final) >= 2:
+        variants = (_alias_text([final[1], final[0], *final[2:]]), f"[{final[0]}] = {_alias_text(final[1:])}")
+        keep = f"On reflection I will keep: {final_text}."
+        for loop in range(mode.revert_loops):
+            statements += (f"But wait, maybe: {variants[loop % 2]}.", keep)
+    return final_text, statements
+
+
+# Random.choice(_FILLER_POOL) draws getrandbits(_FILLER_BITS) until the
+# value is below the pool's size; the mock draws the same way, inline.
+_FILLER_BITS = len(_FILLER_POOL).bit_length()
+
+
+class _MockPlan:
+    """What the samples of one query share under one mode. When the query
+    alone decides the final ranking (ideal, worst, forward), that is the
+    ranking's text and the reasoning's statements; a shuffled sample draws
+    its own. `draw` does a sample's seeded work."""
+
+    __slots__ = ("query_id", "mode", "n", "final_text", "statements")
+
+    def __init__(self, query_id: str, candidates: CandidateSet, mode: MockMode, qrels: Qrels | None):
+        self.query_id = query_id
+        self.mode = mode
+        self.n = n = len(candidates)
+        self.final_text: str | None = None
+        self.statements: list[str] | None = None
+        if mode.quality == "shuffled":
+            return
+        final = list(range(1, n + 1))
+        if mode.quality != "forward" and qrels is not None:
+            grade = qrels.judgments.get
+            grades = [grade((query_id, doc.doc_id), 0) for doc in candidates.docs]
+            # By descending grade; the sort is stable, so equal grades keep
+            # candidate order.
+            final = [i + 1 for i in sorted(range(n), key=grades.__getitem__, reverse=True)]
+        if mode.quality == "worst":
+            final.reverse()
+        self.final_text, self.statements = _statements(final, mode)
+
+    def draw(self, seed: int, sample_index: int) -> GenerationResult:
+        rng = random.Random(_stable_u64(seed, self.query_id, sample_index))
+        if self.statements is None:
+            final_text, statements = _statements(rng.sample(range(1, self.n + 1), self.n), self.mode)
+        else:
+            final_text, statements = self.final_text, self.statements
+        getrandbits = rng.getrandbits
+        filler = []
+        for _ in range(self.mode.filler_sentences):
+            pick = getrandbits(_FILLER_BITS)
+            while pick >= len(_FILLER_POOL):
+                pick = getrandbits(_FILLER_BITS)
+            filler.append(_FILLER_POOL[pick])
+        # Filler sentence i goes to gap i % gaps: gap 0 opens the reasoning
+        # and gap j follows statement j. Empty gaps are left out.
+        gaps = len(statements) + 1
+        pieces = [" ".join(filler[0::gaps])]
+        for i, statement in enumerate(statements, start=1):
+            pieces += (statement, " ".join(filler[i::gaps]))
+        reasoning = "\n".join(filter(None, pieces))
+        return GenerationResult(
+            raw_text=f"<think>\n{reasoning}\n</think>\nFinal ranking: {final_text}",
+            endpoint_token_count=None, finish_reason="stop", latency_ms=0,
+        )
 
 
 def mock_generate(
@@ -395,64 +463,37 @@ def mock_generate(
     ranking statements, ending in a final ranking whose quality is set by
     the sample's mode. Byte-identical for identical (seed, query_id,
     sample_index, profile, qrels)."""
-    rng = random.Random(_stable_u64(seed, query_id, sample_index))
-    mode = profile.mode_for(sample_index)
-    n = len(candidates)
-
-    by_grade = sorted(
-        range(1, n + 1),
-        key=lambda alias: (-(qrels.grade(query_id, candidates.docs[alias - 1].doc_id) if qrels else 0), alias),
-    )
-    if mode.quality == "ideal":
-        final = by_grade
-    elif mode.quality == "worst":
-        final = list(reversed(by_grade))
-    elif mode.quality == "forward":
-        final = list(range(1, n + 1))
-    else:
-        final = rng.sample(range(1, n + 1), n)
-
-    final_text = _alias_text(final)
-    statements = [f"So the ranking would be: {final_text}." for _ in range(mode.restatements)]
-    for loop in range(mode.revert_loops):
-        if n >= 2:
-            if loop % 2 == 0:
-                variant = _alias_text([final[1], final[0]] + final[2:])
-            else:
-                variant = _alias_text(final, ties=[True])
-            statements.append(f"But wait, maybe: {variant}.")
-            statements.append(f"On reflection I will keep: {final_text}.")
-
-    filler = [rng.choice(_FILLER_POOL) for _ in range(mode.filler_sentences)]
-    gaps: list[list[str]] = [[] for _ in range(len(statements) + 1)]
-    for i, sentence in enumerate(filler):
-        gaps[i % len(gaps)].append(sentence)
-
-    pieces = [" ".join(gaps[0])]
-    for stmt, gap in zip(statements, gaps[1:]):
-        pieces.append(stmt)
-        pieces.append(" ".join(gap))
-    reasoning = "\n".join(p for p in pieces if p)
-    raw_text = f"<think>\n{reasoning}\n</think>\nFinal ranking: {final_text}"
-    return GenerationResult(raw_text=raw_text, endpoint_token_count=None, finish_reason="stop", latency_ms=0)
+    return _MockPlan(query_id, candidates, profile.mode_for(sample_index), qrels).draw(seed, sample_index)
 
 
 class MockBackend(GenerationBackend):
-    """Serves mock_generate output; never fails."""
+    """Serves mock_generate output; never fails.
+
+    Each thread keeps the plans of the query it served last, one per mode
+    of the profile, and reuses them while requests carry that query id and
+    the same CandidateSet object. Identity, because hashing a CandidateSet
+    per request would cost about 2 us at 20 docs and 10 at 100, against
+    about 14 for a mock call from a plan; holding the set keeps its id from
+    being reused by another. So the plans need no lock, and there are at
+    most as many as threads times modes.
+    """
 
     def __init__(self, profile: MockProfile | None = None, qrels: Qrels | None = None):
         self.profile = profile or MockProfile()
         self.qrels = qrels
+        self._served = threading.local()
 
     def generate(self, request: GenerationRequest) -> GenerationResult:
-        return mock_generate(
-            request.query_id,
-            request.candidates,
-            request.sample_index,
-            request.seed if request.seed is not None else 0,
-            self.profile,
-            qrels=self.qrels,
-        )
+        served = self._served
+        if getattr(served, "candidates", None) is not request.candidates or served.query_id != request.query_id:
+            served.query_id, served.candidates = request.query_id, request.candidates
+            served.plans = [None] * len(self.profile.modes)
+        slot = (request.sample_index - 1) % len(served.plans)
+        plan = served.plans[slot]
+        if plan is None:
+            plan = served.plans[slot] = _MockPlan(
+                request.query_id, request.candidates, self.profile.modes[slot], self.qrels)
+        return plan.draw(request.seed if request.seed is not None else 0, request.sample_index)
 
 
 # --- trajectory sampling ----------------------------------------------------

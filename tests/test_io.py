@@ -737,6 +737,22 @@ class TestReports:
         write_report(self._eval_report(), str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_members_of_every_type_render_canonically(self, tmp_path):
+        class Tag(str):
+            pass
+
+        p = tmp_path / "r.json"
+        write_report({"kind": "comparison", "rows": [
+            {"tag": Tag('a"é'), "on": True, "gap": None, "xs": [1, 2.5, (False, "x"), []], "d": {}},
+        ]}, str(p))
+        assert p.read_text(encoding="utf-8") == (
+            '{\n  "kind": "comparison",\n  "rows": [\n    {\n      "d": {},\n      "gap": null,\n'
+            '      "on": true,\n      "tag": "a\\"é",\n      "xs": [\n        1,\n        2.500000,\n'
+            '        [\n          false,\n          "x"\n        ],\n        []\n      ]\n    }\n  ]\n}\n')
+        for bad in (float("nan"), [float("inf")], {"x": -float("inf")}):
+            with pytest.raises(ValueError, match="non-finite float"):
+                write_report({"kind": "comparison", "rows": [{"x": bad}]}, str(p))
+
     def test_eval_csv_columns(self, tmp_path):
         p = tmp_path / "r.csv"
         write_report(self._eval_report(), str(p), format="csv")

@@ -14,7 +14,7 @@ from rerank_distill.errors import (
 )
 from rerank_distill.metrics import ndcg_at_k
 from rerank_distill import parsing, sampling
-from rerank_distill.models import CandidateDoc, CandidateSet, Ranking, SamplingConfig, TrajectorySample
+from rerank_distill.models import CandidateDoc, CandidateSet, Qrels, Ranking, SamplingConfig, TrajectorySample
 from rerank_distill.sampling import (
     GenerationBackend,
     GenerationRequest,
@@ -108,6 +108,94 @@ class TestMockGenerate:
     def test_unknown_quality_rejected(self):
         with pytest.raises(ConfigError, match="quality"):
             MockMode(quality="amazing")
+
+    def test_golden_outputs_of_every_mode_shape(self):
+        """The bytes of every quality, with and without qrels, over 0-2
+        restatements, 0-3 revert loops (odd loops state a tie) and filler
+        that leaves gaps empty, fills them once or wraps around them."""
+        texts = []
+        for n in (1, 2, 20):
+            universe = make_universe(n)
+            # Tied grades and unjudged docs, so the grade order's tie-break shows.
+            grades = {("q1", doc.doc_id): i * 7 % 4 for i, doc in enumerate(universe.docs) if i * 7 % 4}
+            for qrels in (None, Qrels(judgments={**grades, ("q2", "1"): 3})):
+                for quality in ("ideal", "worst", "shuffled", "forward"):
+                    for restatements in range(3):
+                        for revert_loops in range(4):
+                            for filler in (0, 3, 11):
+                                profile = MockProfile(modes=(MockMode(quality, filler, restatements, revert_loops),))
+                                for sample_index in (1, 2):
+                                    result = mock_generate("q1", universe, sample_index, 11, profile, qrels=qrels)
+                                    assert (result.endpoint_token_count, result.finish_reason) == (None, "stop")
+                                    texts.append(result.raw_text)
+        digest = hashlib.sha256("\x00".join(texts).encode()).hexdigest()
+        assert digest == GOLDEN_MODES_DIGEST
+
+
+class TestMockBackendPlans:
+    """MockBackend reuses a query's plans on the thread that built them; its
+    generations are mock_generate's."""
+
+    PROFILE = MockProfile(modes=(
+        MockMode("ideal", 4, 0, 0), MockMode("worst", 6, 1, 2), MockMode("shuffled", 3, 1, 1),
+    ))
+
+    @staticmethod
+    def request(candidates, sample_index):
+        return GenerationRequest(
+            query_id=candidates.query_id, sample_index=sample_index, messages=(), candidates=candidates,
+            model="mock-model", temperature=0.7, top_p=0.95, max_tokens=8192, seed=5)
+
+    def expected(self, candidates, sample_index, qrels):
+        return mock_generate(candidates.query_id, candidates, sample_index, 5, self.PROFILE, qrels=qrels)
+
+    def test_interleaved_threads_and_a_reused_query_id(self):
+        q1, q2 = make_universe(5, "q1"), make_universe(4, "q2")
+        # The same query id over other docs: a stale plan would rank these
+        # by q1's grades and name the wrong aliases.
+        q1_again = CandidateSet(query_id="q1", docs=tuple(
+            CandidateDoc(doc_id=str(i), text=f"passage {i}") for i in (9, 3, 7, 1)))
+        qrels = Qrels(judgments={("q1", "1"): 1, ("q1", "4"): 3, ("q1", "7"): 2, ("q2", "3"): 2})
+        assert self.expected(q1_again, 2, qrels) != self.expected(q1, 2, qrels)
+        backend = MockBackend(self.PROFILE, qrels)
+        orders = (
+            [(q1, 1), (q1, 2), (q2, 1), (q1, 3), (q1_again, 2), (q1, 2), (q2, 4), (q2, 5), (q1_again, 1)],
+            [(q2, 1), (q1_again, 2), (q1, 2), (q1, 4), (q2, 2), (q1_again, 3), (q1, 1), (q1, 5), (q2, 3)],
+        )
+        step = threading.Barrier(2, timeout=10)
+        results = [[], []]
+
+        def serve(worker):
+            for candidates, sample_index in orders[worker]:
+                step.wait()
+                results[worker].append(backend.generate(self.request(candidates, sample_index)))
+
+        threads = [threading.Thread(target=serve, args=(worker,)) for worker in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        for order, got in zip(orders, results):
+            assert got == [self.expected(candidates, sample_index, qrels) for candidates, sample_index in order]
+
+    def test_a_query_builds_one_plan_per_mode(self, monkeypatch):
+        built = []
+
+        class SpyPlan(sampling._MockPlan):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                built.append(args[2])
+                super().__init__(*args)
+
+        monkeypatch.setattr(sampling, "_MockPlan", SpyPlan)
+        universe = make_universe(20)
+        qrels = graded_qrels("q1", [i % 4 for i in range(20)], universe)
+        backend = MockBackend(self.PROFILE, qrels)
+        got = [backend.generate(self.request(universe, k)) for k in range(1, 17)]
+        assert sorted(built, key=self.PROFILE.modes.index) == list(self.PROFILE.modes)
+        assert got == [self.expected(universe, k, qrels) for k in range(1, 17)]
 
 
 class TestSampleTrajectories:
@@ -618,6 +706,7 @@ class TestHttpChatBackend:
 
 
 GOLDEN_K3_DIGEST = "a26f7753903d2966a9b8b1c71f2f305dc2b2de95c156f59ba31c722e1a2ac66a"
+GOLDEN_MODES_DIGEST = "e1529ae9579708ddf496d6228f3a6c5ea97e7d945c4584c2ebae2f6484d53f19"
 
 
 def test_template_that_is_not_utf8_is_config_error(tmp_path):
