@@ -4,10 +4,11 @@ SFT corpus, and analysis reports.
 Writers are deterministic: the same in-memory value always produces a
 byte-identical file, and each writes through `atomic_write`. Readers reject
 malformed input, a file that is not UTF-8 included, with line-accurate
-diagnostics instead of guessing. The store reader reads a line in the
-layout `write_samples` writes without decoding again the rankings its
-query has already stated; any other valid line reads through the general
-decode, which alone words the errors.
+diagnostics instead of guessing. One generator reads the sample store,
+line by line, holding one query's ranking state at a time: a line in the
+layout `write_samples` writes is read without decoding again the rankings
+its query has already stated; any other valid line reads through the
+general decode, which alone words the errors.
 """
 
 from __future__ import annotations
@@ -350,20 +351,18 @@ def _decode_ranking(groups: object, decoded: dict[tuple, Ranking], field: str) -
 
 
 # A line in the layout `write_samples` writes is cut at its two ranking
-# members (`_cut_rankings`). If it repeats a ranking, the rest of it is
-# decoded (`_split_record`), and each ranking from its text only the first
-# time its query states it. These patterns match the members before
-# "final_ranking" and those from its end up to the "ranking_sequence"
-# list, token by token, so that what is cut out from between them are
-# those two members' values.
+# members (`_cut_rankings`). If it repeats a ranking, it is read from the
+# rest of it and its ranking texts, each decoded only the first time its
+# query states it (`_split_sample`). These patterns match the members
+# before "final_ranking" and those from its end up to the
+# "ranking_sequence" list, token by token, so that what is cut out from
+# between them are those two members' values.
 _JSON_STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
 _BEFORE_FINAL = re.compile(r'(\{"coverage": (?:null|NaN|-?Infinity|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?), '
                            rf'"error": (?:null|{_JSON_STRING})), "final_ranking": ')
 _BEFORE_SEQUENCE = re.compile(rf'(, "prompt_hash": (?:null|{_JSON_STRING}), "query_id": ({_JSON_STRING})), '
                               r'"ranking_sequence": \[')
 _SPLIT_KEYS = frozenset(_HEAD_FIELDS + _TAIL_FIELDS + ("schema_version",))
-# A store line as `_store_records` yields it.
-_StoreEntry = tuple[int, dict, str, dict | None]
 # Its `raw_decode` leaves out the checks for a byte-order mark and for
 # white space around the value that `json.loads` makes, which a ranking
 # text cut from a line does not need.
@@ -403,86 +402,83 @@ def _cut_rankings(line: str) -> tuple[str, str | None, list[str], tuple[int, int
     return middle[2], final, sequence, (head.end(1), final_end, middle.end(1), sequence_end + 1)
 
 
-def _split_record(line: str, cut: tuple) -> dict | None:
-    """The record of a line `_cut_rankings` cut, with its rankings left as
-    text; None if the line less its ranking members does not decode to
-    exactly the other fields and "schema_version".
+def _store_samples(path: str, lines: Iterable[str]) -> Iterator[tuple[int, str, TrajectorySample]]:
+    """Each non-blank line of a store as `(line number, line, sample)`.
 
-    Then the line is JSON, and decodes to this record with the rankings
-    decoded, if and only if `[[<text>]]` is one JSON value for each
-    ranking text. A doc id that holds the text `]], [[` splits its ranking
-    in the wrong place, and such a line fails that check.
+    It holds one query's state: the ranking texts its lines have shown,
+    the Ranking of each text decoded, and the Ranking of each tie-group
+    tuple form, so that the query's samples that state one ranking share
+    one Ranking object. All three start anew where the query id's value
+    changes, whatever the layout of the line it changes on.
+
+    A line in the layout `write_samples` writes that states a ranking
+    twice, or one an earlier line of its query showed, is read from its
+    ranking texts (`_split_sample`). Any other line, and one that cannot be
+    read so, is decoded whole (`_decode_sample`), which costs less when
+    nothing repeats, and words every error.
     """
-    _, final, sequence, (final_start, final_end, sequence_start, sequence_end) = cut
-    try:
-        record = json.loads(line[:final_start] + line[final_end:sequence_start] + line[sequence_end:])
-    except json.JSONDecodeError:
-        return None
-    if record.keys() != _SPLIT_KEYS:
-        return None
-    record["final_ranking"], record["ranking_sequence"] = final, sequence
-    return record
-
-
-def _decoded_texts(texts: Iterable[str]) -> dict[str, object] | None:
-    """Each ranking text mapped to the JSON value `[[<text>]]` holds; None
-    if one of them is not one JSON value."""
-    decoded = {}
-    for text in texts:
-        try:
-            decoded[text], end = _JSON.raw_decode(f"[[{text}]]")
-        except json.JSONDecodeError:
-            return None
-        if end != len(text) + 4:
-            return None
-    return decoded
-
-
-def _store_records(path: str, lines: Iterable[str]) -> Iterator[_StoreEntry]:
-    """Each non-blank line of a store with its line number and the JSON
-    object it holds: `(line number, record, line, new)`.
-
-    `new` is None for a record decoded whole. A line in the layout
-    `write_samples` writes that states a ranking twice, or one an earlier
-    line of its query stated, is split: it keeps its rankings as text in
-    `record`, and `new` maps each of them that no earlier line of the
-    query had decoded to the JSON it holds. Other lines are decoded whole,
-    which costs less when nothing repeats. So a line that is not JSON
-    fails here in either case.
-    """
-    query_id = shown = checked = None
+    # No line's query: the first line starts a query.
+    query_id, query_text = object(), None
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        cut, new = _cut_rankings(line), None
+        cut, record, line_query = _cut_rankings(line), None, query_id
+        if cut is not None and cut[0] != query_text:
+            try:  # compare values: one id may be spelt two ways
+                line_query, query_text = _JSON.raw_decode(cut[0])[0], cut[0]
+            except json.JSONDecodeError:
+                cut = None
+        if cut is None:
+            record = _store_record(path, line_no, line)
+            line_query, query_text = record.get("query_id"), None
+        if line_query != query_id:
+            query_id, shown, by_text, decoded = line_query, set(), {}, {}
+        sample = None
         if cut is not None:
-            line_query, final, sequence, _ = cut
-            if line_query != query_id:
-                query_id, shown, checked = line_query, set(), set()
+            _, final, sequence, _ = cut
             texts = sequence if final is None else [final, *sequence]
             distinct = set(texts)
             repeats = len(distinct) < len(texts) or not shown.isdisjoint(distinct)
             shown |= distinct
-            if repeats and (record := _split_record(line, cut)) is not None:
-                new = _decoded_texts(distinct - checked)
-                if new is not None:
-                    checked |= new.keys()
-        if new is None:
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"corrupted sample record: {exc.msg}", path, line_no) from None
-            if not isinstance(record, dict):
-                raise ParseError("invalid sample record: not a JSON object", path, line_no)
-        yield line_no, record, line, new
+            if repeats:
+                sample = _split_sample(line, cut, by_text, decoded)
+        if sample is None:
+            if record is None:
+                record = _store_record(path, line_no, line)
+            sample = _decode_sample(path, line_no, record, decoded)
+        yield line_no, line, sample
 
 
-def _kept_lines(entries: Iterable[_StoreEntry], lines: list[str]) -> Iterator[_StoreEntry]:
-    """Each store entry, appending its line to `lines` as it goes: the
-    records are still decoded in line order."""
-    for entry in entries:
-        lines.append(entry[2])
-        yield entry
+def _split_sample(line: str, cut: tuple, by_text: dict[str, Ranking],
+                  decoded: dict[tuple, Ranking]) -> TrajectorySample | None:
+    """The sample of a line `_cut_rankings` cut, read from the rest of it
+    and its ranking texts; each text `by_text` lacks is decoded through
+    `decoded` and added to it. None if the rest does not decode to exactly
+    the other fields and "schema_version" 1, or if it and the texts do not
+    make a valid sample.
+
+    Once the rest decodes so, the line is JSON, and decodes to this record
+    with the rankings decoded, if and only if `[[<text>]]` is one JSON
+    value for each ranking text. A doc id that holds the text `]], [[`
+    splits its ranking in the wrong place, and such a line fails that
+    check.
+    """
+    _, final, sequence, (final_start, final_end, sequence_start, sequence_end) = cut
+    try:
+        record = json.loads(line[:final_start] + line[final_end:sequence_start] + line[sequence_end:])
+        if record.keys() != _SPLIT_KEYS or record.pop("schema_version") != SAMPLES_SCHEMA_VERSION:
+            return None
+        for text in sequence if final is None else (final, *sequence):
+            if text not in by_text:
+                groups, end = _JSON.raw_decode(f"[[{text}]]")
+                if end != len(text) + 4:
+                    return None
+                by_text[text] = _decode_ranking(groups, decoded, "ranking")
+        record["final_ranking"] = None if final is None else by_text[final]
+        record["ranking_sequence"] = tuple(map(by_text.__getitem__, sequence))
+        return TrajectorySample(**record)
+    except ValueError:  # json.JSONDecodeError included
+        return None
 
 
 def iter_samples(path: str) -> Iterator[tuple[list[str], list[TrajectorySample]]]:
@@ -490,19 +486,17 @@ def iter_samples(path: str) -> Iterator[tuple[list[str], list[TrajectorySample]]
     `write_samples`, in store order, one query at a time: its samples, and
     the store line each was decoded from, in the same order.
 
-    A line in the layout `write_samples` writes that repeats a ranking is
-    read from its ranking texts, each distinct one decoded once per query;
-    any other valid line reads through the general decode, to the same
-    samples. A query id that does not follow the one before it in strictly
-    ascending order means that a query's records are not contiguous or not
-    in store order: a ParseError naming the query's first line.
+    One generator, `_store_samples`, decodes the lines. A query id that
+    does not follow the one before it in strictly ascending order means
+    that a query's records are not contiguous or not in store order: a
+    ParseError naming the query's first line.
     """
     previous = None
     with _read_text(path) as fh:
-        for query_id, entries in itertools.groupby(_store_records(path, fh), lambda entry: entry[1].get("query_id")):
+        for query_id, entries in itertools.groupby(_store_samples(path, fh), lambda entry: entry[2].query_id):
             first = next(entries)
             lines: list[str] = []
-            samples = read_samples(path, _kept_lines(itertools.chain((first,), entries), lines))
+            samples = read_samples(itertools.chain((first,), entries), lines)
             if previous is not None and query_id <= previous:
                 raise ParseError(
                     f"query {query_id!r} follows query {previous!r}: a query's records must be "
@@ -512,43 +506,25 @@ def iter_samples(path: str) -> Iterator[tuple[list[str], list[TrajectorySample]]
             yield lines, samples
 
 
-def read_samples(path: str, entries: Iterable[_StoreEntry]) -> list[TrajectorySample]:
-    """The samples of one query's `_store_records` entries from the store
-    at `path`; TrajectorySample checks each field's type. Samples that
-    state the same ranking share one Ranking object.
-
-    A split record's rankings are looked up by their text, decoded once
-    per query. If that fails, its line goes through the general decode,
-    which raises the ParseError that says what is wrong.
-    """
-    decoded: dict[tuple, Ranking] = {}
-    by_text: dict[str, Ranking] = {}
+def read_samples(entries: Iterable[tuple[int, str, TrajectorySample]], lines: list[str]) -> list[TrajectorySample]:
+    """One query's samples, read from its `_store_samples` entries, each
+    entry's line appended to `lines`."""
     samples = []
-    for line_no, record, line, new in entries:
-        sample = None if new is None else _split_sample(record, new, by_text, decoded)
-        if sample is None:
-            sample = _decode_sample(path, line_no, record if new is None else json.loads(line), decoded)
+    for _, line, sample in entries:
+        lines.append(line)
         samples.append(sample)
     return samples
 
 
-def _split_sample(record: dict, new: Mapping[str, object], by_text: dict[str, Ranking],
-                  decoded: dict[tuple, Ranking]) -> TrajectorySample | None:
-    """The sample of a split record whose ranking texts are in `by_text`
-    or `new`, adding those of `new` to `by_text`; None if the record is
-    not a valid sample."""
+def _store_record(path: str, line_no: int, line: str) -> dict:
+    """The JSON object on line `line_no` of the store at `path`."""
     try:
-        for text, groups in new.items():
-            by_text[text] = _decode_ranking(groups, decoded, "ranking")
-        if record.pop("schema_version") != SAMPLES_SCHEMA_VERSION:
-            return None
-        final = record["final_ranking"]
-        if final is not None:
-            record["final_ranking"] = by_text[final]
-        record["ranking_sequence"] = tuple(map(by_text.__getitem__, record["ranking_sequence"]))
-        return TrajectorySample(**record)
-    except (KeyError, ValueError):
-        return None
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"corrupted sample record: {exc.msg}", path, line_no) from None
+    if not isinstance(record, dict):
+        raise ParseError("invalid sample record: not a JSON object", path, line_no)
+    return record
 
 
 def _decode_sample(path: str, line_no: int, record: dict, decoded: dict[tuple, Ranking]) -> TrajectorySample:

@@ -5,9 +5,23 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
+from hypothesis import settings
+
 from rerank_distill import io as rio
 from rerank_distill.io import atomic_write, iter_samples, write_samples
 from rerank_distill.models import CandidateDoc, CandidateSet, Qrels, Query, Ranking, TrajectorySample
+
+
+# Hypothesis's default profile runs 100 examples a property, and "ci" ten
+# times that. The store-reader properties of tests/test_io.py scale their
+# example counts by the loaded profile (`examples`); CI runs them again with
+# `--hypothesis-profile ci`.
+settings.register_profile("ci", max_examples=1000)
+
+
+def examples(count: int) -> int:
+    """`count` examples under the default profile, scaled to the loaded one."""
+    return count * settings().max_examples // settings.get_profile("default").max_examples
 
 
 def make_universe(n: int, query_id: str = "q1") -> CandidateSet:
@@ -32,10 +46,7 @@ def splits(line: str) -> bool:
     """Whether the store reader can read `line` from its cut-out ranking
     texts, as it does when a ranking repeats."""
     cut = rio._cut_rankings(line)
-    if cut is None or rio._split_record(line, cut) is None:
-        return False
-    _, final, sequence, _ = cut
-    return rio._decoded_texts(sequence + [final] * (final is not None)) is not None
+    return cut is not None and rio._split_sample(line, cut, {}, {}) is not None
 
 
 def make_query(query_id: str = "q1") -> Query:

@@ -4,6 +4,7 @@ import json
 import logging
 import random
 import tempfile
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -42,7 +43,8 @@ from rerank_distill.models import (
 )
 from rerank_distill.sampling import build_prompt, default_template, hash_messages
 
-from conftest import make_query, make_universe, read_store, splits, write_store
+from conftest import examples, make_query, make_universe, read_store, splits, write_store
+from reference import read_queries
 
 
 class TestQrels:
@@ -316,15 +318,35 @@ def _mutated(draw, text: str) -> str:
     return text
 
 
+def _identities(samples) -> list[int]:
+    """For each ranking the samples state, in order, the index of the
+    first that is the same object."""
+    rankings = [id(r) for s in samples for r in (s.final_ranking, *s.ranking_sequence) if r is not None]
+    return [rankings.index(r) for r in rankings]
+
+
+# Two other layouts of a store line: the writer's with non-ASCII characters
+# escaped, which still reads from its ranking texts, and keys in reverse
+# order, which reads through the general decode.
+_RELAYOUTS = (lambda record: json.dumps(record, sort_keys=True),
+              lambda record: json.dumps(dict(reversed(record.items())), ensure_ascii=False))
+
+
+def _relaid(draw, text: str) -> str:
+    """`text`, a store, with some of its lines in another layout."""
+    lines = io.StringIO(text).readlines()
+    for at in draw(st.lists(st.integers(0, len(lines) - 1), max_size=len(lines))):
+        lines[at] = draw(st.sampled_from(_RELAYOUTS))(json.loads(lines[at])) + "\n"
+    return "".join(lines)
+
+
 def _read_through(path) -> tuple[list, tuple | None]:
     """Each query iter_samples yields from the store at `path`, with the
-    index of the first of its rankings that is the same object as each,
-    and the exception it stops with, if any."""
+    `_identities` of its samples, and the exception it stops with, if any."""
     queries = []
     try:
         for lines, samples in iter_samples(str(path)):
-            rankings = [id(r) for s in samples for r in (s.final_ranking, *s.ranking_sequence) if r is not None]
-            queries.append((lines, samples, [rankings.index(r) for r in rankings]))
+            queries.append((lines, samples, _identities(samples)))
     except Exception as exc:
         return queries, (type(exc), str(exc))
     return queries, None
@@ -332,7 +354,7 @@ def _read_through(path) -> tuple[list, tuple | None]:
 
 def _general_read(path) -> tuple[list, tuple | None]:
     """`_read_through` with every line decoded whole."""
-    with mock.patch.object(rio, "_split_record", return_value=None):
+    with mock.patch.object(rio, "_split_sample", return_value=None):
         return _read_through(path)
 
 
@@ -560,7 +582,7 @@ class TestSplitRecords:
         path.write_text(text, encoding="utf-8")
         return path
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(st.data())
     def test_split_reads_what_the_general_decode_reads(self, data):
         text = _mutated(data.draw, data.draw(_stores()))
@@ -613,7 +635,7 @@ class TestSplitRecords:
         path = self.store(tmp_path, line)
         assert _read_through(path) == _general_read(path)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(st.data())
     def test_every_line_the_writer_writes_is_split(self, data):
         """A change to the writer's layout fails here, not only in the
@@ -643,6 +665,50 @@ class TestSplitRecords:
     @pytest.mark.parametrize("coverage", [float("inf"), float("-inf"), float("nan"), -0.0, 1e16, 5e-324])
     def test_every_coverage_the_writer_writes_is_split(self, coverage):
         assert splits(TestSamples.encoded(make_sample(1, coverage=coverage)))
+
+
+class TestStoreReader:
+    """iter_samples reads a store as tests/reference.py reads it, one query
+    at a time."""
+
+    @staticmethod
+    def read(reader, path) -> tuple[list | None, int | None]:
+        """Each query `reader` reads from `path`, with the `_identities` of
+        its samples; or the line of the ParseError it raises."""
+        try:
+            return [(lines, samples, _identities(samples)) for lines, samples in reader(str(path))], None
+        except ParseError as exc:
+            return None, exc.line
+
+    @settings(max_examples=examples(150), deadline=None)
+    @given(st.data())
+    def test_reads_as_the_reference_reads(self, data):
+        text = _mutated(data.draw, _relaid(data.draw, data.draw(_stores())))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "samples.jsonl"
+            path.write_text(text, encoding="utf-8")
+            got, want = self.read(iter_samples, path), self.read(read_queries, path)
+        assert got == want
+
+    def test_a_query_s_rankings_go_at_its_boundary(self, tmp_path):
+        """Every line of query B is in another key order, so it is decoded
+        whole, and states the rankings query A states. Once the reader has
+        passed B, nothing holds A's Rankings but A's samples."""
+        by_query = {query_id: [make_sample(1, query_id=query_id), make_sample(2, query_id=query_id)]
+                    for query_id in ("qA", "qB", "qC")}
+        out = io.StringIO()
+        for query_id, samples in by_query.items():
+            for line in map(TestSamples.encoded, samples):
+                out.write(json.dumps(dict(reversed(json.loads(line).items()))) + "\n" if query_id == "qB" else line)
+        path = tmp_path / "samples.jsonl"
+        path.write_text(out.getvalue(), encoding="utf-8")
+        queries = iter_samples(str(path))
+        _, a = next(queries)
+        refs = [weakref.ref(r) for s in a for r in (s.final_ranking, *s.ranking_sequence)]
+        del a
+        (_, b), (_, c) = next(queries), next(queries)
+        assert (b, c) == (by_query["qB"], by_query["qC"])
+        assert [ref() for ref in refs] == [None] * 6
 
 
 class TestSftCorpus:
