@@ -34,6 +34,11 @@ DEFAULT_PROFILES: dict[str, dict] = {
 # would ask for another token length or reasoning split than the one stored.
 _FIXED_KEYS = {"tokenizer_mode": "auto", "think_markers": list(THINK_MARKERS)}
 
+# The inputs the CLI takes from the `paths` section when no flag names them.
+# Any other key is refused, not ignored: `qrels` would load and the mock
+# would then rank without them.
+_PATH_KEYS = ("corpus", "run")
+
 
 @dataclass(frozen=True)
 class EndpointSettings:
@@ -63,6 +68,8 @@ class PipelineConfig:
         if self.prompt_template is not None and not os.path.exists(self.prompt_template):
             raise ConfigError(f"prompt template file does not exist: {self.prompt_template}")
         for key, path in self.paths.items():
+            if key not in _PATH_KEYS:
+                raise ConfigError(f"unknown configured path {key!r}; the paths section takes only {list(_PATH_KEYS)}")
             if not isinstance(path, str):
                 raise ConfigError(f"configured path {key!r} must be a path string, got {type(path).__name__}")
             if not os.path.exists(path):

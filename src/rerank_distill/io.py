@@ -6,9 +6,10 @@ byte-identical file, and each writes through `atomic_write`. Readers reject
 malformed input, a file that is not UTF-8 included, with line-accurate
 diagnostics instead of guessing. One generator reads the sample store,
 line by line, holding one query's ranking state at a time: a line in the
-layout `write_samples` writes is read without decoding again the rankings
-its query has already stated; any other valid line reads through the
-general decode, which alone words the errors.
+layout `write_samples` writes is read from its cut-out ranking texts, each
+decoded the first time its query states it; any other line, and one those
+texts cannot read, goes through the general decode, which alone words the
+errors.
 """
 
 from __future__ import annotations
@@ -334,9 +335,10 @@ def _decode_ranking(groups: object, decoded: dict[tuple, Ranking], field: str) -
     so each distinct ranking is checked and built once. A string group has
     the tuple form of the list of its characters, and a JSON object that of
     the list of its keys, so the list shape is checked on every call,
-    before the lookup; the doc ids are checked by Ranking.
+    before the lookup; that it holds a group, and the doc ids, are checked
+    by Ranking.
     """
-    if type(groups) is not list or not groups or not _LIST_ONLY.issuperset(map(type, groups)):
+    if type(groups) is not list or not _LIST_ONLY.issuperset(map(type, groups)):
         raise ValueError(f"field {field!r}: {_BAD_RANKING}")
     key = tuple(map(tuple, groups))
     try:
@@ -351,12 +353,12 @@ def _decode_ranking(groups: object, decoded: dict[tuple, Ranking], field: str) -
 
 
 # A line in the layout `write_samples` writes is cut at its two ranking
-# members (`_cut_rankings`). If it repeats a ranking, it is read from the
-# rest of it and its ranking texts, each decoded only the first time its
-# query states it (`_split_sample`). These patterns match the members
-# before "final_ranking" and those from its end up to the
-# "ranking_sequence" list, token by token, so that what is cut out from
-# between them are those two members' values.
+# members (`_cut_rankings`), and read from the rest of it and its ranking
+# texts, each decoded only the first time its query states it
+# (`_split_sample`). These patterns match the members before
+# "final_ranking" and those from its end up to the "ranking_sequence" list,
+# token by token, so that what is cut out from between them are those two
+# members' values.
 _JSON_STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
 _BEFORE_FINAL = re.compile(r'(\{"coverage": (?:null|NaN|-?Infinity|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?), '
                            rf'"error": (?:null|{_JSON_STRING})), "final_ranking": ')
@@ -405,43 +407,34 @@ def _cut_rankings(line: str) -> tuple[str, str | None, list[str], tuple[int, int
 def _store_samples(path: str, lines: Iterable[str]) -> Iterator[tuple[int, str, TrajectorySample]]:
     """Each non-blank line of a store as `(line number, line, sample)`.
 
-    It holds one query's state: the ranking texts its lines have shown,
-    the Ranking of each text decoded, and the Ranking of each tie-group
-    tuple form, so that the query's samples that state one ranking share
-    one Ranking object. All three start anew where the query id's value
-    changes, whatever the layout of the line it changes on.
+    It holds one query's state: the Ranking of each ranking text decoded,
+    and the Ranking of each tie-group tuple form, so that the query's
+    samples that state one ranking share one Ranking object. Both start
+    anew where the query id's value changes, whatever the layout of the
+    line it changes on.
 
-    A line in the layout `write_samples` writes that states a ranking
-    twice, or one an earlier line of its query showed, is read from its
-    ranking texts (`_split_sample`). Any other line, and one that cannot be
-    read so, is decoded whole (`_decode_sample`), which costs less when
-    nothing repeats, and words every error.
+    A line in the layout `write_samples` writes is read from its ranking
+    texts (`_split_sample`), each decoded the first time its query states
+    it. Any other line, and one that cannot be read so, is decoded whole
+    (`_decode_sample`), which words every error.
     """
     # No line's query: the first line starts a query.
-    query_id, query_text = object(), None
+    query_id = object()
     for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        cut, record, line_query = _cut_rankings(line), None, query_id
-        if cut is not None and cut[0] != query_text:
+        cut, record = _cut_rankings(line), None
+        if cut is not None:
             try:  # compare values: one id may be spelt two ways
-                line_query, query_text = _JSON.raw_decode(cut[0])[0], cut[0]
+                line_query = _JSON.raw_decode(cut[0])[0]
             except json.JSONDecodeError:
                 cut = None
         if cut is None:
             record = _store_record(path, line_no, line)
-            line_query, query_text = record.get("query_id"), None
+            line_query = record.get("query_id")
         if line_query != query_id:
-            query_id, shown, by_text, decoded = line_query, set(), {}, {}
-        sample = None
-        if cut is not None:
-            _, final, sequence, _ = cut
-            texts = sequence if final is None else [final, *sequence]
-            distinct = set(texts)
-            repeats = len(distinct) < len(texts) or not shown.isdisjoint(distinct)
-            shown |= distinct
-            if repeats:
-                sample = _split_sample(line, cut, by_text, decoded)
+            query_id, by_text, decoded = line_query, {}, {}
+        sample = None if cut is None else _split_sample(line, cut, by_text, decoded)
         if sample is None:
             if record is None:
                 record = _store_record(path, line_no, line)

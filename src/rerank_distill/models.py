@@ -94,7 +94,7 @@ _BAD_GROUP = "Ranking groups must be non-empty tuples of doc-id strings"
 
 @dataclass(frozen=True)
 class Ranking:
-    """An ordered list of tie groups over doc_ids.
+    """An ordered, non-empty list of tie groups over doc_ids.
 
     `(("a",), ("b", "c"))` reads "a strictly above b and c, which are tied".
     Equality is tie-aware: identical group structure, not just identical
@@ -110,6 +110,8 @@ class Ranking:
     groups: tuple[tuple[str, ...], ...]
 
     def __post_init__(self) -> None:
+        if not self.groups:
+            raise ValueError("a Ranking must hold at least one tie group")
         seen: set[str] = set()
         for group in self.groups:
             if type(group) is not tuple or not group:

@@ -44,7 +44,7 @@ def read_store(path) -> list[TrajectorySample]:
 
 def splits(line: str) -> bool:
     """Whether the store reader can read `line` from its cut-out ranking
-    texts, as it does when a ranking repeats."""
+    texts, as it reads every line in the layout `write_samples` writes."""
     cut = rio._cut_rankings(line)
     return cut is not None and rio._split_sample(line, cut, {}, {}) is not None
 

@@ -1,13 +1,18 @@
-"""A reference reader of the sample store, written to be read, not to be
-fast: one `json.loads` per line, one Ranking per distinct ranking of a
-query, and nothing of `rerank_distill.io`. `tests/test_io.py` checks that
-`io.iter_samples` reads every store as this reads it.
+"""A reference reader of the sample store, and the redundancy report
+computed from what it reads, written to be read, not to be fast: one
+`json.loads` per line, one Ranking per distinct ranking of a query, the
+paper's TRR and MOR as brute-force oracles, and nothing of
+`rerank_distill.io` or `rerank_distill.metrics`. `tests/test_io.py` checks
+that `io.iter_samples` reads every store as `read_queries` reads it, and
+`tests/test_cli.py` that `analyze-redundancy` writes the report
+`redundancy_report` computes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from collections import Counter
 
 from rerank_distill.errors import ParseError
 from rerank_distill.models import Ranking, TrajectorySample
@@ -73,3 +78,50 @@ def _ranking(groups: object, rankings: dict[tuple, Ranking]) -> Ranking:
     if key not in rankings:
         rankings[key] = Ranking(key)
     return rankings[key]
+
+
+def oracle_t_star(seq) -> int:
+    """t*, the 1-based position of the last ranking that no earlier one
+    equals; 0 for an empty sequence."""
+    return max((i + 1 for i in range(len(seq)) if seq[i] not in seq[:i]), default=0)
+
+
+def oracle_trr(seq) -> float:
+    """Tail repeat ratio, (T - t*) / T; 0 for a sequence of one ranking or none."""
+    if len(seq) <= 1:
+        return 0.0
+    return (len(seq) - oracle_t_star(seq)) / len(seq)
+
+
+def oracle_mor(seq) -> float:
+    """Multi-occurrence ratio: the share of distinct rankings stated more
+    than once; 0 for an empty sequence."""
+    if not seq:
+        return 0.0
+    counts = Counter(seq)
+    return sum(1 for c in counts.values() if c >= 2) / len(counts)
+
+
+def redundancy_report(path: str, model_tag: str) -> dict | None:
+    """The report `analyze-redundancy --model-tag <model_tag>` writes for
+    the store at `path`: a row per sample, in store order, and the model's
+    TRR and MOR averaged over the samples that state a ranking. None when
+    no sample states one, where the stage has nothing to average."""
+    per_sample = [
+        {"query_id": sample.query_id, "sample_index": sample.sample_index,
+         "seq_len": len(seq), "t_star": oracle_t_star(seq), "trr": oracle_trr(seq), "mor": oracle_mor(seq)}
+        for _, samples in read_queries(path)
+        for sample in samples
+        for seq in [sample.ranking_sequence]
+    ]
+    traced = [row for row in per_sample if row["seq_len"]]
+    if not traced:
+        return None
+    rows = [{
+        "model_tag": model_tag,
+        "avg_trr": sum(row["trr"] for row in traced) / len(traced),
+        "avg_mor": sum(row["mor"] for row in traced) / len(traced),
+        "n_traces": len(traced),
+    }]
+    return {"kind": "redundancy", "rows": rows, "per_sample": per_sample,
+            "conventions": {"ranking_equality": "tie-aware", "empty_sequence_value": 0.0}}

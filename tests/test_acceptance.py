@@ -7,7 +7,6 @@ import json
 import math
 import random
 import time
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -25,6 +24,7 @@ from rerank_distill.models import Qrels, Ranking, TrajectorySample
 from rerank_distill.parsing import extract_rankings, parse_final_ranking, render_ranking
 
 from conftest import make_universe, random_ranking, read_store, write_pipeline_workspace
+from reference import oracle_mor, oracle_trr
 
 
 # --- independent oracles ------------------------------------------------------
@@ -34,20 +34,6 @@ def oracle_ndcg(grades_in_rank_order, k=10):
         return sum((2 ** g - 1) / math.log2(i + 2) for i, g in enumerate(grades[:k]))
     ideal = dcg(sorted(grades_in_rank_order, reverse=True))
     return dcg(grades_in_rank_order) / ideal if ideal else 0.0
-
-
-def oracle_trr(seq):
-    if len(seq) <= 1:
-        return 0.0
-    t_star = max(i + 1 for i in range(len(seq)) if seq[i] not in seq[:i])
-    return (len(seq) - t_star) / len(seq)
-
-
-def oracle_mor(seq):
-    if not seq:
-        return 0.0
-    counts = Counter(seq)
-    return sum(1 for c in counts.values() if c >= 2) / len(counts)
 
 
 def oracle_filter(pairs):

@@ -24,7 +24,8 @@ from rerank_distill.metrics import aggregate_report
 from rerank_distill.models import Ranking, TrajectorySample
 from rerank_distill.sampling import GenerationBackend
 
-from conftest import MIXED_MODES_YAML, read_store, splits, write_pipeline_workspace, write_store
+import reference
+from conftest import MIXED_MODES_YAML, examples, read_store, splits, write_pipeline_workspace, write_store
 
 
 # sha256 of each output of run_pipeline(seed=77) over
@@ -392,6 +393,90 @@ def test_golden_digests(tmp_path):
     outs = run_pipeline(tmp_path, paths, tmp_path / "out", seed=77)
     got = {name: hashlib.sha256(Path(path).read_bytes()).hexdigest() for name, path in outs.items()}
     assert got == GOLDEN_DIGESTS
+
+
+def _close(got: object, want: object) -> bool:
+    """Whether the report value `got` is `want`, floats within 1e-6: a report
+    writes each float at six decimal places."""
+    if isinstance(want, float):
+        return type(got) is float and abs(got - want) <= 1e-6
+    if isinstance(want, dict):
+        return type(got) is dict and got.keys() == want.keys() and all(_close(got[k], want[k]) for k in want)
+    if isinstance(want, list):
+        return type(got) is list and len(got) == len(want) and all(map(_close, got, want))
+    return type(got) is type(want) and got == want
+
+
+@st.composite
+def _mock_workspaces(draw, root: Path) -> tuple[dict[str, str], int, int]:
+    """A small mock workspace at `root` of up to three queries, whose
+    config samples K of 1-6 under one to four mock modes of any quality;
+    with a depth of 1-10 and a seed to sample it at."""
+    modes = draw(st.lists(st.fixed_dictionaries({
+        "quality": st.sampled_from(["ideal", "worst", "shuffled", "forward"]), "filler_sentences": st.integers(0, 3),
+        "restatements": st.integers(0, 3), "revert_loops": st.integers(0, 3)}), min_size=1, max_size=4))
+    config = (f"profiles: {{distill: {{k_samples: {draw(st.integers(1, 6))}}}}}\n"
+              f"mock: {{modes: {json.dumps(modes)}}}\n")
+    paths = write_pipeline_workspace(root, n_queries=draw(st.integers(1, 3)), n_docs=draw(st.integers(2, 10)),
+                                     config_extra=config)
+    return paths, draw(st.integers(1, 10)), draw(st.integers(0, 2**31))
+
+
+@st.composite
+def _unrepeated_stores(draw) -> list[TrajectorySample]:
+    """The samples of a store of up to three queries in which no ranking is
+    stated twice: each is a permutation of six doc ids drawn once."""
+    query_ids = sorted(draw(st.lists(st.sampled_from(["q1", "q2", "q3"]), min_size=1, max_size=3, unique=True)))
+    lengths = [draw(st.lists(st.integers(0, 4), min_size=1, max_size=4)) for _ in query_ids]
+    fresh = iter(draw(st.lists(st.permutations([f"d{i}" for i in range(6)]), unique_by=tuple,
+                               min_size=sum(map(sum, lengths)), max_size=sum(map(sum, lengths)))))
+    samples = []
+    for query_id, counts in zip(query_ids, lengths):
+        for index, count in enumerate(counts, start=1):
+            sequence = tuple(Ranking(groups=tuple((doc_id,) for doc_id in next(fresh))) for _ in range(count))
+            samples.append(TrajectorySample(
+                query_id=query_id, sample_index=index, raw_text="trace", reasoning_text="",
+                final_ranking=sequence[-1] if sequence else None, ranking_sequence=sequence,
+                token_len=5, token_len_source="approximated", valid=bool(sequence),
+                coverage=1.0 if sequence else None))
+    return samples
+
+
+class TestRedundancyReference:
+    """`analyze-redundancy` writes the report tests/reference.py computes
+    from the store with brute-force TRR and MOR."""
+
+    @staticmethod
+    def analyzed(store: Path) -> tuple[object, object]:
+        """The report the stage writes for `store`, or None where it exits 1,
+        and the reference's report."""
+        out = store.parent / "redundancy.json"
+        code = main(["analyze-redundancy", "--samples", str(store), "--model-tag", "mock", "--out", str(out)])
+        assert code in (0, 1)
+        return read_report(str(out)) if code == 0 else None, reference.redundancy_report(str(store), "mock")
+
+    @settings(max_examples=examples(60), deadline=None)
+    @given(st.data())
+    def test_a_mock_store_reads_as_the_reference(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            paths, depth, seed = data.draw(_mock_workspaces(root))
+            qrels = ["--qrels", paths["qrels"]] if data.draw(st.booleans()) else []
+            assert main(["sample", "--topics", paths["topics"], "--run-file", paths["run"],
+                         "--corpus", paths["corpus"], "--config", paths["config"], *qrels,
+                         "--depth", str(depth), "--backend", "mock", "--seed", str(seed),
+                         "--out", str(root / "s.jsonl")]) == 0
+            got, want = self.analyzed(root / "s.jsonl")
+        assert _close(got, want)
+
+    @settings(max_examples=examples(40), deadline=None)
+    @given(_unrepeated_stores())
+    def test_a_store_whose_rankings_never_repeat_reads_as_the_reference(self, samples):
+        with tempfile.TemporaryDirectory() as tmp:
+            store = Path(tmp) / "s.jsonl"
+            write_store(samples, store)
+            got, want = self.analyzed(store)
+        assert _close(got, want)
 
 
 def route_backend(monkeypatch, generate):

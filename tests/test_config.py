@@ -44,6 +44,22 @@ def test_non_string_path_is_config_error(tmp_path, text, message):
         _load(tmp_path, text)
 
 
+def test_run_and_corpus_paths_load(tmp_path):
+    for name in ("run.txt", "corpus.tsv"):
+        (tmp_path / name).write_text("")
+    config = _load(tmp_path, f"paths: {{run: {tmp_path / 'run.txt'}, corpus: {tmp_path / 'corpus.tsv'}}}\n")
+    assert config.paths == {"run": str(tmp_path / "run.txt"), "corpus": str(tmp_path / "corpus.tsv")}
+
+
+@pytest.mark.parametrize("key", ["qrels", "topics", "Run"])
+def test_a_path_the_cli_does_not_read_is_config_error(tmp_path, key):
+    """The file exists, but no stage would read it from the config."""
+    (tmp_path / "q.txt").write_text("")
+    with pytest.raises(ConfigError, match=rf"unknown configured path '{key}'; the paths section takes only "
+                                          r"\['corpus', 'run'\]"):
+        _load(tmp_path, f"paths: {{{key}: {tmp_path / 'q.txt'}}}\n")
+
+
 def test_config_that_is_not_utf8_is_config_error(tmp_path):
     path = tmp_path / "config.yaml"
     path.write_bytes(b"seed: 1\nendpoint: {model: caf\xe9}\n")

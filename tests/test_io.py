@@ -639,8 +639,9 @@ class TestSplitRecords:
     @given(st.data())
     def test_every_line_the_writer_writes_is_split(self, data):
         """A change to the writer's layout fails here, not only in the
-        read times: every line it writes can be split, and one that
-        states only rankings its query stated before is."""
+        read times: every line it writes is read from its ranking texts,
+        the first to state a ranking as well as those that state it again,
+        and none is decoded whole."""
         query_id = data.draw(_TEXTS)
         samples = data.draw(st.lists(_samples(query_id), min_size=1, max_size=4))
         out = io.StringIO()
@@ -650,17 +651,7 @@ class TestSplitRecords:
             path = self.store(Path(tmp), out.getvalue())
             with mock.patch.object(rio, "_decode_sample", wraps=rio._decode_sample) as whole:
                 assert read_store(path) == samples + samples
-        stating = [len(samples) + i for i, s in enumerate(samples, start=1) if s.final_ranking or s.ranking_sequence]
-        assert [call.args[1] for call in whole.call_args_list if call.args[1] in stating] == []
-
-    def test_a_line_that_repeats_no_ranking_is_decoded_whole(self, tmp_path):
-        """Cutting it out costs more than decoding it whole once."""
-        distinct = make_sample(1, final_ranking=Ranking(groups=(("2",), ("1",))),
-                               ranking_sequence=(Ranking(groups=(("1",), ("2",))),))
-        path = self.store(tmp_path, TestSamples.encoded(distinct) + TestSamples.encoded(make_sample(2)))
-        with mock.patch.object(rio, "_decode_sample", wraps=rio._decode_sample) as whole:
-            assert read_store(path) == [distinct, make_sample(2)]
-        assert [call.args[1] for call in whole.call_args_list] == [1]
+        assert whole.call_args_list == []
 
     @pytest.mark.parametrize("coverage", [float("inf"), float("-inf"), float("nan"), -0.0, 1e16, 5e-324])
     def test_every_coverage_the_writer_writes_is_split(self, coverage):

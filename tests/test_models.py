@@ -64,6 +64,12 @@ def test_ranking_rejects_duplicates_and_empty_groups():
     assert r.flatten() == ("a", "b", "c")
 
 
+def test_ranking_of_no_groups_is_refused():
+    """It would be written as `[]`, which no store reader accepts."""
+    with pytest.raises(ValueError, match="at least one tie group"):
+        Ranking(groups=())
+
+
 def test_ranking_equality_is_tie_aware():
     tied = Ranking(groups=(("a", "b"),))
     strict = Ranking(groups=(("a",), ("b",)))
