@@ -42,6 +42,7 @@ from .models import (
     TrajectorySample,
     field_type_error,
 )
+from .parsing import THINK_MARKERS
 from .sampling import PromptTemplate, build_prompt, hash_messages
 
 logger = logging.getLogger(__name__)
@@ -258,6 +259,26 @@ def _str_json(value: str | None) -> str:
     return "null" if value is None else encode_basestring(value)
 
 
+def _texts_json(raw_text: str, reasoning_text: str) -> tuple[str, str]:
+    """The JSON texts of a sample's raw text and reasoning, the raw text
+    escaped once. A reasoning where `split_reasoning` takes it from, right
+    after the first think marker or at the start of the raw text, is cut
+    from the raw text's JSON text: JSON escapes each character on its own,
+    so only the text before and after the reasoning is escaped again. A
+    reasoning found anywhere else is escaped on its own."""
+    raw_json = encode_basestring(raw_text)
+    marker = raw_text.find(THINK_MARKERS[0])
+    start = marker + len(THINK_MARKERS[0])
+    if marker == -1 or not raw_text.startswith(reasoning_text, start):
+        start = 0
+        if not raw_text.startswith(reasoning_text):
+            return raw_json, encode_basestring(reasoning_text)
+    # Where the reasoning's escaped characters start and end in raw_json.
+    head = len(encode_basestring(raw_text[:start])) - 1
+    tail = len(raw_json) + 1 - len(encode_basestring(raw_text[start + len(reasoning_text):]))
+    return raw_json, '"' + raw_json[head:tail] + '"'
+
+
 def _ranking_json(ranking: Ranking) -> str:
     """The JSON text of a Ranking, its list of tie groups."""
     return "[" + ", ".join(["[" + ", ".join(map(encode_basestring, group)) + "]" for group in ranking.groups]) + "]"
@@ -279,7 +300,8 @@ def write_samples(samples: Sequence[TrajectorySample], out: TextIO) -> None:
     `json.dumps(record, sort_keys=True, ensure_ascii=False)` writes them. A
     ranking is stored as its list of tie groups.
 
-    Each distinct Ranking object of the call is rendered once. A
+    Each distinct Ranking object of the call is rendered once, and each
+    raw text is escaped once, its reasoning's JSON text cut from it. A
     TrajectorySample checked its field types when it was built, so every
     record written holds types the reader accepts.
     """
@@ -288,6 +310,7 @@ def write_samples(samples: Sequence[TrajectorySample], out: TextIO) -> None:
     rendered: dict[int, str] = {}
     for sample in samples:
         coverage, error, prompt_hash, query_id, raw_text, reasoning_text, sample_index = _head_values(sample)
+        raw_json, reasoning_json = _texts_json(raw_text, reasoning_text)
         final, sequence = sample.final_ranking, sample.ranking_sequence
         if final is not None and id(final) not in rendered:
             rendered[id(final)] = _ranking_json(final)
@@ -299,7 +322,7 @@ def write_samples(samples: Sequence[TrajectorySample], out: TextIO) -> None:
             f'"final_ranking": {"null" if final is None else rendered[id(final)]}, '
             f'"prompt_hash": {_str_json(prompt_hash)}, "query_id": {encode_basestring(query_id)}, '
             f'"ranking_sequence": [{", ".join([rendered[id(r)] for r in sequence])}], '
-            f'"raw_text": {encode_basestring(raw_text)}, "reasoning_text": {encode_basestring(reasoning_text)}, '
+            f'"raw_text": {raw_json}, "reasoning_text": {reasoning_json}, '
             f'"sample_index": {sample_index}, '
             f'"schema_version": {SAMPLES_SCHEMA_VERSION}{_record_tail(sample, sample.score)}\n'
         )

@@ -110,6 +110,8 @@ class Ranking:
     groups: tuple[tuple[str, ...], ...]
 
     def __post_init__(self) -> None:
+        if type(self.groups) is not tuple:
+            raise ValueError(f"Ranking groups must be a tuple of tie groups, got {type(self.groups).__name__}")
         if not self.groups:
             raise ValueError("a Ranking must hold at least one tie group")
         seen: set[str] = set()

@@ -41,6 +41,7 @@ from rerank_distill.models import (
     Ranking,
     TrajectorySample,
 )
+from rerank_distill.parsing import THINK_MARKERS
 from rerank_distill.sampling import build_prompt, default_template, hash_messages
 
 from conftest import examples, make_query, make_universe, read_store, splits, write_store
@@ -262,14 +263,35 @@ def _rankings(draw, doc_ids=st.text(_CHARS, min_size=1, max_size=4)):
     return Ranking(groups=tuple(map(tuple, groups)))
 
 
+# Texts that may hold a think marker, so a trace may hold one twice.
+_THINK_TEXTS = st.lists(st.sampled_from(THINK_MARKERS) | _TEXTS, max_size=3).map("".join)
+
+
+@st.composite
+def _traces(draw, texts):
+    """A raw text and its reasoning: the reasoning between think markers
+    or a prefix of the raw text, as `split_reasoning` takes it, or drawn
+    apart from the raw text. Any part may hold a think marker itself, so a
+    marked reasoning may follow a second `<think>`."""
+    texts = texts | _THINK_TEXTS
+    before, reasoning, after = draw(texts), draw(texts), draw(texts)
+    shape = draw(st.sampled_from(("marked", "prefix", "apart")))
+    if shape == "marked":
+        return before + THINK_MARKERS[0] + reasoning + THINK_MARKERS[1] + after, reasoning
+    if shape == "prefix":
+        return reasoning + after, reasoning
+    return before, reasoning
+
+
 @st.composite
 def _samples(draw, query_id, rankings=_rankings(), texts=_TEXTS):
     valid = draw(st.booleans())
+    raw_text, reasoning_text = draw(_traces(texts))
     return TrajectorySample(
         query_id=query_id,
         sample_index=draw(st.integers(1, 2**40)),
-        raw_text=draw(texts),
-        reasoning_text=draw(texts),
+        raw_text=raw_text,
+        reasoning_text=reasoning_text,
         final_ranking=draw(rankings if valid else st.none() | rankings),
         ranking_sequence=tuple(draw(st.lists(rankings, max_size=3))),
         token_len=draw(st.integers(0, 2**40)),
@@ -550,13 +572,9 @@ class TestSamples:
             write_store(samples, p)
             assert read_store(p) == samples
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_record_is_what_json_dumps_writes(self, data):
-        query_id = data.draw(_TEXTS)
-        samples = data.draw(st.lists(_samples(query_id), max_size=4))
-        out = io.StringIO()
-        write_samples(samples, out)
+    @staticmethod
+    def dumped(samples) -> str:
+        """The store lines of `samples` as `json.dumps` writes them."""
         records = []
         for sample in samples:
             record = {f.name: getattr(sample, f.name) for f in dataclasses.fields(sample)}
@@ -564,11 +582,38 @@ class TestSamples:
             record["ranking_sequence"] = [r.groups for r in sample.ranking_sequence]
             record["schema_version"] = 1
             records.append(json.dumps(record, sort_keys=True, ensure_ascii=False) + "\n")
-        assert out.getvalue() == "".join(records)
+        return "".join(records)
+
+    @settings(max_examples=examples(150), deadline=None)
+    @given(st.data())
+    def test_record_is_what_json_dumps_writes(self, data):
+        query_id = data.draw(_TEXTS)
+        samples = data.draw(st.lists(_samples(query_id), max_size=4))
+        out = io.StringIO()
+        write_samples(samples, out)
+        assert out.getvalue() == self.dumped(samples)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "samples.jsonl"
             path.write_text(out.getvalue(), encoding="utf-8")
             assert read_store(path) == samples
+
+    @pytest.mark.parametrize("raw_text, reasoning_text, cut", [
+        ('<think>\n"a"\t\\ \u2028\U0001F600\n</think>\nFinal: [1] > [2]', '\n"a"\t\\ \u2028\U0001F600\n', True),
+        ('\x00 "a" <think>\x7f\n</think>"', '\x7f\n', True),
+        ('<think></think>\n"a"', "", True),
+        ('"a"\n\t\U0001F600 [1] > [2]', '"a"\n\t\U0001F600 ', True),
+        # After a second think marker, and in no place at all: escaped on its own.
+        ('"x"\n<think>\t<think>\n"a"\u2028\n</think>', '\n"a"\u2028\n', False),
+        ('"x"\n<think>\t</think>', '"x"\t', False),
+    ])
+    def test_reasoning_cut_from_the_raw_text_is_what_json_dumps_writes(self, raw_text, reasoning_text, cut):
+        """A reasoning where split_reasoning takes it from is not escaped on
+        its own; one found elsewhere is, and both write json.dumps's bytes."""
+        sample = make_sample(1, raw_text=raw_text, reasoning_text=reasoning_text)
+        with mock.patch.object(rio, "encode_basestring", wraps=rio.encode_basestring) as escape:
+            line = self.encoded(sample)
+        assert line == self.dumped([sample])
+        assert (mock.call(reasoning_text) not in escape.call_args_list) == cut
 
 
 class TestSplitRecords:

@@ -70,6 +70,14 @@ def test_ranking_of_no_groups_is_refused():
         Ranking(groups=())
 
 
+@pytest.mark.parametrize("groups", [[("a",)], [["a"], ["b"]]])
+def test_ranking_of_groups_in_a_list_is_refused(groups):
+    """A list is refused as a string is, with a ValueError, not left to
+    fail in the hash."""
+    with pytest.raises(ValueError, match="Ranking groups must be a tuple of tie groups, got list"):
+        Ranking(groups=groups)
+
+
 def test_ranking_equality_is_tie_aware():
     tied = Ranking(groups=(("a", "b"),))
     strict = Ranking(groups=(("a",), ("b",)))
