@@ -13,6 +13,7 @@ and the other stages do not pay its import.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -120,12 +121,19 @@ def _interpolate(value: object) -> object:
 
 def _check_types(settings: Mapping, cls: type, prefix: str) -> None:
     """Refuse each setting of `settings` that names a field of the dataclass
-    `cls` but has a type its annotation does not accept (`text_types`); the
-    error names it as `prefix` + field name. Others are left to `cls`."""
+    `cls` but has a type its annotation does not accept (`text_types`), or
+    is a float that is not finite (YAML's .nan and .inf: no range check
+    refuses NaN, and an endpoint's backoff would sleep NaN or infinite
+    seconds); the error names it as `prefix` + field name. Others are left
+    to `cls`."""
     for name, hint in get_type_hints(cls).items():
-        kinds = text_types(hint)
-        if name in settings and type(settings[name]) not in kinds:
-            raise ConfigError(f"{type_message(prefix + name, settings[name], kinds)} {settings[name]!r}")
+        if name not in settings:
+            continue
+        value, kinds = settings[name], text_types(hint)
+        if type(value) not in kinds:
+            raise ConfigError(f"{type_message(prefix + name, value, kinds)} {value!r}")
+        if type(value) is float and not math.isfinite(value):
+            raise ConfigError(f"{prefix}{name} must be a finite number, got {value!r}")
 
 
 def _endpoint_settings(raw: Mapping) -> EndpointSettings:

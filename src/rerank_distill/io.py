@@ -387,7 +387,9 @@ _BEFORE_FINAL = re.compile(r'(\{"coverage": (?:null|NaN|-?Infinity|-?\d+(?:\.\d+
                            rf'"error": (?:null|{_JSON_STRING})), "final_ranking": ')
 _BEFORE_SEQUENCE = re.compile(rf'(, "prompt_hash": (?:null|{_JSON_STRING}), "query_id": ({_JSON_STRING})), '
                               r'"ranking_sequence": \[')
-_SPLIT_KEYS = frozenset(_HEAD_FIELDS + _TAIL_FIELDS + ("schema_version",))
+# The members of a line with its two rankings cut out: the other fields and
+# "schema_version".
+_SPLIT_KEY_COUNT = len(_HEAD_FIELDS) + len(_TAIL_FIELDS) + 1
 # Its `raw_decode` leaves out the checks for a byte-order mark and for
 # white space around the value that `json.loads` makes, which a ranking
 # text cut from a line does not need.
@@ -482,7 +484,9 @@ def _split_sample(line: str, cut: tuple, by_text: dict[str, Ranking],
     _, final, sequence, (final_start, final_end, sequence_start, sequence_end) = cut
     try:
         record = json.loads(line[:final_start] + line[final_end:sequence_start] + line[sequence_end:])
-        if record.keys() != _SPLIT_KEYS or record.pop("schema_version") != SAMPLES_SCHEMA_VERSION:
+        # With the two rankings set, `from_fields` refuses any other key set
+        # of this size: a ranking key in the rest leaves one field missing.
+        if len(record) != _SPLIT_KEY_COUNT or record.pop("schema_version", None) != SAMPLES_SCHEMA_VERSION:
             return None
         for text in sequence if final is None else (final, *sequence):
             if text not in by_text:
@@ -492,7 +496,7 @@ def _split_sample(line: str, cut: tuple, by_text: dict[str, Ranking],
                 by_text[text] = _decode_ranking(groups, decoded, "ranking")
         record["final_ranking"] = None if final is None else by_text[final]
         record["ranking_sequence"] = tuple(map(by_text.__getitem__, sequence))
-        return TrajectorySample(**record)
+        return TrajectorySample.from_fields(record)
     except ValueError:  # json.JSONDecodeError included
         return None
 
@@ -561,7 +565,7 @@ def _decode_sample(path: str, line_no: int, record: dict, decoded: dict[tuple, R
             values["final_ranking"] = _decode_ranking(final, decoded, "final_ranking")
         values["ranking_sequence"] = tuple([_decode_ranking(groups, decoded, "ranking_sequence")
                                             for groups in sequence])
-        return TrajectorySample(**values)
+        return TrajectorySample.from_fields(values)
     except (KeyError, ValueError) as exc:
         raise ParseError(f"invalid sample record: {exc}", path, line_no) from None
 

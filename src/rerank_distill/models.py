@@ -161,6 +161,26 @@ class TrajectorySample:
     error: str | None = None
     prompt_hash: str | None = None
 
+    @classmethod
+    def from_fields(cls, fields: Mapping[str, object]) -> TrajectorySample:
+        """The sample whose fields are `fields`, which names every field
+        and no other (else a ValueError names each missing and unknown
+        one), after the same checks as the keyword constructor.
+
+        It sets the fields in one `__dict__` update, not one
+        `object.__setattr__` each as the frozen dataclass's `__init__`
+        does, so a stage that builds a sample per record pays little more
+        than the checks.
+        """
+        if fields.keys() != _SAMPLE_FIELD_NAMES:
+            raise ValueError("; ".join(
+                [f"missing field {name!r}" for name in SAMPLE_FIELD_TYPES if name not in fields]
+                + [f"unknown field {name!r}" for name in fields if name not in SAMPLE_FIELD_TYPES]))
+        sample = object.__new__(cls)
+        sample.__dict__.update(fields)
+        sample.__post_init__()
+        return sample
+
     def __post_init__(self) -> None:
         for name, value in self.__dict__.items():
             if type(value) not in SAMPLE_FIELD_TYPES[name]:
@@ -206,6 +226,7 @@ def type_message(name: str, value: object, kinds: tuple[type, ...]) -> str:
 # What each TrajectorySample field may hold, by its annotation. The sample
 # store writes and reads these fields, so no other module lists them.
 SAMPLE_FIELD_TYPES = {name: _exact_types(hint) for name, hint in get_type_hints(TrajectorySample).items()}
+_SAMPLE_FIELD_NAMES = frozenset(SAMPLE_FIELD_TYPES)
 _RANKING_ONLY = frozenset((Ranking,))
 
 

@@ -12,7 +12,7 @@ survive, so bare passage citations like "[13]" are ignored.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .models import CandidateSet, Ranking
 
@@ -26,11 +26,15 @@ _RANKING_RUN = re.compile(r"\[\d+\](?:\s*[>=]\s*\[\d+\])*")
 # strings past sys.get_int_max_str_digits(), so longer ones are never
 # converted.
 _MAX_ALIAS_DIGITS = 18
+# What `extract_rankings` reads from its `parsed_runs` for a run it has not
+# parsed yet; None there is a run that is no ranking.
+_UNPARSED = object()
 
 
-@dataclass(frozen=True)
-class RankingPatternMatch:
-    """One ranking statement found in text, with its character span."""
+class RankingPatternMatch(NamedTuple):
+    """One ranking statement found in text, with its character span. A
+    NamedTuple, not a frozen dataclass: a trace states several, and a tuple
+    costs about half as much to build."""
 
     span: tuple[int, int]
     ranking: Ranking
@@ -93,15 +97,15 @@ def extract_rankings(
     """
     if parsed_runs is None:
         parsed_runs = {}
+    parsed = parsed_runs.get
     matches = []
     for m in _RANKING_RUN.finditer(text):
-        run = m.group(0)
-        if run in parsed_runs:
-            ranking = parsed_runs[run]
-        else:
+        run = m[0]
+        ranking = parsed(run, _UNPARSED)
+        if ranking is _UNPARSED:
             ranking = parsed_runs[run] = _parse_run(run, universe)
         if ranking is not None:
-            matches.append(RankingPatternMatch(span=m.span(), ranking=ranking))
+            matches.append(RankingPatternMatch(m.span(), ranking))
     return matches
 
 

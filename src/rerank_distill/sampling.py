@@ -203,6 +203,9 @@ class HttpChatBackend(GenerationBackend):
             raise ConfigError("HTTP backend requires an endpoint URL")
         if max_retries < 0:
             raise ConfigError(f"endpoint max_retries must be >= 0, got {max_retries}")
+        for name, seconds in (("backoff_base_s", backoff_base_s), ("timeout_s", timeout_s)):
+            if not math.isfinite(seconds):
+                raise ConfigError(f"endpoint {name} must be a finite number, got {seconds}")
         if backoff_base_s < 0:
             raise ConfigError(f"endpoint backoff_base_s must be >= 0, got {backoff_base_s}")
         if timeout_s <= 0:
@@ -425,8 +428,10 @@ class _MockPlan:
             final.reverse()
         self.final_text, self.statements = _statements(final, mode)
 
-    def draw(self, seed: int, sample_index: int) -> GenerationResult:
-        rng = random.Random(_stable_u64(seed, self.query_id, sample_index))
+    def draw(self, seed: int, sample_index: int, rng: random.Random) -> GenerationResult:
+        """The sample's generation, drawn from `rng` reseeded for it:
+        reseeding costs less than building a generator per sample."""
+        rng.seed(_stable_u64(seed, self.query_id, sample_index))
         if self.statements is None:
             final_text, statements = _statements(rng.sample(range(1, self.n + 1), self.n), self.mode)
         else:
@@ -463,7 +468,23 @@ def mock_generate(
     ranking statements, ending in a final ranking whose quality is set by
     the sample's mode. Byte-identical for identical (seed, query_id,
     sample_index, profile, qrels)."""
-    return _MockPlan(query_id, candidates, profile.mode_for(sample_index), qrels).draw(seed, sample_index)
+    plan = _MockPlan(query_id, candidates, profile.mode_for(sample_index), qrels)
+    return plan.draw(seed, sample_index, random.Random(0))
+
+
+class _Served(threading.local):
+    """What each thread that a MockBackend serves keeps: the query it served
+    last, with its plans, and one RNG that every draw on the thread
+    reseeds. One per plan would be built anew for each query, and would
+    cost more than it saves."""
+
+    def __init__(self) -> None:
+        self.query_id: str | None = None
+        self.candidates: CandidateSet | None = None
+        self.plans: list[_MockPlan | None] = []
+        # A constant seed: `random.Random()` seeds from os.urandom, twice
+        # the cost (9 against 4 us), and each draw reseeds it anyway.
+        self.rng = random.Random(0)
 
 
 class MockBackend(GenerationBackend):
@@ -475,17 +496,18 @@ class MockBackend(GenerationBackend):
     per request would cost about 2 us at 20 docs and 10 at 100, against
     about 14 for a mock call from a plan; holding the set keeps its id from
     being reused by another. So the plans need no lock, and there are at
-    most as many as threads times modes.
+    most as many as threads times modes. Each thread also keeps one RNG,
+    which each of its draws reseeds.
     """
 
     def __init__(self, profile: MockProfile | None = None, qrels: Qrels | None = None):
         self.profile = profile or MockProfile()
         self.qrels = qrels
-        self._served = threading.local()
+        self._served = _Served()
 
     def generate(self, request: GenerationRequest) -> GenerationResult:
         served = self._served
-        if getattr(served, "candidates", None) is not request.candidates or served.query_id != request.query_id:
+        if served.candidates is not request.candidates or served.query_id != request.query_id:
             served.query_id, served.candidates = request.query_id, request.candidates
             served.plans = [None] * len(self.profile.modes)
         slot = (request.sample_index - 1) % len(served.plans)
@@ -493,7 +515,7 @@ class MockBackend(GenerationBackend):
         if plan is None:
             plan = served.plans[slot] = _MockPlan(
                 request.query_id, request.candidates, self.profile.modes[slot], self.qrels)
-        return plan.draw(request.seed if request.seed is not None else 0, request.sample_index)
+        return plan.draw(request.seed if request.seed is not None else 0, request.sample_index, served.rng)
 
 
 # --- trajectory sampling ----------------------------------------------------
@@ -603,17 +625,18 @@ def _parse_sample(
             error = "no parseable ranking in generation"
         else:
             final_ranking, coverage = parsed
-    return TrajectorySample(
-        query_id=query_id,
-        sample_index=sample_index,
-        raw_text=raw_text,
-        reasoning_text=reasoning,
-        final_ranking=final_ranking,
-        ranking_sequence=sequence,
-        token_len=token_len,
-        token_len_source=source,
-        valid=final_ranking is not None,
-        coverage=coverage,
-        error=error,
-        prompt_hash=prompt_hash,
-    )
+    return TrajectorySample.from_fields({
+        "query_id": query_id,
+        "sample_index": sample_index,
+        "raw_text": raw_text,
+        "reasoning_text": reasoning,
+        "final_ranking": final_ranking,
+        "ranking_sequence": sequence,
+        "token_len": token_len,
+        "token_len_source": source,
+        "score": None,
+        "valid": final_ranking is not None,
+        "coverage": coverage,
+        "error": error,
+        "prompt_hash": prompt_hash,
+    })

@@ -175,6 +175,24 @@ class TestPipelineStages:
                      "--out", str(tmp_path / "s.jsonl")])
         assert code == 1
 
+    @pytest.mark.parametrize("setting, key", [
+        ("timeout_s: .inf", "endpoint.timeout_s"),
+        ("backoff_base_s: .nan", "endpoint.backoff_base_s"),
+    ])
+    def test_non_finite_endpoint_setting_is_refused_before_any_request(self, workspace, monkeypatch, capsys,
+                                                                       setting, key):
+        tmp_path, paths = workspace
+        requests = []
+        monkeypatch.setattr(cli.HttpChatBackend, "generate", lambda self, request: requests.append(request))
+        cfg = tmp_path / "http.yaml"
+        cfg.write_text(f"endpoint: {{url: 'http://127.0.0.1:1/v1/chat/completions', model: m, {setting}}}\n")
+        code = main(["sample", "--topics", paths["topics"], "--run-file", paths["run"],
+                     "--corpus", paths["corpus"], "--config", str(cfg),
+                     "--backend", "http", "--out", str(tmp_path / "s.jsonl")])
+        assert code == 1
+        assert f"error: {key} must be a finite number" in capsys.readouterr().err
+        assert requests == []
+
     def test_unreachable_endpoint_is_backend_failure(self, workspace):
         tmp_path, paths = workspace
         cfg = tmp_path / "http.yaml"
@@ -651,6 +669,26 @@ class TestSampleStage:
         assert len(set(stores.values())) == 1
         assert [(s.query_id, s.sample_index) for s in read_store(tmp_path / "s1.jsonl")] == [
             (f"q{q:03d}", k) for q in range(1, n_queries + 1) for k in (1, 2)]
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    @pytest.mark.parametrize("max_in_flight", [1, 3])
+    def test_a_smaller_k_samples_a_prefix_of_the_store(self, tmp_path, seed, max_in_flight):
+        """K as a prefix: a K=4 store is the K=16 store's lines whose
+        sample_index is 4 or lower, byte for byte, under every mock quality
+        (the first four samples draw one mode each)."""
+        modes = "mock:\n  modes:\n" + "".join(
+            f"    - {{quality: {quality}, filler_sentences: {2 + i}, restatements: {i % 2}, "
+            f"revert_loops: {(i + 1) % 2}}}\n" for i, quality in enumerate(("shuffled", "ideal", "worst", "forward")))
+        paths = write_pipeline_workspace(tmp_path, n_queries=5, n_docs=8)
+        stores = {}
+        for k in (4, 16):
+            Path(paths["config"]).write_text(
+                modes + f"profiles: {{distill: {{k_samples: {k}, max_in_flight: {max_in_flight}}}}}\n")
+            out = tmp_path / f"k{k}.jsonl"
+            assert sample_stage(paths, out, "--seed", str(seed)) == 0  # the last --seed wins
+            stores[k] = out.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert len(stores[4]) == 5 * 4
+        assert stores[4] == [line for line in stores[16] if json.loads(line)["sample_index"] <= 4]
 
     @pytest.mark.parametrize("broken", [False, True])
     def test_stage_closes_its_backend(self, tmp_path, monkeypatch, broken):

@@ -133,3 +133,19 @@ def test_sampling_floats_may_be_ints(tmp_path):
 def test_null_mock_mode_is_the_default_mode(tmp_path):
     assert _load(tmp_path, "mock: {modes: [null, {quality: worst}]}\n").mock == MockProfile(
         modes=(MockMode(), MockMode(quality="worst")))
+
+
+@pytest.mark.parametrize("text, key", [
+    ("profiles: {distill: {temperature: .nan}}", "profiles.distill.temperature"),
+    ("profiles: {eval: {temperature: .inf}}", "profiles.eval.temperature"),
+    ("profiles: {fast: {top_p: -.inf}}", "profiles.fast.top_p"),
+    ("endpoint: {backoff_base_s: .nan}", "endpoint.backoff_base_s"),
+    ("endpoint: {backoff_base_s: .inf}", "endpoint.backoff_base_s"),
+    ("endpoint: {timeout_s: .inf}", "endpoint.timeout_s"),
+    ("endpoint: {timeout_s: .NaN}", "endpoint.timeout_s"),
+])
+def test_non_finite_number_is_config_error(tmp_path, text, key):
+    """No range check refuses NaN, and an endpoint's retry would sleep NaN
+    or infinite seconds."""
+    with pytest.raises(ConfigError, match=rf"^{key} must be a finite number, got -?(nan|inf)$"):
+        _load(tmp_path, text + "\n")

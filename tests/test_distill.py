@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rerank_distill.distill import (
     build_corpus,
@@ -12,7 +14,7 @@ from rerank_distill.distill import (
 )
 from rerank_distill.models import Ranking, TrajectorySample
 
-from conftest import make_query, make_universe
+from conftest import examples, make_query, make_universe
 
 
 def sample(idx, score=None, token_len=100, valid=True, qid="q1"):
@@ -167,3 +169,48 @@ class TestFilterProperties:
             mu_s, mu_l = query_stats(valid)
             target = select_target(efficient_set(valid, mu_s, mu_l))
             assert target is dominant
+
+
+# Few distinct scores and lengths, so that a query's efficient samples
+# often tie on length with different scores.
+_SCORES = st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+_LENGTHS = st.sampled_from([0, 1, 2, 1000])
+
+
+@st.composite
+def _query_samples(draw, qid):
+    """One query's samples in any order: valid ones scored, invalid ones
+    scored or not."""
+    samples = []
+    for idx in draw(st.permutations(range(1, draw(st.integers(1, 16)) + 1))):
+        valid = draw(st.sampled_from([True, True, True, False]))
+        score = draw(_SCORES if valid else st.none() | _SCORES)
+        samples.append(sample(idx, score=score, token_len=draw(_LENGTHS), valid=valid, qid=qid))
+    return samples
+
+
+def dominates(a, b) -> bool:
+    """Whether `a` is Pareto-better than `b`: a score at least as high and
+    a length no longer, and better on one of them."""
+    return (a.score >= b.score and a.token_len <= b.token_len
+            and (a.score > b.score or a.token_len < b.token_len))
+
+
+class TestParetoTarget:
+    """The filter is Pareto-inspired: its target is on the front of (score
+    up, length down) over the query's valid scored samples."""
+
+    @settings(max_examples=examples(200), deadline=None)
+    @given(st.data())
+    def test_target_is_never_dominated(self, data):
+        qids = data.draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+        per_query = {qid: (make_query(qid), make_universe(2, qid), data.draw(_query_samples(qid))) for qid in qids}
+        records, stats = build_corpus(per_query)
+        targets = {record.query.id: record for record in records}
+        assert [row.query_id for row in stats if row.retained] == sorted(targets)
+        for qid, record in targets.items():
+            samples = per_query[qid][2]
+            [target] = [s for s in samples if s.raw_text == record.target_text]
+            assert (target.score, target.token_len) == (record.target_score, record.target_len)
+            scored = [s for s in samples if s.valid and s.score is not None]
+            assert not any(dominates(s, target) for s in scored)

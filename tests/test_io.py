@@ -38,8 +38,10 @@ from rerank_distill.models import (
     LengthBucket,
     Qrels,
     QueryFilterStats,
+    SAMPLE_FIELD_TYPES,
     Ranking,
     TrajectorySample,
+    field_type_error,
 )
 from rerank_distill.parsing import THINK_MARKERS
 from rerank_distill.sampling import build_prompt, default_template, hash_messages
@@ -614,6 +616,60 @@ class TestSamples:
             line = self.encoded(sample)
         assert line == self.dumped([sample])
         assert (mock.call(reasoning_text) not in escape.call_args_list) == cut
+
+
+def _fields(sample: TrajectorySample) -> dict:
+    return {f.name: getattr(sample, f.name) for f in dataclasses.fields(sample)}
+
+
+# A value of each type some field holds, and of types none does.
+_ANY_VALUES = (None, True, 0, 1.0, "x", Ranking(groups=(("x",), ("y",))), (), [], {})
+
+
+class TestFromFields:
+    """TrajectorySample.from_fields, the constructor every stage builds its
+    samples with, builds what the keyword constructor builds and refuses
+    what it refuses, with the same messages."""
+
+    @settings(max_examples=examples(100), deadline=None)
+    @given(st.data())
+    def test_builds_the_keyword_built_sample(self, data):
+        sample = data.draw(_samples(data.draw(_TEXTS)))
+        fields = _fields(sample)
+        order = data.draw(st.permutations(list(fields)))
+        built = TrajectorySample.from_fields({name: fields[name] for name in order})
+        assert built == sample
+        assert repr(built) == repr(sample)
+
+    @settings(max_examples=examples(100), deadline=None)
+    @given(st.data())
+    def test_a_missing_or_unknown_field_is_named(self, data):
+        fields = _fields(data.draw(_samples(data.draw(_TEXTS))))
+        missing = data.draw(st.lists(st.sampled_from(list(fields)), unique=True, max_size=3))
+        unknown = data.draw(st.lists(_TEXTS.filter(lambda name: name not in fields), unique=True, max_size=2))
+        if not missing and not unknown:
+            missing = [data.draw(st.sampled_from(list(fields)))]
+        for name in missing:
+            del fields[name]
+        fields.update(dict.fromkeys(unknown, 0))
+        with pytest.raises(ValueError) as refused:
+            TrajectorySample.from_fields(fields)
+        message = str(refused.value)
+        assert all(f"missing field {name!r}" in message for name in missing)
+        assert all(f"unknown field {name!r}" in message for name in unknown)
+
+    @settings(max_examples=examples(100), deadline=None)
+    @given(st.data())
+    def test_each_wrongly_typed_field_gets_the_keyword_message(self, data):
+        fields = _fields(data.draw(_samples(data.draw(_TEXTS))))
+        for name, kinds in SAMPLE_FIELD_TYPES.items():
+            value = data.draw(st.sampled_from([value for value in _ANY_VALUES if type(value) not in kinds]))
+            bad = {**fields, name: value}
+            with pytest.raises(ValueError) as keyword:
+                TrajectorySample(**bad)
+            with pytest.raises(ValueError) as mapping:
+                TrajectorySample.from_fields(bad)
+            assert str(mapping.value) == str(keyword.value) == str(field_type_error(name, value))
 
 
 class TestSplitRecords:

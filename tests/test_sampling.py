@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -699,6 +700,8 @@ class TestHttpChatBackend:
         ({"backoff_base_s": -0.5}, "backoff_base_s must be >= 0, got -0.5"),
         ({"timeout_s": 0}, "timeout_s must be > 0, got 0"),
         ({"timeout_s": -1.0}, "timeout_s must be > 0, got -1.0"),
+        ({"backoff_base_s": math.nan}, "backoff_base_s must be a finite number, got nan"),
+        ({"timeout_s": math.inf}, "timeout_s must be a finite number, got inf"),
     ])
     def test_out_of_range_retry_settings_are_config_errors(self, setting, message):
         with pytest.raises(ConfigError, match=message):
