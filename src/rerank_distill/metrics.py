@@ -175,7 +175,10 @@ def length_buckets(
     sums = [0.0] * bucket_count
     counts = [0] * bucket_count
     for ndcg, gen_len in per_query.values():
-        idx = min(int((gen_len - lo) / width), bucket_count - 1)
+        # One correctly rounded division of exact integers. Dividing by the
+        # rounded `width` instead puts some lengths on a bucket's lower edge
+        # in the bucket below (109 in 100..118 over 14 buckets).
+        idx = min(int((gen_len - lo) * bucket_count / (hi - lo)), bucket_count - 1)
         sums[idx] += ndcg
         counts[idx] += 1
     buckets = []

@@ -20,8 +20,11 @@ from .models import CandidateSet, Ranking
 THINK_MARKERS = ("<think>", "</think>")
 
 # Maximal syntactic run: bracketed integers joined by > or = with optional
-# whitespace. Greedy matching makes every finditer hit maximal.
-_RANKING_RUN = re.compile(r"\[\d+\](?:\s*[>=]\s*\[\d+\])*")
+# whitespace. Greedy matching makes every finditer hit maximal. Every
+# quantifier is possessive: nothing follows the repeated group, and \d and
+# \s never match the "]", separator or "[" after them, so giving back what
+# one took could never lead to a match, and the engine does not try.
+_RANKING_RUN = re.compile(r"\[\d++\](?:\s*+[>=]\s*+\[\d++\])*+")
 # More significant digits than any candidate list needs. int() refuses
 # strings past sys.get_int_max_str_digits(), so longer ones are never
 # converted.

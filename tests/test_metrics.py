@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -240,6 +241,27 @@ class TestAggregateReport:
         (b0, b1) = report.length_buckets
         assert (b0.lo, b0.hi, b0.count) == (100.0, 200.0, 1)
         assert (b1.lo, b1.hi, b1.count) == (200.0, 300.0, 1)
+
+    def test_length_on_a_lower_edge_is_in_that_bucket(self):
+        # (109 - 100) / (18 / 14) is 6.999... in floats; 109 is bucket 7's lower edge.
+        buckets = length_buckets({"a": (0.1, 100), "b": (0.2, 109), "c": (0.3, 118)}, 14)
+        assert [i for i, b in enumerate(buckets) if b.count] == [0, 7, 13]
+        assert buckets[7].mean_ndcg10 == 0.2
+
+    @settings(max_examples=300)
+    @given(st.lists(st.integers(min_value=0, max_value=100_000), min_size=2, max_size=8, unique=True),
+           st.integers(min_value=1, max_value=50))
+    def test_bucket_is_the_exact_floor(self, lengths, bucket_count):
+        lo, hi = min(lengths), max(lengths)
+        # Every length that sits exactly on a bucket edge, where a rounded
+        # quotient can fall on either side.
+        lengths = sorted(set(lengths) | {lo + i * (hi - lo) // bucket_count for i in range(bucket_count)
+                                         if i * (hi - lo) % bucket_count == 0})
+        per_query = {f"q{i}": (0.5, length) for i, length in enumerate(lengths)}
+        expected = [0] * bucket_count
+        for length in lengths:
+            expected[min(math.floor(Fraction(length - lo) * bucket_count / (hi - lo)), bucket_count - 1)] += 1
+        assert [b.count for b in length_buckets(per_query, bucket_count)] == expected
 
     def test_degenerate_single_length(self):
         buckets = length_buckets({"a": (0.5, 100), "b": (0.7, 100)}, 4)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rerank_distill.models import Ranking
 from rerank_distill.parsing import (
+    _RANKING_RUN,
     count_tokens,
     extract_rankings,
     parse_final_ranking,
@@ -234,7 +235,50 @@ def _reference_parse_run(run_text, universe):
     return groups if len(seen) >= 2 else None
 
 
+# The run pattern with greedy, backtracking quantifiers: the oracle for the
+# runs and spans `_RANKING_RUN` must find.
+_GREEDY_RUN = re.compile(r"\[\d+\](?:\s*[>=]\s*\[\d+\])*")
+_SPACES = [" ", "\t", "\n", "\u3000", "\x1c", "\xa0"]
+# Texts of brackets, digits (one of them non-ASCII), separators, letters and
+# whitespace, with whole runs and runs left open at their end ("[1] > [2] >"
+# followed by more text), which single characters rarely spell.
+_RUN_TEXTS = st.lists(
+    st.one_of(
+        st.sampled_from(["[", "]", ">", "=", "\u0663", "a", "Z", *"0123456789", *_SPACES]),
+        st.builds(
+            lambda first, steps, tail: f"[{first}]" + "".join(steps) + tail,
+            st.sampled_from(["1", "23", "\u0663", "007"]),
+            st.lists(st.builds("{}{}{}[{}]".format, st.sampled_from(["", *_SPACES]), st.sampled_from(">="),
+                               st.sampled_from(["", *_SPACES]), st.sampled_from(["2", "15", "\u0663"])),
+                     max_size=4),
+            st.sampled_from(["", " >", " = ", ">[", " > [4", "]", "[9]"]),
+        ),
+    ),
+    max_size=30,
+).map("".join)
+
+
+def _greedy_split(raw_text):
+    """`split_reasoning` on a text without think markers, by the greedy
+    pattern."""
+    runs = [m for m in _GREEDY_RUN.finditer(raw_text) if m[0].count("[") >= 2]
+    if not runs:
+        return raw_text, ""
+    return raw_text[:runs[-1].start()], raw_text[runs[-1].start():]
+
+
 class TestProperties:
+    @settings(max_examples=300)
+    @given(_RUN_TEXTS)
+    def test_run_pattern_finds_the_greedy_patterns_runs(self, text):
+        assert [(m.span(), m[0]) for m in _RANKING_RUN.finditer(text)] == \
+            [(m.span(), m[0]) for m in _GREEDY_RUN.finditer(text)]
+
+    @settings(max_examples=300)
+    @given(_RUN_TEXTS)
+    def test_split_without_markers_matches_the_greedy_pattern(self, text):
+        assert split_reasoning(text) == _greedy_split(text)
+
     @settings(max_examples=200)
     @given(st.data())
     def test_render_parse_round_trip(self, data):

@@ -413,6 +413,45 @@ class TestBatchedParsing:
         assert scans == []
 
 
+class TestGenerationRequest:
+    FIELDS = dict(query_id="q1", sample_index=2, messages=({"role": "user", "content": "hi"},),
+                  candidates=make_universe(2), model="m", temperature=0.7, top_p=0.95, max_tokens=64)
+
+    def test_builds_by_keyword_and_by_position(self):
+        by_keyword = GenerationRequest(**self.FIELDS, seed=5)
+        by_position = GenerationRequest(*self.FIELDS.values(), 5)
+        assert by_keyword == by_position
+        assert [getattr(by_position, name) for name in self.FIELDS] == list(self.FIELDS.values())
+        assert by_position.seed == 5
+
+    def test_seed_defaults_to_none(self):
+        assert GenerationRequest(**self.FIELDS).seed is None
+
+    @pytest.mark.parametrize("name", ["sample_index", "seed", "messages"])
+    def test_attributes_cannot_be_set(self, name):
+        request = GenerationRequest(**self.FIELDS)
+        with pytest.raises(AttributeError):
+            setattr(request, name, None)
+
+    def test_a_query_sends_k_requests_that_share_its_messages(self):
+        class Recording(GenerationBackend):
+            def __init__(self):
+                self.requests = []
+
+            def generate(self, request):
+                self.requests.append(request)
+                return MockBackend().generate(request)
+
+        backend, universe = Recording(), make_universe(3)
+        sample_trajectories(make_query(), universe, config(k_samples=4), backend)
+        assert [r.sample_index for r in backend.requests] == [1, 2, 3, 4]
+        first = backend.requests[0]
+        assert all(r.messages is first.messages for r in backend.requests)
+        assert first.messages == tuple(build_prompt(make_query(), universe, default_template()))
+        assert {(r.query_id, r.candidates, r.model, r.temperature, r.top_p, r.max_tokens, r.seed)
+                for r in backend.requests} == {("q1", universe, "mock-model", 0.7, 0.95, 8192, 7)}
+
+
 class _ScriptedHandler(BaseHTTPRequestHandler):
     script = []
     requests_seen = []
