@@ -16,11 +16,10 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass, field
 from typing import Mapping, get_type_hints
 
 from .errors import ConfigError
-from .models import SamplingConfig, text_types, type_message
+from .models import SamplingConfig, _set, _Value, text_types, type_message
 from .parsing import THINK_MARKERS
 from .sampling import MockMode, MockProfile
 
@@ -41,24 +40,46 @@ _FIXED_KEYS = {"tokenizer_mode": "auto", "think_markers": list(THINK_MARKERS)}
 _PATH_KEYS = ("corpus", "run")
 
 
-@dataclass(frozen=True)
-class EndpointSettings:
-    url: str = ""
-    model: str = ""
-    auth_env: str | None = None
-    timeout_s: float = 120.0
-    max_retries: int = 3
-    backoff_base_s: float = 0.5
+class EndpointSettings(_Value):
+    url: str
+    model: str
+    auth_env: str | None
+    timeout_s: float
+    max_retries: int
+    backoff_base_s: float
+
+    def __init__(self, url: str = "", model: str = "", auth_env: str | None = None, timeout_s: float = 120.0,
+                 max_retries: int = 3, backoff_base_s: float = 0.5) -> None:
+        _set(self, "url", url)
+        _set(self, "model", model)
+        _set(self, "auth_env", auth_env)
+        _set(self, "timeout_s", timeout_s)
+        _set(self, "max_retries", max_retries)
+        _set(self, "backoff_base_s", backoff_base_s)
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    endpoint: EndpointSettings = field(default_factory=EndpointSettings)
-    profiles: Mapping[str, Mapping] = field(default_factory=lambda: dict(DEFAULT_PROFILES))
-    prompt_template: str | None = None
-    paths: Mapping[str, str] = field(default_factory=dict)
-    mock: MockProfile = field(default_factory=MockProfile)
-    seed: int | None = None
+class PipelineConfig(_Value):
+    """A loaded config. An endpoint, profiles, paths or mock of None stands
+    for its default: `EndpointSettings()`, a copy of `DEFAULT_PROFILES`, no
+    paths and `MockProfile()`."""
+
+    endpoint: EndpointSettings
+    profiles: Mapping[str, Mapping]
+    prompt_template: str | None
+    paths: Mapping[str, str]
+    mock: MockProfile
+    seed: int | None
+
+    def __init__(self, endpoint: EndpointSettings | None = None, profiles: Mapping[str, Mapping] | None = None,
+                 prompt_template: str | None = None, paths: Mapping[str, str] | None = None,
+                 mock: MockProfile | None = None, seed: int | None = None) -> None:
+        _set(self, "endpoint", EndpointSettings() if endpoint is None else endpoint)
+        _set(self, "profiles", dict(DEFAULT_PROFILES) if profiles is None else profiles)
+        _set(self, "prompt_template", prompt_template)
+        _set(self, "paths", {} if paths is None else paths)
+        _set(self, "mock", MockProfile() if mock is None else mock)
+        _set(self, "seed", seed)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         # os.path.exists takes an int as a file descriptor, so a path must be
@@ -120,7 +141,7 @@ def _interpolate(value: object) -> object:
 
 
 def _check_types(settings: Mapping, cls: type, prefix: str) -> None:
-    """Refuse each setting of `settings` that names a field of the dataclass
+    """Refuse each setting of `settings` that names a field of the value type
     `cls` but has a type its annotation does not accept (`text_types`), or
     is a float that is not finite (YAML's .nan and .inf: no range check
     refuses NaN, and an endpoint's backoff would sleep NaN or infinite

@@ -23,7 +23,6 @@ import operator
 import os
 import re
 from collections.abc import Container, Iterable, Iterator, Mapping, Sequence
-from dataclasses import replace
 from json.encoder import encode_basestring
 from typing import TextIO
 
@@ -347,7 +346,7 @@ def write_scored_samples(lines: Sequence[str], samples: Sequence[TrajectorySampl
         if line.endswith(tail, 0, end):
             out.write(line[:end - len(tail)] + _record_tail(sample, score) + "\n")
         else:
-            write_samples((replace(sample, score=score),), out)
+            write_samples((TrajectorySample.from_fields({**vars(sample), "score": score}),), out)
 
 
 def _decode_ranking(groups: object, decoded: dict[tuple, Ranking], field: str) -> Ranking:
@@ -446,7 +445,7 @@ def _store_samples(path: str, lines: Iterable[str]) -> Iterator[tuple[int, str, 
     # No line's query: the first line starts a query.
     query_id = object()
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
+        if not line or line.isspace():  # `not line.strip()`, without copying the line
             continue
         cut, record = _cut_rankings(line), None
         if cut is not None:

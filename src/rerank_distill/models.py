@@ -10,39 +10,86 @@ the sample store can write and read back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from types import UnionType
 from typing import Literal, Mapping, Union, get_args, get_origin, get_type_hints
 
 TokenLenSource = Literal["endpoint-reported", "approximated"]
 
+# Sets a field in a value type's __init__, past the __setattr__ that refuses.
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Query:
+
+class _Value:
+    """Base of the package's immutable value types.
+
+    A subclass annotates its fields, in order, and writes an `__init__`
+    that sets each with `_set` and then calls its `__post_init__` checks,
+    if it has any. The base compares, hashes and shows an instance by
+    those fields, as a frozen dataclass does, and refuses to set or delete
+    any attribute. It carries no annotation of its own, so `get_type_hints`
+    of a subclass names the subclass's fields only. Hand-written methods
+    are compiled once into the module's bytecode cache, where a dataclass
+    compiles its generated ones at every import.
+    """
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(cls.__annotations__)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({values})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Query(_Value):
     """A user query. `id` is the opaque topic identifier."""
 
     id: str
     text: str
+
+    def __init__(self, id: str, text: str) -> None:
+        _set(self, "id", id)
+        _set(self, "text", text)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("Query.id must be non-empty")
 
 
-@dataclass(frozen=True)
-class CandidateDoc:
+class CandidateDoc(_Value):
     """One candidate passage."""
 
     doc_id: str
     text: str
+
+    def __init__(self, doc_id: str, text: str) -> None:
+        _set(self, "doc_id", doc_id)
+        _set(self, "text", text)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not self.doc_id:
             raise ValueError("CandidateDoc.doc_id must be non-empty")
 
 
-@dataclass(frozen=True)
-class CandidateSet:
+class CandidateSet(_Value):
     """The ordered first-stage candidate list for one query.
 
     Candidate order is load-bearing: prompts address passages by 1-based
@@ -51,6 +98,11 @@ class CandidateSet:
 
     query_id: str
     docs: tuple[CandidateDoc, ...]
+
+    def __init__(self, query_id: str, docs: tuple[CandidateDoc, ...]) -> None:
+        _set(self, "query_id", query_id)
+        _set(self, "docs", docs)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(self.docs) < 1:
@@ -68,14 +120,17 @@ class CandidateSet:
         return tuple(d.doc_id for d in self.docs)
 
 
-@dataclass(frozen=True)
-class Qrels:
+class Qrels(_Value):
     """Graded relevance judgments keyed by (query_id, doc_id).
 
     Unjudged pairs are implicitly grade 0.
     """
 
     judgments: Mapping[tuple[str, str], int]
+
+    def __init__(self, judgments: Mapping[tuple[str, str], int]) -> None:
+        _set(self, "judgments", judgments)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         for (qid, did), grade in self.judgments.items():
@@ -92,22 +147,25 @@ class Qrels:
 _BAD_GROUP = "Ranking groups must be non-empty tuples of doc-id strings"
 
 
-@dataclass(frozen=True)
-class Ranking:
+class Ranking(_Value):
     """An ordered, non-empty list of tie groups over doc_ids.
 
     `(("a",), ("b", "c"))` reads "a strictly above b and c, which are tied".
     Equality is tie-aware: identical group structure, not just identical
     flattened order.
 
-    The hash, `hash((groups,))` as the dataclass would compute it, is
-    computed once, when the Ranking is built: redundancy counting and the
-    per-query caches look each ranking up several times. A pickled or
-    copied Ranking is built anew, so a hash never crosses into a process
-    with another PYTHONHASHSEED.
+    The hash, `hash((groups,))` as the base computes it, is computed
+    once, when the Ranking is built: redundancy counting and the per-query
+    caches look each ranking up several times. A pickled or copied Ranking
+    is built anew, so a hash never crosses into a process with another
+    PYTHONHASHSEED.
     """
 
     groups: tuple[tuple[str, ...], ...]
+
+    def __init__(self, groups: tuple[tuple[str, ...], ...]) -> None:
+        _set(self, "groups", groups)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if type(self.groups) is not tuple:
@@ -124,7 +182,7 @@ class Ranking:
                 if doc_id in seen:
                     raise ValueError(f"doc_id {doc_id!r} appears twice in Ranking")
                 seen.add(doc_id)
-        object.__setattr__(self, "_hash", hash((self.groups,)))
+        _set(self, "_hash", hash((self.groups,)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -137,8 +195,7 @@ class Ranking:
         return tuple(doc_id for group in self.groups for doc_id in group)
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
+class TrajectorySample(_Value):
     """One sampled generation for a query, after parsing.
 
     `ranking_sequence` is every ranking statement found in the raw text, in
@@ -155,11 +212,30 @@ class TrajectorySample:
     ranking_sequence: tuple[Ranking, ...]
     token_len: int
     token_len_source: TokenLenSource
-    score: float | None = None
-    valid: bool = True
-    coverage: float | None = None
-    error: str | None = None
-    prompt_hash: str | None = None
+    score: float | None
+    valid: bool
+    coverage: float | None
+    error: str | None
+    prompt_hash: str | None
+
+    def __init__(self, query_id: str, sample_index: int, raw_text: str, reasoning_text: str,
+                 final_ranking: Ranking | None, ranking_sequence: tuple[Ranking, ...], token_len: int,
+                 token_len_source: TokenLenSource, score: float | None = None, valid: bool = True,
+                 coverage: float | None = None, error: str | None = None, prompt_hash: str | None = None) -> None:
+        _set(self, "query_id", query_id)
+        _set(self, "sample_index", sample_index)
+        _set(self, "raw_text", raw_text)
+        _set(self, "reasoning_text", reasoning_text)
+        _set(self, "final_ranking", final_ranking)
+        _set(self, "ranking_sequence", ranking_sequence)
+        _set(self, "token_len", token_len)
+        _set(self, "token_len_source", token_len_source)
+        _set(self, "score", score)
+        _set(self, "valid", valid)
+        _set(self, "coverage", coverage)
+        _set(self, "error", error)
+        _set(self, "prompt_hash", prompt_hash)
+        self.__post_init__()
 
     @classmethod
     def from_fields(cls, fields: Mapping[str, object]) -> TrajectorySample:
@@ -167,10 +243,10 @@ class TrajectorySample:
         and no other (else a ValueError names each missing and unknown
         one), after the same checks as the keyword constructor.
 
-        It sets the fields in one `__dict__` update, not one
-        `object.__setattr__` each as the frozen dataclass's `__init__`
-        does, so a stage that builds a sample per record pays little more
-        than the checks.
+        It sets the fields in one `__dict__` update, not one `_set` call
+        each as `__init__` does, so a stage that builds a sample per record
+        pays little more than the checks. A copy with one field changed is
+        `from_fields({**vars(sample), "score": score})`.
         """
         if fields.keys() != _SAMPLE_FIELD_NAMES:
             raise ValueError("; ".join(
@@ -236,18 +312,29 @@ def field_type_error(name: str, value: object) -> ValueError:
     return ValueError(type_message(f"field {name!r}", value, SAMPLE_FIELD_TYPES[name]))
 
 
-@dataclass(frozen=True)
-class SamplingConfig:
+class SamplingConfig(_Value):
     """Stochastic-decoding parameters for one sampling run."""
 
     k_samples: int
     temperature: float
     top_p: float
     max_tokens: int
-    endpoint_url: str = ""
-    model_name: str = ""
-    seed: int | None = None
-    max_in_flight: int = 4
+    endpoint_url: str
+    model_name: str
+    seed: int | None
+    max_in_flight: int
+
+    def __init__(self, k_samples: int, temperature: float, top_p: float, max_tokens: int, endpoint_url: str = "",
+                 model_name: str = "", seed: int | None = None, max_in_flight: int = 4) -> None:
+        _set(self, "k_samples", k_samples)
+        _set(self, "temperature", temperature)
+        _set(self, "top_p", top_p)
+        _set(self, "max_tokens", max_tokens)
+        _set(self, "endpoint_url", endpoint_url)
+        _set(self, "model_name", model_name)
+        _set(self, "seed", seed)
+        _set(self, "max_in_flight", max_in_flight)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.k_samples < 1:
@@ -262,8 +349,7 @@ class SamplingConfig:
             raise ValueError("max_in_flight must be >= 1")
 
 
-@dataclass(frozen=True)
-class QueryFilterStats:
+class QueryFilterStats(_Value):
     """Per-query accounting from the corpus filter.
 
     `mean_score` / `mean_len` are 0.0 when `n_valid` is 0 (no valid samples
@@ -278,6 +364,17 @@ class QueryFilterStats:
     efficient_indices: tuple[int, ...]
     retained: bool
 
+    def __init__(self, query_id: str, n_sampled: int, n_valid: int, mean_score: float, mean_len: float,
+                 efficient_indices: tuple[int, ...], retained: bool) -> None:
+        _set(self, "query_id", query_id)
+        _set(self, "n_sampled", n_sampled)
+        _set(self, "n_valid", n_valid)
+        _set(self, "mean_score", mean_score)
+        _set(self, "mean_len", mean_len)
+        _set(self, "efficient_indices", efficient_indices)
+        _set(self, "retained", retained)
+        self.__post_init__()
+
     def __post_init__(self) -> None:
         if self.n_valid > self.n_sampled:
             raise ValueError("n_valid cannot exceed n_sampled")
@@ -285,8 +382,7 @@ class QueryFilterStats:
             raise ValueError("retained must match efficient_indices being non-empty")
 
 
-@dataclass(frozen=True)
-class DistillationRecord:
+class DistillationRecord(_Value):
     """One retained (query, candidates, target trajectory) corpus triple."""
 
     query: Query
@@ -294,7 +390,17 @@ class DistillationRecord:
     target_text: str
     target_score: float
     target_len: int
-    prompt_hash: str | None = None
+    prompt_hash: str | None
+
+    def __init__(self, query: Query, candidates: CandidateSet, target_text: str, target_score: float,
+                 target_len: int, prompt_hash: str | None = None) -> None:
+        _set(self, "query", query)
+        _set(self, "candidates", candidates)
+        _set(self, "target_text", target_text)
+        _set(self, "target_score", target_score)
+        _set(self, "target_len", target_len)
+        _set(self, "prompt_hash", prompt_hash)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.target_score <= 0.0:
@@ -303,14 +409,20 @@ class DistillationRecord:
             raise ValueError("target_len must be >= 0")
 
 
-@dataclass(frozen=True)
-class RedundancyMetrics:
+class RedundancyMetrics(_Value):
     """Redundancy diagnostics over one trace's ranking sequence."""
 
     seq_len: int
     t_star: int
     trr: float
     mor: float
+
+    def __init__(self, seq_len: int, t_star: int, trr: float, mor: float) -> None:
+        _set(self, "seq_len", seq_len)
+        _set(self, "t_star", t_star)
+        _set(self, "trr", trr)
+        _set(self, "mor", mor)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not 0 <= self.t_star <= self.seq_len:
@@ -327,8 +439,7 @@ class RedundancyMetrics:
             raise ValueError(f"mor {self.mor} out of range")
 
 
-@dataclass(frozen=True)
-class LengthBucket:
+class LengthBucket(_Value):
     """One equal-width generation-length bucket with its mean quality."""
 
     lo: float
@@ -336,9 +447,14 @@ class LengthBucket:
     mean_ndcg10: float | None
     count: int
 
+    def __init__(self, lo: float, hi: float, mean_ndcg10: float | None, count: int) -> None:
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        _set(self, "mean_ndcg10", mean_ndcg10)
+        _set(self, "count", count)
 
-@dataclass(frozen=True)
-class EvalReport:
+
+class EvalReport(_Value):
     """Per-query quality/length results plus their aggregate view. Member
     types are checked as `text_types` reads the annotations; each mean must
     match the per-query values to a report file's 6-decimal resolution."""
@@ -346,7 +462,15 @@ class EvalReport:
     per_query: Mapping[str, tuple[float, int]]
     mean_ndcg10: float
     mean_len: float
-    length_buckets: tuple[LengthBucket, ...] = field(default_factory=tuple)
+    length_buckets: tuple[LengthBucket, ...]
+
+    def __init__(self, per_query: Mapping[str, tuple[float, int]], mean_ndcg10: float, mean_len: float,
+                 length_buckets: tuple[LengthBucket, ...] = ()) -> None:
+        _set(self, "per_query", per_query)
+        _set(self, "mean_ndcg10", mean_ndcg10)
+        _set(self, "mean_len", mean_len)
+        _set(self, "length_buckets", length_buckets)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not isinstance(self.per_query, Mapping) or not self.per_query:

@@ -36,8 +36,8 @@ _UNPARSED = object()
 
 class RankingPatternMatch(NamedTuple):
     """One ranking statement found in text, with its character span. A
-    NamedTuple, not a frozen dataclass: a trace states several, and a tuple
-    costs about half as much to build."""
+    NamedTuple, not a value type of `models`: a trace states several, and a
+    tuple costs less to build."""
 
     span: tuple[int, int]
     ranking: Ranking

@@ -10,7 +10,8 @@ many queries are sampled at once.
 PyYAML is imported by the two functions that read a prompt template, and
 hashlib by the two that hash, not with this module, so only `sample` and
 `build-corpus`, the stages that read a config or template and hash a
-prompt, pay their import.
+prompt, pay their import. So is `importlib.resources`, which from Python
+3.12 on imports `inspect`.
 """
 
 from __future__ import annotations
@@ -23,12 +24,10 @@ import random
 import threading
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from importlib import resources
 from typing import TYPE_CHECKING, Callable, Literal, Mapping, NamedTuple, Sequence
 
 from .errors import BackendUnreachableError, ConfigError, MalformedResponseError, TransportError
-from .models import CandidateSet, Qrels, Query, Ranking, SamplingConfig, TrajectorySample
+from .models import CandidateSet, Qrels, Query, Ranking, SamplingConfig, TrajectorySample, _set, _Value
 from .parsing import count_tokens, extract_rankings, parse_final_ranking, split_reasoning
 
 if TYPE_CHECKING:
@@ -39,8 +38,7 @@ logger = logging.getLogger(__name__)
 Message = Mapping[str, str]
 
 
-@dataclass(frozen=True)
-class GenerationResult:
+class GenerationResult(_Value):
     """One raw generation as returned by a backend."""
 
     raw_text: str
@@ -48,13 +46,20 @@ class GenerationResult:
     finish_reason: Literal["stop", "length", "error"]
     latency_ms: int
 
+    def __init__(self, raw_text: str, endpoint_token_count: int | None,
+                 finish_reason: Literal["stop", "length", "error"], latency_ms: int) -> None:
+        _set(self, "raw_text", raw_text)
+        _set(self, "endpoint_token_count", endpoint_token_count)
+        _set(self, "finish_reason", finish_reason)
+        _set(self, "latency_ms", latency_ms)
+        self.__post_init__()
+
     def __post_init__(self) -> None:
         if self.endpoint_token_count is not None and self.endpoint_token_count < 0:
             raise ValueError("endpoint_token_count must be >= 0 when present")
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
+class PromptTemplate(_Value):
     """Versioned prompt artifact. The user text must contain the
     {passages} and {query} placeholders; {num} is optional."""
 
@@ -62,9 +67,16 @@ class PromptTemplate:
     system: str
     user: str
 
+    def __init__(self, name: str, system: str, user: str) -> None:
+        _set(self, "name", name)
+        _set(self, "system", system)
+        _set(self, "user", user)
+
 
 def default_template() -> PromptTemplate:
     """The template shipped with the package."""
+    from importlib import resources
+
     import yaml
 
     path = resources.files("rerank_distill").joinpath("templates/listwise_v1.yaml")
@@ -142,10 +154,10 @@ class GenerationRequest(NamedTuple):
     """One generation call. `candidates` rides along for backends (the mock)
     that synthesize output from the candidate list.
 
-    A NamedTuple, not a frozen dataclass: a query sends K of them, backends
-    only read their attributes, and a tuple costs less than half as much to
-    build. `GenerationResult` stays a dataclass because it checks its
-    values when built, which a NamedTuple cannot do."""
+    A NamedTuple, not a value type: a query sends K of them, backends only
+    read their attributes, and a tuple costs less to build.
+    `GenerationResult` stays a value type because it checks its values
+    when built, which a NamedTuple cannot do."""
 
     query_id: str
     sample_index: int
@@ -343,8 +355,7 @@ _FILLER_POOL = (
 _QUALITY_VALUES = ("ideal", "worst", "shuffled", "forward")
 
 
-@dataclass(frozen=True)
-class MockMode:
+class MockMode(_Value):
     """Controls one sample's quality and verbosity.
 
     quality: "ideal" ranks by descending grade (candidate order when no
@@ -355,10 +366,18 @@ class MockMode:
     reverts to the settled one, the vacillation that drives up TRR and MOR.
     """
 
-    quality: str = "ideal"
-    filler_sentences: int = 3
-    restatements: int = 0
-    revert_loops: int = 0
+    quality: str
+    filler_sentences: int
+    restatements: int
+    revert_loops: int
+
+    def __init__(self, quality: str = "ideal", filler_sentences: int = 3, restatements: int = 0,
+                 revert_loops: int = 0) -> None:
+        _set(self, "quality", quality)
+        _set(self, "filler_sentences", filler_sentences)
+        _set(self, "restatements", restatements)
+        _set(self, "revert_loops", revert_loops)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.quality not in _QUALITY_VALUES:
@@ -367,12 +386,15 @@ class MockMode:
             raise ConfigError("mock mode counts must be >= 0")
 
 
-@dataclass(frozen=True)
-class MockProfile:
+class MockProfile(_Value):
     """A cycle of modes assigned to samples by index: sample k gets
     modes[(k - 1) % len(modes)]."""
 
-    modes: tuple[MockMode, ...] = (MockMode(),)
+    modes: tuple[MockMode, ...]
+
+    def __init__(self, modes: tuple[MockMode, ...] = (MockMode(),)) -> None:
+        _set(self, "modes", modes)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not self.modes:

@@ -10,14 +10,13 @@ that `io.iter_samples` reads every store as `read_queries` reads it, and
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from collections import Counter
 
 from rerank_distill.errors import ParseError
-from rerank_distill.models import Ranking, TrajectorySample
+from rerank_distill.models import SAMPLE_FIELD_TYPES, Ranking, TrajectorySample
 
-FIELDS = tuple(field.name for field in dataclasses.fields(TrajectorySample))
+FIELDS = tuple(SAMPLE_FIELD_TYPES)
 
 
 def read_queries(path: str) -> list[tuple[list[str], list[TrajectorySample]]]:

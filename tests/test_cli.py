@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import io
 import json
@@ -1039,7 +1038,8 @@ class TestScoredStore:
         judgments = rio.read_qrels(str(qrels))
         for _, samples in rio.iter_samples(str(store)):
             scores = attach_scores(samples, judgments)
-            rio.write_samples([dataclasses.replace(s, score=score) for s, score in zip(samples, scores)], out)
+            rio.write_samples([TrajectorySample.from_fields({**vars(s), "score": score})
+                               for s, score in zip(samples, scores)], out)
         return out.getvalue().encode()
 
     @staticmethod
@@ -1226,3 +1226,24 @@ def test_only_the_stages_that_hash_import_hashlib(tmp_path):
     assert probe_imports(offline, watched=["hashlib"]) == [
         ["import rerank_distill", []], ["import rerank_distill.cli", []],
         ["evaluate", []], ["analyze-redundancy", []], ["report", []], ["build-corpus", ["hashlib"]]]
+
+
+def test_no_stage_imports_dataclasses_or_inspect(tmp_path):
+    """The value types are plain classes, so neither the package, the CLI
+    nor any stage pays for `dataclasses` and the `inspect` it loads."""
+    paths = sample_workspace(tmp_path, 2, "profiles: {distill: {k_samples: 2}}\n")
+    out = str(tmp_path)
+    candidates = ["--topics", paths["topics"], "--run-file", paths["run"], "--corpus", paths["corpus"],
+                  "--config", paths["config"], "--depth", "8"]
+    stages = [
+        ["sample", *candidates, "--qrels", paths["qrels"], "--backend", "mock", "--seed", "11",
+         "--out", out + "/s.jsonl"],
+        ["evaluate", "--samples", out + "/s.jsonl", "--qrels", paths["qrels"], "--out", out + "/eval.json"],
+        ["build-corpus", "--samples", out + "/s.scored.jsonl", *candidates,
+         "--out", out + "/corpus.jsonl", "--stats", out + "/corpus.stats.json"],
+        ["analyze-redundancy", "--samples", out + "/s.scored.jsonl", "--out", out + "/redundancy.json"],
+        ["report", "mock=" + out + "/eval.json", "--out", out + "/comparison.json"],
+    ]
+    assert probe_imports(stages, watched=("dataclasses", "inspect")) == [
+        ["import rerank_distill", []], ["import rerank_distill.cli", []],
+        *([stage[0], []] for stage in stages)]

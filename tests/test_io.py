@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import logging
@@ -413,7 +412,7 @@ class TestSamples:
         p = tmp_path / "samples.jsonl"
         write_store(samples, p)
         first, second, third = p.read_text().splitlines(keepends=True)
-        p.write_text("\n" + first + "  \n" + second + "\n\n" + third + "\n")
+        p.write_text("\n" + first + "  \n" + second + "\n\t\u3000\n\n" + third + "\n", encoding="utf-8")
         assert list(iter_samples(str(p))) == [([first, second], samples[:2]), ([third], samples[2:])]
 
     def test_corrupted_line_of_a_later_query_names_its_own_line(self, tmp_path):
@@ -434,7 +433,7 @@ class TestSamples:
         with pytest.raises(ParseError, match="schema version mismatch"):
             read_store(p)
 
-    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(TrajectorySample)])
+    @pytest.mark.parametrize("name", list(SAMPLE_FIELD_TYPES))
     def test_missing_field_names_the_line(self, tmp_path, name):
         p = tmp_path / "samples.jsonl"
         write_store([make_sample(1), make_sample(2)], p)
@@ -526,7 +525,7 @@ class TestSamples:
         write_scored_samples([line], [sample], [0.25], out)
         assert out.getvalue() == line.replace('"score": 0.75,', '"score": 0.25,')
         (tmp_path / "s.jsonl").write_text(out.getvalue())
-        assert read_store(tmp_path / "s.jsonl") == [dataclasses.replace(sample, score=0.25)]
+        assert read_store(tmp_path / "s.jsonl") == [TrajectorySample.from_fields({**vars(sample), "score": 0.25})]
 
     @pytest.mark.parametrize("score", [True, 1])
     def test_scored_sample_of_another_score_type_is_refused(self, score):
@@ -545,7 +544,7 @@ class TestSamples:
     def test_record_is_the_sample_fields_plus_schema_version(self, tmp_path):
         p = tmp_path / "samples.jsonl"
         write_store([make_sample(1)], p)
-        names = {f.name for f in dataclasses.fields(TrajectorySample)}
+        names = set(SAMPLE_FIELD_TYPES)
         assert set(json.loads(p.read_text())) == names | {"schema_version"}
 
     def test_writer_is_deterministic(self, tmp_path):
@@ -579,7 +578,7 @@ class TestSamples:
         """The store lines of `samples` as `json.dumps` writes them."""
         records = []
         for sample in samples:
-            record = {f.name: getattr(sample, f.name) for f in dataclasses.fields(sample)}
+            record = _fields(sample)
             record["final_ranking"] = None if sample.final_ranking is None else sample.final_ranking.groups
             record["ranking_sequence"] = [r.groups for r in sample.ranking_sequence]
             record["schema_version"] = 1
@@ -619,7 +618,7 @@ class TestSamples:
 
 
 def _fields(sample: TrajectorySample) -> dict:
-    return {f.name: getattr(sample, f.name) for f in dataclasses.fields(sample)}
+    return {name: getattr(sample, name) for name in SAMPLE_FIELD_TYPES}
 
 
 # A value of each type some field holds, and of types none does.

@@ -1,20 +1,22 @@
 import copy
-import dataclasses
+import inspect
 import os
 import pickle
 import subprocess
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import pytest
 
 import rerank_distill
+from rerank_distill.config import EndpointSettings, PipelineConfig
 from rerank_distill.models import (
     CandidateDoc,
     CandidateSet,
     DistillationRecord,
     EvalReport,
+    LengthBucket,
     Qrels,
     Query,
     QueryFilterStats,
@@ -25,6 +27,7 @@ from rerank_distill.models import (
     _exact_types,
     text_types,
 )
+from rerank_distill.sampling import GenerationResult, MockMode, MockProfile, PromptTemplate
 
 from conftest import make_query, make_universe
 
@@ -95,7 +98,7 @@ def test_ranking_copies_hash_as_built():
     for copied in (copy.copy(r), copy.deepcopy(r)):
         assert copied == r and hash(copied) == hash(r)
         assert copied in {r}
-    moved = dataclasses.replace(r, groups=(("c",), ("a", "b")))
+    moved = Ranking(groups=(("c",), ("a", "b")))
     assert hash(moved) == hash(((("c",), ("a", "b")),))
     assert moved in {Ranking(groups=(("c",), ("a", "b")))}
     assert moved not in {r}
@@ -253,3 +256,56 @@ def test_eval_report_takes_an_int_where_a_float_belongs():
 def test_union_annotations_read_alike():
     assert _exact_types(Optional[int]) == _exact_types(int | None) == (int, type(None))
     assert text_types(Optional[float]) == (int, float, type(None))
+
+
+# (type, a function that builds valid arguments for it anew, whether it is
+# hashable).
+_VALUE_TYPES = [
+    (Query, lambda: ("q1", "what is it"), True),
+    (CandidateDoc, lambda: ("d1", "a passage"), True),
+    (CandidateSet, lambda: ("q1", (CandidateDoc("d1", "a"), CandidateDoc("d2", "b"))), True),
+    (Qrels, lambda: ({("q1", "d1"): 2, ("q1", "d2"): 0},), False),
+    (Ranking, lambda: ((("a",), ("b", "c")),), True),
+    (TrajectorySample, lambda: ("q1", 2, "raw", "reasoning", Ranking((("a",), ("b",))),
+                                (Ranking((("b", "a"),)), Ranking((("a",), ("b",)))),
+                                7, "approximated", 0.5, True, 1.0, None, "hash"), True),
+    (SamplingConfig, lambda: (16, 0.7, 0.95, 8192, "http://host/v1", "teacher", 7, 2), True),
+    (QueryFilterStats, lambda: ("q1", 4, 3, 0.5, 10.0, (1, 3), True), True),
+    (DistillationRecord, lambda: (Query("q1", "x"), CandidateSet("q1", (CandidateDoc("d1", "a"),)),
+                                  "target", 0.5, 10, "hash"), True),
+    (RedundancyMetrics, lambda: (4, 3, 0.25, 0.5), True),
+    (LengthBucket, lambda: (0.0, 10.0, 0.5, 3), True),
+    (EvalReport, lambda: ({"q1": (0.5, 10)}, 0.5, 10.0, (LengthBucket(0.0, 10.0, 0.5, 1),)), False),
+    (GenerationResult, lambda: ("text", 5, "stop", 12), True),
+    (PromptTemplate, lambda: ("v1", "system", "{query} {passages}"), True),
+    (MockMode, lambda: ("worst", 2, 1, 1), True),
+    (MockProfile, lambda: ((MockMode(), MockMode("shuffled")),), True),
+    (EndpointSettings, lambda: ("http://host/v1", "teacher", "KEY", 30.0, 2, 0.25), True),
+    (PipelineConfig, lambda: (EndpointSettings(), {"distill": {"k_samples": 2}}, None, {}, MockProfile(), 3), False),
+]
+
+
+@pytest.mark.parametrize("cls, make_args, hashable", _VALUE_TYPES, ids=[t[0].__name__ for t in _VALUE_TYPES])
+def test_value_type_contract(cls, make_args, hashable):
+    """Every value type of the package is built by position or keyword
+    from its annotated fields, compares and hashes by field values, refuses
+    any attribute change and reads back as Name(field=value, ...)."""
+    names = list(get_type_hints(cls))
+    assert list(inspect.signature(cls).parameters) == names
+    value, same = cls(*make_args()), cls(**dict(zip(names, make_args())))
+    values = tuple(getattr(value, name) for name in names)
+    assert values == make_args()
+    assert value is not same and value == same and not value != same
+    assert value != values and value != object()
+    if hashable:
+        assert hash(value) == hash(same) == hash(values)
+    else:
+        with pytest.raises(TypeError):
+            hash(value)
+    for name in [*names, "other"]:
+        with pytest.raises(AttributeError, match=repr(name)):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError, match=repr(name)):
+            delattr(value, name)
+    assert tuple(getattr(value, name) for name in names) == values
+    assert repr(value) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in zip(names, values))})"
