@@ -10,8 +10,9 @@ many queries are sampled at once.
 PyYAML is imported by the two functions that read a prompt template, and
 hashlib by the two that hash, not with this module, so only `sample` and
 `build-corpus`, the stages that read a config or template and hash a
-prompt, pay their import. So is `importlib.resources`, which from Python
-3.12 on imports `inspect`.
+prompt, pay their import. The packaged template is read by path rather
+than through `importlib.resources`, which from Python 3.12 on imports
+`inspect`.
 """
 
 from __future__ import annotations
@@ -74,13 +75,13 @@ class PromptTemplate(_Value):
 
 
 def default_template() -> PromptTemplate:
-    """The template shipped with the package."""
-    from importlib import resources
-
+    """The template shipped with the package, read from the `templates`
+    package data beside this module."""
     import yaml
 
-    path = resources.files("rerank_distill").joinpath("templates/listwise_v1.yaml")
-    return _template_from_mapping(yaml.safe_load(path.read_text(encoding="utf-8")), "packaged default")
+    path = os.path.join(os.path.dirname(__file__), "templates", "listwise_v1.yaml")
+    with open(path, encoding="utf-8") as fh:
+        return _template_from_mapping(yaml.safe_load(fh), "packaged default")
 
 
 def load_template(path: str) -> PromptTemplate:
