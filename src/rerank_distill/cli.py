@@ -4,9 +4,11 @@ analyze-redundancy -> report.
 Stages communicate only through files, so the expensive sampling stage runs
 once and the filtering/analysis stages iterate offline. Rerunning any stage
 with identical inputs and seed produces byte-identical outputs. Each
-offline stage holds one query's samples at a time, and `sample` at most
-8 × max_in_flight queries' samples. Every stage writes each output file
-through a temp file that takes the output's place only once it is
+offline stage holds one query's samples at a time. So does `sample` with
+a backend that never waits, as the mock: it samples one query at a time on
+its own thread. With a backend that waits, as an endpoint, it holds at
+most 8 × max_in_flight queries' samples. Every stage writes each output
+file through a temp file that takes the output's place only once it is
 complete.
 
 Exit codes: 0 success, 1 validation or config error, 2 runtime/backend
@@ -19,7 +21,7 @@ import argparse
 import logging
 import sys
 from collections import deque
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from functools import partial
 from itertools import islice
 from pathlib import Path
 
@@ -113,51 +115,37 @@ def cmd_sample(args) -> int:
         if len(cand) < args.depth:
             logger.warning("query %s has only %d candidates (requested depth %d)", qid, len(cand), args.depth)
 
-    # One worker per query in flight, each sending its K requests in turn.
-    # At most `window` queries are submitted and not yet written, so the
-    # samples held in memory do not grow with the number of queries. The
-    # main thread waits once for the oldest half of the window, writes
-    # those queries in query order (so the store stays in query order),
-    # lets each future go once it is written, then submits the next half.
-    # Refilling one query at a time instead made the threads hand off
-    # about four times as often and cost `sample` CPU.
-    window = 8 * sampling_config.max_in_flight
-    unsent = iter(sorted(candidates))
-    pending = deque()
-    pool = ThreadPoolExecutor(max_workers=sampling_config.max_in_flight)
+    def sample(qid: str):
+        return sample_trajectories(queries[qid], candidates[qid], sampling_config, backend, template=template)
 
-    def submit(n: int) -> None:
-        for qid in islice(unsent, n):
-            pending.append((qid, pool.submit(
-                sample_trajectories, queries[qid], candidates[qid], sampling_config, backend, template=template,
-            )))
-
+    qids = sorted(candidates)
+    if backend.waits:
+        results = _pooled(sample, qids, sampling_config.max_in_flight)
+    else:
+        # Nothing to overlap: each query is sampled on this thread when the
+        # loop below asks for it, and written before the next is sampled.
+        # A pool here made its threads only hand the interpreter lock to
+        # one another: on distill-mock, 145-151 voluntary context switches
+        # a stage against 0-2 without it, which took 19 % less CPU.
+        results = ((qid, partial(sample, qid)) for qid in qids)
+    written = 0
+    failed_queries = []
     try:
-        submit(window)
-        written = 0
-        done = 0
-        failed_queries = []
         with rio.atomic_write(args.out) as fh:
-            while pending:
-                batch = min(window // 2, len(pending))
-                wait([future for _, future in islice(pending, batch)], return_when=FIRST_EXCEPTION)
-                for _ in range(batch):
-                    qid, future = pending.popleft()
-                    done += 1
-                    try:
-                        samples = future.result()
-                    except BackendUnreachableError as exc:
-                        logger.error("query %s failed: %s", qid, exc)
-                        failed_queries.append(qid)
-                        continue
-                    rio.write_samples(samples, fh)
-                    written += len(samples)
-                    logger.info("sampled query %s (%d/%d): %d/%d valid", qid, done, len(candidates),
-                                sum(s.valid for s in samples), len(samples))
-                submit(window // 2)
+            for done, (qid, result) in enumerate(results, start=1):
+                try:
+                    samples = result()
+                except BackendUnreachableError as exc:
+                    logger.error("query %s failed: %s", qid, exc)
+                    failed_queries.append(qid)
+                    continue
+                rio.write_samples(samples, fh)
+                written += len(samples)
+                logger.info("sampled query %s (%d/%d): %d/%d valid", qid, done, len(candidates),
+                            sum(s.valid for s in samples), len(samples))
     finally:
-        # An exception above leaves queued queries unsent.
-        pool.shutdown(cancel_futures=True)
+        # An exception above leaves a pool's queued queries unsent.
+        results.close()
         backend.close()
 
     print(f"wrote {written} samples for {len(candidates) - len(failed_queries)} queries to {args.out}")
@@ -165,6 +153,41 @@ def cmd_sample(args) -> int:
         print(f"{len(failed_queries)} queries failed at the backend: {failed_queries}", file=sys.stderr)
         return 2
     return 0
+
+
+def _pooled(sample, qids: list[str], max_in_flight: int):
+    """Yield `(qid, result)` for each of `qids` in turn, where `result()`
+    returns `sample(qid)` or raises what it raised. `max_in_flight` worker
+    threads sample the queries, one query per worker.
+
+    At most a window of 8 × `max_in_flight` queries are submitted and not
+    yet written, so the samples held in memory do not grow with the number
+    of queries. The generator waits once for the oldest half of the
+    window, yields those queries in order (so the store stays in query
+    order), lets each future go once the caller has written it, then
+    submits the next half. Refilling one query at a time instead made the
+    threads hand off about four times as often and cost `sample` CPU.
+    Closing the generator cancels the queries not yet started and waits
+    for the running ones.
+    """
+    # Only a backend that waits needs a pool; the other stages and a mock
+    # `sample` do without the import.
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+
+    window = 8 * max_in_flight
+    unsent = iter(qids)
+    pool = ThreadPoolExecutor(max_workers=max_in_flight)
+    try:
+        pending = deque((qid, pool.submit(sample, qid)) for qid in islice(unsent, window))
+        while pending:
+            batch = min(window // 2, len(pending))
+            wait([future for _, future in islice(pending, batch)], return_when=FIRST_EXCEPTION)
+            for _ in range(batch):
+                qid, future = pending.popleft()
+                yield qid, future.result
+            pending.extend((qid, pool.submit(sample, qid)) for qid in islice(unsent, window // 2))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _distinct_files(flag: str, path: str, others: list[tuple[str, str | None]]) -> None:

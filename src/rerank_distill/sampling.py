@@ -172,7 +172,17 @@ class GenerationRequest(NamedTuple):
 
 
 class GenerationBackend(ABC):
-    """A source of generations: HTTP endpoint or deterministic mock."""
+    """A source of generations: HTTP endpoint or deterministic mock.
+
+    `waits` says whether `generate` waits on something outside the
+    process, as an endpoint's reply. The `sample` stage overlaps such waits
+    with a thread pool, and samples a backend that never waits on its own
+    thread, where a pool's threads would only hand the interpreter lock to
+    one another. True by default, so a backend that wraps another keeps
+    the pool.
+    """
+
+    waits = True
 
     @abstractmethod
     def generate(self, request: GenerationRequest) -> GenerationResult:
@@ -515,7 +525,7 @@ class _Served(threading.local):
 
 
 class MockBackend(GenerationBackend):
-    """Serves mock_generate output; never fails.
+    """Serves mock_generate output; never fails, and never waits.
 
     Each thread keeps the plans of the query it served last, one per mode
     of the profile, and reuses them while requests carry that query id and
@@ -526,6 +536,8 @@ class MockBackend(GenerationBackend):
     most as many as threads times modes. Each thread also keeps one RNG,
     which each of its draws reseeds.
     """
+
+    waits = False
 
     def __init__(self, profile: MockProfile | None = None, qrels: Qrels | None = None):
         self.profile = profile or MockProfile()

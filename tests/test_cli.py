@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import io
 import json
@@ -21,7 +22,7 @@ from rerank_distill.errors import TransportError
 from rerank_distill.io import read_report, write_report
 from rerank_distill.metrics import aggregate_report
 from rerank_distill.models import Ranking, TrajectorySample
-from rerank_distill.sampling import GenerationBackend
+from rerank_distill.sampling import GenerationBackend, MockBackend
 
 import reference
 from conftest import MIXED_MODES_YAML, examples, read_store, splits, write_pipeline_workspace, write_store
@@ -496,12 +497,15 @@ class TestRedundancyReference:
         assert _close(got, want)
 
 
-def route_backend(monkeypatch, generate):
+def route_backend(monkeypatch, generate, base=GenerationBackend):
     """Send every request the `sample` stage makes through
-    `generate(inner, request)`, where `inner` is the backend the CLI built."""
+    `generate(inner, request)`, where `inner` is the backend the CLI built.
+    The router subclasses `base`: a GenerationBackend waits, so the stage
+    samples it through its pool; a MockBackend does not, so the stage
+    samples it on its own thread."""
     factory = cli._backend_for
 
-    class Routed(GenerationBackend):
+    class Routed(base):
         def __init__(self, inner):
             self.inner = inner
 
@@ -543,9 +547,15 @@ def sample_stage(paths, out, *extra):
                  "--depth", "8", "--backend", "mock", "--seed", "11", "--out", str(out), *extra])
 
 
+# A backend that waits, which the stage samples through its pool, and one
+# that never waits, which it samples on its own thread.
+BOTH_PATHS = pytest.mark.parametrize("base", [GenerationBackend, MockBackend], ids=["pool", "stage-thread"])
+
+
 class TestSampleStage:
     """The stage's one pool: queries are sampled concurrently, a query's K
-    requests one after another."""
+    requests one after another. A backend that never waits is sampled one
+    query at a time on the stage's own thread instead."""
 
     def test_requests_in_flight_are_bounded_by_max_in_flight(self, tmp_path, monkeypatch):
         paths = sample_workspace(tmp_path, 6, "profiles: {distill: {k_samples: 2, max_in_flight: 3}}\n")
@@ -575,10 +585,11 @@ class TestSampleStage:
         assert (tmp_path / "slow.jsonl").read_bytes() == (tmp_path / "plain.jsonl").read_bytes()
 
     # With 25 queries and max_in_flight 2 (a window of 16, refilled 8 at a
-    # time), q010 is the second query of the second batch.
+    # time), q010 is the second query of the pool's second batch.
+    @BOTH_PATHS
     @pytest.mark.parametrize("n_queries, max_in_flight, down", [(4, 3, "q002"), (25, 2, "q010")])
     def test_unreachable_query_is_reported_and_the_rest_written(self, tmp_path, monkeypatch, capsys,
-                                                                 n_queries, max_in_flight, down):
+                                                                 n_queries, max_in_flight, down, base):
         paths = sample_workspace(tmp_path, n_queries,
                                  f"profiles: {{distill: {{k_samples: 2, max_in_flight: {max_in_flight}}}}}\n")
         assert sample_stage(paths, tmp_path / "all.jsonl") == 0
@@ -588,7 +599,7 @@ class TestSampleStage:
                 raise TransportError(f"{down} endpoint timed out")
             return inner.generate(request)
 
-        route_backend(monkeypatch, one_query_down)
+        route_backend(monkeypatch, one_query_down, base)
         capsys.readouterr()
         assert sample_stage(paths, tmp_path / "s.jsonl") == 2
         assert f"1 queries failed at the backend: ['{down}']" in capsys.readouterr().err
@@ -598,7 +609,8 @@ class TestSampleStage:
         assert [(s.query_id, s.sample_index) for s in read_store(tmp_path / "s.jsonl")] == [
             (f"q{q:03d}", k) for q in range(1, n_queries + 1) if f"q{q:03d}" != down for k in (1, 2)]
 
-    def test_unexpected_error_stops_the_stage_without_sending_queued_queries(self, tmp_path, monkeypatch):
+    @BOTH_PATHS
+    def test_unexpected_error_stops_the_stage_without_sending_queued_queries(self, tmp_path, monkeypatch, base):
         paths = sample_workspace(tmp_path, 8, "profiles: {distill: {k_samples: 2, max_in_flight: 2}}\n")
         generated = set()
 
@@ -609,10 +621,12 @@ class TestSampleStage:
             generated.add(request.query_id)
             return inner.generate(request)
 
-        route_backend(monkeypatch, q001_broken)
+        route_backend(monkeypatch, q001_broken, base)
         with pytest.raises(RuntimeError, match="unexpected backend bug"):
             sample_stage(paths, tmp_path / "s.jsonl")
-        assert len(generated) <= 2
+        # The pool's two workers may each have started a query; the stage's
+        # own thread starts none after q001.
+        assert len(generated) <= (2 if base.waits else 0)
         assert not (tmp_path / "s.jsonl").exists()
 
     def test_queries_submitted_and_unwritten_stay_within_the_window(self, tmp_path, monkeypatch):
@@ -620,7 +634,7 @@ class TestSampleStage:
         paths = sample_workspace(tmp_path, 40, "profiles: {distill: {k_samples: 1, max_in_flight: 2}}\n")
         submitted = 0
 
-        class CountingPool(cli.ThreadPoolExecutor):
+        class CountingPool(concurrent.futures.ThreadPoolExecutor):
             def submit(self, *args, **kwargs):
                 nonlocal submitted
                 submitted += 1
@@ -638,7 +652,7 @@ class TestSampleStage:
                 time.sleep(0.2)
             return inner.generate(request)
 
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
         monkeypatch.setattr(cli.rio, "write_samples", counting_write)
         route_backend(monkeypatch, slow_first_query)
         assert sample_stage(paths, tmp_path / "s.jsonl") == 0
@@ -650,7 +664,8 @@ class TestSampleStage:
     def test_store_does_not_depend_on_max_in_flight(self, tmp_path, monkeypatch, n_queries):
         # Windows of 8, 16, 24 and 64 queries: 3 queries fill less than one
         # batch of any; 16 fill two windows of 8 and one of 16; 25 are one
-        # past the window of 24. Later queries finish first.
+        # past the window of 24. Later queries finish first. The plain mock,
+        # sampled on the stage's thread, writes the same store.
         paths = sample_workspace(tmp_path, n_queries)
 
         def later_queries_faster(inner, request):
@@ -665,6 +680,9 @@ class TestSampleStage:
             out = tmp_path / f"s{max_in_flight}.jsonl"
             assert sample_stage(paths, out) == 0
             stores[max_in_flight] = out.read_bytes()
+        monkeypatch.undo()
+        assert sample_stage(paths, tmp_path / "mock.jsonl") == 0
+        stores["mock"] = (tmp_path / "mock.jsonl").read_bytes()
         assert len(set(stores.values())) == 1
         assert [(s.query_id, s.sample_index) for s in read_store(tmp_path / "s1.jsonl")] == [
             (f"q{q:03d}", k) for q in range(1, n_queries + 1) for k in (1, 2)]
@@ -689,13 +707,14 @@ class TestSampleStage:
         assert len(stores[4]) == 5 * 4
         assert stores[4] == [line for line in stores[16] if json.loads(line)["sample_index"] <= 4]
 
+    @BOTH_PATHS
     @pytest.mark.parametrize("broken", [False, True])
-    def test_stage_closes_its_backend(self, tmp_path, monkeypatch, broken):
+    def test_stage_closes_its_backend(self, tmp_path, monkeypatch, broken, base):
         paths = sample_workspace(tmp_path, 4, "profiles: {distill: {k_samples: 2, max_in_flight: 2}}\n")
         factory = cli._backend_for
         closed = []
 
-        class Closing(GenerationBackend):
+        class Closing(base):
             def __init__(self, inner):
                 self.inner = inner
 
@@ -714,6 +733,40 @@ class TestSampleStage:
         else:
             assert sample_stage(paths, tmp_path / "s.jsonl") == 0
         assert len(closed) == 1
+
+    def test_a_backend_that_never_waits_is_sampled_on_the_stage_thread(self, tmp_path, monkeypatch):
+        """The mock: no pool and no thread, and each query is written
+        before the next is sampled, through the CLI's `sample_trajectories`
+        (where the benchmark's traced run wraps it)."""
+        paths = sample_workspace(tmp_path, 5, "profiles: {distill: {k_samples: 2, max_in_flight: 3}}\n")
+        pools, threads, events = [], [], []
+        build_pool, start_thread = concurrent.futures.ThreadPoolExecutor.__init__, threading.Thread.start
+        sample_trajectories, write_samples = cli.sample_trajectories, cli.rio.write_samples
+
+        def building(pool, *args, **kwargs):
+            pools.append(pool)
+            build_pool(pool, *args, **kwargs)
+
+        def starting(thread):
+            threads.append(thread.name)
+            start_thread(thread)
+
+        def sampling(query, *args, **kwargs):
+            events.append(("sample", query.id, threading.get_ident()))
+            return sample_trajectories(query, *args, **kwargs)
+
+        def writing(samples, fh):
+            events.append(("write", samples[0].query_id, threading.get_ident()))
+            return write_samples(samples, fh)
+
+        monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "__init__", building)
+        monkeypatch.setattr(threading.Thread, "start", starting)
+        monkeypatch.setattr(cli, "sample_trajectories", sampling)
+        monkeypatch.setattr(cli.rio, "write_samples", writing)
+        assert sample_stage(paths, tmp_path / "s.jsonl") == 0
+        assert pools == [] and threads == []
+        assert events == [(step, f"q{q:03d}", threading.get_ident()) for q in range(1, 6)
+                          for step in ("sample", "write")]
 
 
 class TestOutputOnAnInput:
@@ -1185,24 +1238,29 @@ def probe_imports(stages: list[list[str]], watched=("csv", "requests", "yaml")) 
 
 def test_mock_pipeline_never_imports_requests(tmp_path):
     """Only the HTTP backend needs requests, and it is slow to import; only
-    the stages that read a config or template need yaml, and only a CSV
-    report needs csv. The offline stages run in an interpreter of their own,
-    one where `sample` has not loaded yaml already."""
+    the stages that read a config or template need yaml, only a CSV report
+    needs csv, and only a backend that waits needs the thread pool of
+    concurrent.futures. The offline stages run in an interpreter of their
+    own, one where `sample` has not loaded yaml already."""
     paths = sample_workspace(tmp_path, 2, "profiles: {distill: {k_samples: 2}}\n")
     out = str(tmp_path)
     sample = ["sample", "--topics", paths["topics"], "--run-file", paths["run"], "--corpus", paths["corpus"],
               "--config", paths["config"], "--qrels", paths["qrels"], "--depth", "8", "--backend", "mock",
               "--seed", "11", "--out", out + "/s.jsonl"]
-    assert probe_imports([sample]) == [
+    watched = ("csv", "requests", "yaml", "concurrent.futures")
+    assert probe_imports([sample], watched) == [
         ["import rerank_distill", []], ["import rerank_distill.cli", []], ["sample", ["yaml"]]]
     offline = [
         ["evaluate", "--samples", out + "/s.jsonl", "--qrels", paths["qrels"], "--out", out + "/eval.json"],
         ["analyze-redundancy", "--samples", out + "/s.scored.jsonl", "--out", out + "/redundancy.json"],
         ["report", "mock=" + out + "/eval.json", "--out", out + "/comparison.json"],
+        ["build-corpus", "--samples", out + "/s.scored.jsonl", "--topics", paths["topics"],
+         "--run-file", paths["run"], "--corpus", paths["corpus"], "--config", paths["config"], "--depth", "8",
+         "--out", out + "/corpus.jsonl", "--stats", out + "/corpus.stats.json"],
     ]
-    assert probe_imports(offline) == [
+    assert probe_imports(offline, watched) == [
         ["import rerank_distill", []], ["import rerank_distill.cli", []],
-        ["evaluate", []], ["analyze-redundancy", []], ["report", []]]
+        ["evaluate", []], ["analyze-redundancy", []], ["report", []], ["build-corpus", ["yaml"]]]
 
 
 def test_only_the_stages_that_hash_import_hashlib(tmp_path):

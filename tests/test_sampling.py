@@ -756,3 +756,15 @@ def test_template_that_is_not_utf8_is_config_error(tmp_path):
     path.write_bytes(b'name: t\nsystem: "caf\xe9"\nuser: "{passages} {query}"\n')
     with pytest.raises(ConfigError, match=r"prompt template .*template\.yaml is not UTF-8 text"):
         load_template(str(path))
+
+
+def test_only_the_mock_never_waits():
+    """The `sample` stage samples a backend that waits through its pool,
+    and one that never waits on its own thread; a wrapper waits unless it
+    says otherwise."""
+
+    class Wrapper(GenerationBackend):
+        def generate(self, request):
+            raise NotImplementedError
+
+    assert HttpChatBackend.waits and Wrapper.waits and not MockBackend.waits
