@@ -157,35 +157,35 @@ def cmd_sample(args) -> int:
 
 def _pooled(sample, qids: list[str], max_in_flight: int):
     """Yield `(qid, result)` for each of `qids` in turn, where `result()`
-    returns `sample(qid)` or raises what it raised. `max_in_flight` worker
-    threads sample the queries, one query per worker.
+    waits for `sample(qid)` alone and returns it or raises what it raised.
+    `max_in_flight` worker threads sample the queries, one query per
+    worker.
 
-    At most a window of 8 × `max_in_flight` queries are submitted and not
-    yet written, so the samples held in memory do not grow with the number
-    of queries. The generator waits once for the oldest half of the
-    window, yields those queries in order (so the store stays in query
-    order), lets each future go once the caller has written it, then
-    submits the next half. Refilling one query at a time instead made the
-    threads hand off about four times as often and cost `sample` CPU.
-    Closing the generator cancels the queries not yet started and waits
-    for the running ones.
+    One rule keeps at most a window of W = 8 × `max_in_flight` queries
+    submitted and not yet written: whenever at most W/2 are, submit
+    queries until W are. So the samples held in memory do not grow with
+    the number of queries, the store stays in query order, and a finished
+    query is written as soon as every query before it has been written.
+    Refilling one query per written query instead cost `sample` 8 % more
+    CPU on distill-latency. Closing the generator cancels the queries not
+    yet started and waits for the running ones.
     """
     # Only a backend that waits needs a pool; the other stages and a mock
     # `sample` do without the import.
-    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+    from concurrent.futures import ThreadPoolExecutor
 
     window = 8 * max_in_flight
     unsent = iter(qids)
+    pending = deque()
     pool = ThreadPoolExecutor(max_workers=max_in_flight)
     try:
-        pending = deque((qid, pool.submit(sample, qid)) for qid in islice(unsent, window))
-        while pending:
-            batch = min(window // 2, len(pending))
-            wait([future for _, future in islice(pending, batch)], return_when=FIRST_EXCEPTION)
-            for _ in range(batch):
-                qid, future = pending.popleft()
-                yield qid, future.result
-            pending.extend((qid, pool.submit(sample, qid)) for qid in islice(unsent, window // 2))
+        while True:
+            if len(pending) <= window // 2:
+                pending.extend((qid, pool.submit(sample, qid)) for qid in islice(unsent, window - len(pending)))
+            if not pending:
+                return
+            qid, future = pending.popleft()
+            yield qid, future.result
     finally:
         pool.shutdown(cancel_futures=True)
 

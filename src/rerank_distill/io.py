@@ -578,8 +578,8 @@ def write_sft_corpus(corpus: Sequence[DistillationRecord], template: PromptTempl
 
     The first line is a version header; an empty corpus is that line alone.
     Records whose stored prompt hash does not match the prompt rebuilt from
-    `template` are rejected: that corpus would pair targets with prompts the
-    teacher never saw.
+    their query and candidates under `template` are rejected: that corpus
+    would pair targets with prompts the teacher never saw.
     """
     header = {"format": SFT_FORMAT, "version": SFT_VERSION, "template": template.name}
     out.write(json.dumps(header, sort_keys=True, ensure_ascii=False) + "\n")
@@ -587,8 +587,9 @@ def write_sft_corpus(corpus: Sequence[DistillationRecord], template: PromptTempl
         prompt = build_prompt(record.query, record.candidates, template)
         if record.prompt_hash is not None and hash_messages(prompt) != record.prompt_hash:
             raise ConfigError(
-                f"template {template.name!r} does not reproduce the prompt that sampled "
-                f"query {record.query.id!r} (hash mismatch)"
+                f"query {record.query.id!r}: the prompt rebuilt from the topics, run file, corpus, depth "
+                f"and template {template.name!r} is not the prompt that sampled it (hash mismatch); "
+                f"give the inputs the samples were drawn with"
             )
         line = {"messages": prompt + [{"role": "assistant", "content": record.target_text}]}
         out.write(json.dumps(line, sort_keys=True, ensure_ascii=False) + "\n")

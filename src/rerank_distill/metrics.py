@@ -41,10 +41,24 @@ def _dcg(grades: Sequence[int], k: int) -> float:
     return sum((2 ** g - 1) / math.log2(i + 2) for i, g in enumerate(grades[:k]))
 
 
-def _occurrences(seq: Sequence[Ranking]) -> tuple[dict[Ranking, int], int]:
-    """One pass over `seq`: each distinct ranking with its count, in
-    first-occurrence order, and t*, the 1-based position of the last
-    ranking no earlier element equals (0 for an empty sequence)."""
+def tail_repeat_ratio(seq: Sequence[Ranking]) -> float:
+    """Fraction of the sequence after the last novel ranking: (T - t*)/T.
+
+    0.0 for sequences of length <= 1.
+    """
+    return redundancy_metrics(seq).trr
+
+
+def multi_occurrence_ratio(seq: Sequence[Ranking]) -> float:
+    """Fraction of distinct rankings that occur more than once; 0.0 when
+    the sequence is empty."""
+    return redundancy_metrics(seq).mor
+
+
+def redundancy_metrics(seq: Sequence[Ranking]) -> RedundancyMetrics:
+    """T, t*, TRR and MOR for one trace, from one pass over it. t* is the
+    1-based position of the last ranking no earlier element equals (0 for
+    an empty sequence)."""
     counts: dict[Ranking, int] = {}
     t_star = 0
     for i, ranking in enumerate(seq, start=1):
@@ -52,45 +66,12 @@ def _occurrences(seq: Sequence[Ranking]) -> tuple[dict[Ranking, int], int]:
         if not count:
             t_star = i
         counts[ranking] = count + 1
-    return counts, t_star
-
-
-def last_novel_index(seq: Sequence[Ranking]) -> int:
-    """1-based index of the last ranking with no equal earlier element;
-    0 for an empty sequence."""
-    return _occurrences(seq)[1]
-
-
-def tail_repeat_ratio(seq: Sequence[Ranking]) -> float:
-    """Fraction of the sequence after the last novel ranking: (T - t*)/T.
-
-    0.0 for sequences of length <= 1.
-    """
-    return _tail_repeat_ratio(len(seq), last_novel_index(seq))
-
-
-def _tail_repeat_ratio(t: int, t_star: int) -> float:
-    return (t - t_star) / t if t > 1 else 0.0
-
-
-def multi_occurrence_ratio(seq: Sequence[Ranking]) -> float:
-    """Fraction of distinct rankings that occur more than once; 0.0 when
-    the sequence is empty."""
-    return _multi_occurrence_ratio(_occurrences(seq)[0])
-
-
-def _multi_occurrence_ratio(counts: Mapping[Ranking, int]) -> float:
-    return sum(1 for c in counts.values() if c >= 2) / len(counts) if counts else 0.0
-
-
-def redundancy_metrics(seq: Sequence[Ranking]) -> RedundancyMetrics:
-    """Bundle T, t*, TRR, and MOR for one trace, from one pass over it."""
-    counts, t_star = _occurrences(seq)
+    t = len(seq)
     return RedundancyMetrics(
-        seq_len=len(seq),
+        seq_len=t,
         t_star=t_star,
-        trr=_tail_repeat_ratio(len(seq), t_star),
-        mor=_multi_occurrence_ratio(counts),
+        trr=(t - t_star) / t if t > 1 else 0.0,
+        mor=sum(1 for c in counts.values() if c >= 2) / len(counts) if counts else 0.0,
     )
 
 

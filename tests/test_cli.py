@@ -660,6 +660,32 @@ class TestSampleStage:
         assert backlog[0] == 16
         assert max(backlog) <= 16
 
+    def test_a_finished_query_is_written_before_a_slower_later_one_finishes(self, tmp_path, monkeypatch):
+        # max_in_flight 2: one window of 16 queries. q004 is held while the
+        # queries before it finish.
+        paths = sample_workspace(tmp_path, 16, "profiles: {distill: {k_samples: 1, max_in_flight: 2}}\n")
+        q004_returned = threading.Event()
+        written = {}
+        write_samples = cli.rio.write_samples
+
+        def recording_write(samples, fh):
+            written[samples[0].query_id] = q004_returned.is_set()
+            return write_samples(samples, fh)
+
+        def slow_q004(inner, request):
+            generation = inner.generate(request)
+            if request.query_id == "q004":
+                time.sleep(0.3)
+                q004_returned.set()
+            return generation
+
+        monkeypatch.setattr(cli.rio, "write_samples", recording_write)
+        route_backend(monkeypatch, slow_q004)
+        assert sample_stage(paths, tmp_path / "s.jsonl") == 0
+        assert list(written) == [f"q{q:03d}" for q in range(1, 17)]
+        assert [written[qid] for qid in ("q001", "q002", "q003")] == [False] * 3
+        assert written["q004"]
+
     @pytest.mark.parametrize("n_queries", [3, 16, 25])
     def test_store_does_not_depend_on_max_in_flight(self, tmp_path, monkeypatch, n_queries):
         # Windows of 8, 16, 24 and 64 queries: 3 queries fill less than one
@@ -934,6 +960,18 @@ class TestStoreStreaming:
         assert main(argv + ["--template", str(edited)]) == 1
         assert "hash mismatch" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_corpus_at_another_depth_names_the_depth(self, scored, tmp_path, capsys):
+        # The store was sampled at depth 8; the template is the same.
+        store, paths = scored
+        argv = self.OFFLINE["build-corpus"](str(store), paths, tmp_path)
+        argv[argv.index("--depth") + 1] = "6"
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "hash mismatch" in err
+        assert "depth" in err
+        assert not (tmp_path / "corpus.jsonl").exists()
 
     @pytest.mark.parametrize("existing", [b"earlier output\n", None])
     @pytest.mark.parametrize("stage, first, second", [

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from rerank_distill.metrics import (
     aggregate_report,
     attach_scores,
-    last_novel_index,
     length_buckets,
     length_normalized_nll,
     multi_occurrence_ratio,
@@ -19,7 +18,7 @@ from rerank_distill.metrics import (
 )
 from rerank_distill.models import Qrels, Ranking
 
-from conftest import graded_qrels, make_universe
+from conftest import examples, graded_qrels, make_universe
 
 
 def brute_force_ndcg(grades_in_rank_order, k):
@@ -140,10 +139,11 @@ class TestRedundancy:
         for _ in range(200):
             seq = _seq([rng.choice("ABCD") for _ in range(rng.randint(0, 9))])
             rm = redundancy_metrics(seq)
-            assert (rm.seq_len, rm.t_star, rm.mor) == (len(seq), last_novel_index(seq), multi_occurrence_ratio(seq))
+            assert (rm.seq_len, rm.t_star, rm.mor) == (len(seq), redundancy_metrics(seq).t_star,
+                                                    multi_occurrence_ratio(seq))
             assert rm.trr == tail_repeat_ratio(seq)  # the same float, not an approximation
 
-    @settings(max_examples=300)
+    @settings(max_examples=examples(300))
     @given(st.data())
     def test_bundle_equals_brute_force_definitions(self, data):
         # A pool of tie structures over three docs, some of them equal; each
@@ -165,7 +165,8 @@ class TestRedundancy:
 
         rm = redundancy_metrics(seq)
         assert (rm.seq_len, rm.t_star, rm.trr, rm.mor) == (t, t_star, trr, mor)
-        assert (last_novel_index(seq), tail_repeat_ratio(seq), multi_occurrence_ratio(seq)) == (t_star, trr, mor)
+        assert (redundancy_metrics(seq).t_star, tail_repeat_ratio(seq), multi_occurrence_ratio(seq)) == \
+            (t_star, trr, mor)
 
     def test_trr_zero_iff_last_element_novel(self):
         rng = random.Random(5)
@@ -196,7 +197,7 @@ class TestLengthNormalizedNll:
         with pytest.raises(ValueError):
             length_normalized_nll([[]])
 
-    @settings(max_examples=100)
+    @settings(max_examples=examples(100))
     @given(st.lists(
         st.lists(st.floats(min_value=-50, max_value=0, allow_nan=False), min_size=1, max_size=6),
         min_size=1, max_size=5,
@@ -248,7 +249,7 @@ class TestAggregateReport:
         assert [i for i, b in enumerate(buckets) if b.count] == [0, 7, 13]
         assert buckets[7].mean_ndcg10 == 0.2
 
-    @settings(max_examples=300)
+    @settings(max_examples=examples(300))
     @given(st.lists(st.integers(min_value=0, max_value=100_000), min_size=2, max_size=8, unique=True),
            st.integers(min_value=1, max_value=50))
     def test_bucket_is_the_exact_floor(self, lengths, bucket_count):

@@ -16,7 +16,7 @@ from rerank_distill.parsing import (
 )
 from rerank_distill.sampling import _QUALITY_VALUES, MockMode, MockProfile, mock_generate
 
-from conftest import make_universe, random_ranking
+from conftest import examples, make_universe, random_ranking
 
 
 class TestExtractRankings:
@@ -268,18 +268,18 @@ def _greedy_split(raw_text):
 
 
 class TestProperties:
-    @settings(max_examples=300)
+    @settings(max_examples=examples(300))
     @given(_RUN_TEXTS)
     def test_run_pattern_finds_the_greedy_patterns_runs(self, text):
         assert [(m.span(), m[0]) for m in _RANKING_RUN.finditer(text)] == \
             [(m.span(), m[0]) for m in _GREEDY_RUN.finditer(text)]
 
-    @settings(max_examples=300)
+    @settings(max_examples=examples(300))
     @given(_RUN_TEXTS)
     def test_split_without_markers_matches_the_greedy_pattern(self, text):
         assert split_reasoning(text) == _greedy_split(text)
 
-    @settings(max_examples=200)
+    @settings(max_examples=examples(200))
     @given(st.data())
     def test_render_parse_round_trip(self, data):
         n = data.draw(st.integers(min_value=2, max_value=12))
@@ -291,7 +291,7 @@ class TestProperties:
         assert len(matches) == 1
         assert matches[0].ranking == ranking
 
-    @settings(max_examples=200)
+    @settings(max_examples=examples(200))
     @given(
         st.integers(min_value=1, max_value=10),
         st.text(
@@ -307,12 +307,12 @@ class TestProperties:
             assert sorted(ranking.flatten()) == sorted(universe.doc_ids)
             assert 0 < coverage <= 1
 
-    @settings(max_examples=500)
+    @settings(max_examples=examples(500))
     @given(st.one_of(st.text(), st.text(alphabet=st.characters(max_codepoint=127))))
     def test_count_tokens_matches_char_class_rule(self, text):
         assert count_tokens(text) == _char_class_tokens(text)
 
-    @settings(max_examples=100)
+    @settings(max_examples=examples(100))
     @given(st.lists(
         # Runs of a repeated piece reach thousands of characters, which
         # Hypothesis' own text sizes do not.
@@ -333,7 +333,7 @@ class TestProperties:
     def test_count_tokens_matches_char_class_rule_on_long_texts(self, text):
         assert count_tokens(text) == _char_class_tokens(text)
 
-    @settings(max_examples=300)
+    @settings(max_examples=examples(300))
     @given(
         st.integers(min_value=1, max_value=12),
         st.lists(
@@ -356,7 +356,7 @@ class TestProperties:
             assert [m.ranking.groups for m in matches] == [tuple(expected)]
             assert matches[0].span == (0, len(text))
 
-    @settings(max_examples=100)
+    @settings(max_examples=examples(100))
     @given(st.text(alphabet=st.sampled_from(list("[]>=12345 ab\n")), max_size=80))
     def test_determinism_and_span_order(self, text):
         universe = make_universe(5)
