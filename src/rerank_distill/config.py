@@ -19,7 +19,7 @@ import re
 from typing import Mapping, get_type_hints
 
 from .errors import ConfigError
-from .models import SamplingConfig, _set, _Value, text_types, type_message
+from .models import SamplingConfig, _fill, _Value, text_types, type_message
 from .parsing import THINK_MARKERS
 from .sampling import MockMode, MockProfile
 
@@ -50,12 +50,7 @@ class EndpointSettings(_Value):
 
     def __init__(self, url: str = "", model: str = "", auth_env: str | None = None, timeout_s: float = 120.0,
                  max_retries: int = 3, backoff_base_s: float = 0.5) -> None:
-        _set(self, "url", url)
-        _set(self, "model", model)
-        _set(self, "auth_env", auth_env)
-        _set(self, "timeout_s", timeout_s)
-        _set(self, "max_retries", max_retries)
-        _set(self, "backoff_base_s", backoff_base_s)
+        _fill(self, locals())
 
 
 class PipelineConfig(_Value):
@@ -73,13 +68,11 @@ class PipelineConfig(_Value):
     def __init__(self, endpoint: EndpointSettings | None = None, profiles: Mapping[str, Mapping] | None = None,
                  prompt_template: str | None = None, paths: Mapping[str, str] | None = None,
                  mock: MockProfile | None = None, seed: int | None = None) -> None:
-        _set(self, "endpoint", EndpointSettings() if endpoint is None else endpoint)
-        _set(self, "profiles", dict(DEFAULT_PROFILES) if profiles is None else profiles)
-        _set(self, "prompt_template", prompt_template)
-        _set(self, "paths", {} if paths is None else paths)
-        _set(self, "mock", MockProfile() if mock is None else mock)
-        _set(self, "seed", seed)
-        self.__post_init__()
+        endpoint = EndpointSettings() if endpoint is None else endpoint
+        profiles = dict(DEFAULT_PROFILES) if profiles is None else profiles
+        paths = {} if paths is None else paths
+        mock = MockProfile() if mock is None else mock
+        _fill(self, locals())
 
     def __post_init__(self) -> None:
         # os.path.exists takes an int as a file descriptor, so a path must be
@@ -107,7 +100,6 @@ class PipelineConfig(_Value):
         _check_types(settings, SamplingConfig, f"profiles.{profile}.")
         try:
             return SamplingConfig(
-                endpoint_url=self.endpoint.url,
                 model_name=self.endpoint.model,
                 seed=seed if seed is not None else self.seed,
                 **settings,
@@ -192,6 +184,12 @@ def load_config(path: str | None) -> PipelineConfig:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a mapping at top level")
+    # Any other key is refused, not ignored: a misspelt `profiles` or `seed`
+    # would sample with the defaults.
+    keys = [*PipelineConfig._fields, *_FIXED_KEYS]
+    for key in raw:
+        if key not in keys:
+            raise ConfigError(f"unknown config key {key!r}; a config takes only {keys}")
     raw = _interpolate(raw)
 
     endpoint = _endpoint_settings(_mapping(raw.get("endpoint"), "endpoint section"))

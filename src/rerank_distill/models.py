@@ -5,6 +5,10 @@ invariants and raises ValueError on violation, after which instances are
 safe to share across threads. A TrajectorySample and its Rankings also
 check the exact type of each field, so whatever holds one holds values
 the sample store can write and read back.
+
+Each type names its fields twice, in its annotations and in its
+`__init__` parameters; the `__init__` hands its `locals()` to `_fill`,
+which sets them and runs the type's checks (see `_Value`).
 """
 
 from __future__ import annotations
@@ -15,21 +19,22 @@ from typing import Literal, Mapping, Union, get_args, get_origin, get_type_hints
 
 TokenLenSource = Literal["endpoint-reported", "approximated"]
 
-# Sets a field in a value type's __init__, past the __setattr__ that refuses.
-_set = object.__setattr__
-
 
 class _Value:
     """Base of the package's immutable value types.
 
     A subclass annotates its fields, in order, and writes an `__init__`
-    that sets each with `_set` and then calls its `__post_init__` checks,
-    if it has any. The base compares, hashes and shows an instance by
-    those fields, as a frozen dataclass does, and refuses to set or delete
-    any attribute. It carries no annotation of its own, so `get_type_hints`
-    of a subclass names the subclass's fields only. Hand-written methods
-    are compiled once into the module's bytecode cache, where a dataclass
-    compiles its generated ones at every import.
+    that takes them, in the same order and with any defaults, as its
+    parameters and ends with `_fill(self, locals())`. The fill sets every
+    local but `self` as a field, so the `__init__` may rebind a parameter
+    first but bind no other name, and then runs the subclass's
+    `__post_init__` checks, if it has any. The base compares, hashes and
+    shows an instance by its fields, as a frozen dataclass does, and
+    refuses to set or delete any attribute. It carries no annotation of
+    its own, so `get_type_hints` of a subclass names the subclass's fields
+    only. Hand-written methods are compiled once into the module's
+    bytecode cache, where a dataclass compiles its generated ones at every
+    import.
     """
 
     def __init_subclass__(cls) -> None:
@@ -56,6 +61,19 @@ class _Value:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __post_init__(self) -> None:
+        """Check the fields once they are set; a type with no invariants
+        checks nothing."""
+
+
+def _fill(value: _Value, fields: dict[str, object]) -> None:
+    """Set the fields of `value`, a new instance, to `fields` in one
+    `__dict__` update, then run its checks. An `__init__` passes `self` and
+    its `locals()`, whose `self` is dropped."""
+    fields.pop("self", None)
+    value.__dict__.update(fields)
+    value.__post_init__()
+
 
 class Query(_Value):
     """A user query. `id` is the opaque topic identifier."""
@@ -64,9 +82,7 @@ class Query(_Value):
     text: str
 
     def __init__(self, id: str, text: str) -> None:
-        _set(self, "id", id)
-        _set(self, "text", text)
-        self.__post_init__()
+        _fill(self, locals())
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -80,9 +96,7 @@ class CandidateDoc(_Value):
     text: str
 
     def __init__(self, doc_id: str, text: str) -> None:
-        _set(self, "doc_id", doc_id)
-        _set(self, "text", text)
-        self.__post_init__()
+        _fill(self, locals())
 
     def __post_init__(self) -> None:
         if not self.doc_id:
@@ -100,9 +114,7 @@ class CandidateSet(_Value):
     docs: tuple[CandidateDoc, ...]
 
     def __init__(self, query_id: str, docs: tuple[CandidateDoc, ...]) -> None:
-        _set(self, "query_id", query_id)
-        _set(self, "docs", docs)
-        self.__post_init__()
+        _fill(self, locals())
 
     def __post_init__(self) -> None:
         if len(self.docs) < 1:
@@ -129,8 +141,7 @@ class Qrels(_Value):
     judgments: Mapping[tuple[str, str], int]
 
     def __init__(self, judgments: Mapping[tuple[str, str], int]) -> None:
-        _set(self, "judgments", judgments)
-        self.__post_init__()
+        _fill(self, locals())
 
     def __post_init__(self) -> None:
         for (qid, did), grade in self.judgments.items():
@@ -164,8 +175,7 @@ class Ranking(_Value):
     groups: tuple[tuple[str, ...], ...]
 
     def __init__(self, groups: tuple[tuple[str, ...], ...]) -> None:
-        _set(self, "groups", groups)
-        self.__post_init__()
+        _fill(self, locals())
 
     def __post_init__(self) -> None:
         if type(self.groups) is not tuple:
@@ -182,7 +192,7 @@ class Ranking(_Value):
                 if doc_id in seen:
                     raise ValueError(f"doc_id {doc_id!r} appears twice in Ranking")
                 seen.add(doc_id)
-        _set(self, "_hash", hash((self.groups,)))
+        self.__dict__["_hash"] = hash((self.groups,))
 
     def __hash__(self) -> int:
         return self._hash
@@ -222,30 +232,16 @@ class TrajectorySample(_Value):
                  final_ranking: Ranking | None, ranking_sequence: tuple[Ranking, ...], token_len: int,
                  token_len_source: TokenLenSource, score: float | None = None, valid: bool = True,
                  coverage: float | None = None, error: str | None = None, prompt_hash: str | None = None) -> None:
-        _set(self, "query_id", query_id)
-        _set(self, "sample_index", sample_index)
-        _set(self, "raw_text", raw_text)
-        _set(self, "reasoning_text", reasoning_text)
-        _set(self, "final_ranking", final_ranking)
-        _set(self, "ranking_sequence", ranking_sequence)
-        _set(self, "token_len", token_len)
-        _set(self, "token_len_source", token_len_source)
-        _set(self, "score", score)
-        _set(self, "valid", valid)
-        _set(self, "coverage", coverage)
-        _set(self, "error", error)
-        _set(self, "prompt_hash", prompt_hash)
-        self.__post_init__()
+        _fill(self, locals())
 
     @classmethod
-    def from_fields(cls, fields: Mapping[str, object]) -> TrajectorySample:
+    def from_fields(cls, fields: dict[str, object]) -> TrajectorySample:
         """The sample whose fields are `fields`, which names every field
         and no other (else a ValueError names each missing and unknown
         one), after the same checks as the keyword constructor.
 
-        It sets the fields in one `__dict__` update, not one `_set` call
-        each as `__init__` does, so a stage that builds a sample per record
-        pays little more than the checks. A copy with one field changed is
+        It takes the same fill as `__init__`, without binding the fields
+        as arguments first. A copy with one field changed is
         `from_fields({**vars(sample), "score": score})`.
         """
         if fields.keys() != _SAMPLE_FIELD_NAMES:
@@ -253,8 +249,7 @@ class TrajectorySample(_Value):
                 [f"missing field {name!r}" for name in SAMPLE_FIELD_TYPES if name not in fields]
                 + [f"unknown field {name!r}" for name in fields if name not in SAMPLE_FIELD_TYPES]))
         sample = object.__new__(cls)
-        sample.__dict__.update(fields)
-        sample.__post_init__()
+        _fill(sample, fields)
         return sample
 
     def __post_init__(self) -> None:
@@ -319,22 +314,13 @@ class SamplingConfig(_Value):
     temperature: float
     top_p: float
     max_tokens: int
-    endpoint_url: str
     model_name: str
     seed: int | None
     max_in_flight: int
 
-    def __init__(self, k_samples: int, temperature: float, top_p: float, max_tokens: int, endpoint_url: str = "",
-                 model_name: str = "", seed: int | None = None, max_in_flight: int = 4) -> None:
-        _set(self, "k_samples", k_samples)
-        _set(self, "temperature", temperature)
-        _set(self, "top_p", top_p)
-        _set(self, "max_tokens", max_tokens)
-        _set(self, "endpoint_url", endpoint_url)
-        _set(self, "model_name", model_name)
-        _set(self, "seed", seed)
-        _set(self, "max_in_flight", max_in_flight)
-        self.__post_init__()
+    def __init__(self, k_samples: int, temperature: float, top_p: float, max_tokens: int, model_name: str = "",
+                 seed: int | None = None, max_in_flight: int = 4) -> None:
+        _fill(self, locals())
 
     def __post_init__(self) -> None:
         if self.k_samples < 1:
@@ -366,14 +352,7 @@ class QueryFilterStats(_Value):
 
     def __init__(self, query_id: str, n_sampled: int, n_valid: int, mean_score: float, mean_len: float,
                  efficient_indices: tuple[int, ...], retained: bool) -> None:
-        _set(self, "query_id", query_id)
-        _set(self, "n_sampled", n_sampled)
-        _set(self, "n_valid", n_valid)
-        _set(self, "mean_score", mean_score)
-        _set(self, "mean_len", mean_len)
-        _set(self, "efficient_indices", efficient_indices)
-        _set(self, "retained", retained)
-        self.__post_init__()
+        _fill(self, locals())
 
     def __post_init__(self) -> None:
         if self.n_valid > self.n_sampled:
@@ -394,13 +373,7 @@ class DistillationRecord(_Value):
 
     def __init__(self, query: Query, candidates: CandidateSet, target_text: str, target_score: float,
                  target_len: int, prompt_hash: str | None = None) -> None:
-        _set(self, "query", query)
-        _set(self, "candidates", candidates)
-        _set(self, "target_text", target_text)
-        _set(self, "target_score", target_score)
-        _set(self, "target_len", target_len)
-        _set(self, "prompt_hash", prompt_hash)
-        self.__post_init__()
+        _fill(self, locals())
 
     def __post_init__(self) -> None:
         if self.target_score <= 0.0:
@@ -418,11 +391,7 @@ class RedundancyMetrics(_Value):
     mor: float
 
     def __init__(self, seq_len: int, t_star: int, trr: float, mor: float) -> None:
-        _set(self, "seq_len", seq_len)
-        _set(self, "t_star", t_star)
-        _set(self, "trr", trr)
-        _set(self, "mor", mor)
-        self.__post_init__()
+        _fill(self, locals())
 
     def __post_init__(self) -> None:
         if not 0 <= self.t_star <= self.seq_len:
@@ -448,10 +417,7 @@ class LengthBucket(_Value):
     count: int
 
     def __init__(self, lo: float, hi: float, mean_ndcg10: float | None, count: int) -> None:
-        _set(self, "lo", lo)
-        _set(self, "hi", hi)
-        _set(self, "mean_ndcg10", mean_ndcg10)
-        _set(self, "count", count)
+        _fill(self, locals())
 
 
 class EvalReport(_Value):
@@ -466,11 +432,7 @@ class EvalReport(_Value):
 
     def __init__(self, per_query: Mapping[str, tuple[float, int]], mean_ndcg10: float, mean_len: float,
                  length_buckets: tuple[LengthBucket, ...] = ()) -> None:
-        _set(self, "per_query", per_query)
-        _set(self, "mean_ndcg10", mean_ndcg10)
-        _set(self, "mean_len", mean_len)
-        _set(self, "length_buckets", length_buckets)
-        self.__post_init__()
+        _fill(self, locals())
 
     def __post_init__(self) -> None:
         if not isinstance(self.per_query, Mapping) or not self.per_query:

@@ -28,7 +28,7 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Callable, Literal, Mapping, NamedTuple, Sequence
 
 from .errors import BackendUnreachableError, ConfigError, MalformedResponseError, TransportError
-from .models import CandidateSet, Qrels, Query, Ranking, SamplingConfig, TrajectorySample, _set, _Value
+from .models import CandidateSet, Qrels, Query, Ranking, SamplingConfig, TrajectorySample, _fill, _Value
 from .parsing import count_tokens, extract_rankings, parse_final_ranking, split_reasoning
 
 if TYPE_CHECKING:
@@ -49,11 +49,7 @@ class GenerationResult(_Value):
 
     def __init__(self, raw_text: str, endpoint_token_count: int | None,
                  finish_reason: Literal["stop", "length", "error"], latency_ms: int) -> None:
-        _set(self, "raw_text", raw_text)
-        _set(self, "endpoint_token_count", endpoint_token_count)
-        _set(self, "finish_reason", finish_reason)
-        _set(self, "latency_ms", latency_ms)
-        self.__post_init__()
+        _fill(self, locals())
 
     def __post_init__(self) -> None:
         if self.endpoint_token_count is not None and self.endpoint_token_count < 0:
@@ -69,9 +65,7 @@ class PromptTemplate(_Value):
     user: str
 
     def __init__(self, name: str, system: str, user: str) -> None:
-        _set(self, "name", name)
-        _set(self, "system", system)
-        _set(self, "user", user)
+        _fill(self, locals())
 
 
 def default_template() -> PromptTemplate:
@@ -384,11 +378,7 @@ class MockMode(_Value):
 
     def __init__(self, quality: str = "ideal", filler_sentences: int = 3, restatements: int = 0,
                  revert_loops: int = 0) -> None:
-        _set(self, "quality", quality)
-        _set(self, "filler_sentences", filler_sentences)
-        _set(self, "restatements", restatements)
-        _set(self, "revert_loops", revert_loops)
-        self.__post_init__()
+        _fill(self, locals())
 
     def __post_init__(self) -> None:
         if self.quality not in _QUALITY_VALUES:
@@ -404,8 +394,7 @@ class MockProfile(_Value):
     modes: tuple[MockMode, ...]
 
     def __init__(self, modes: tuple[MockMode, ...] = (MockMode(),)) -> None:
-        _set(self, "modes", modes)
-        self.__post_init__()
+        _fill(self, locals())
 
     def __post_init__(self) -> None:
         if not self.modes:
@@ -603,8 +592,8 @@ def sample_trajectories(
 
     if transport_failures == config.k_samples:
         raise BackendUnreachableError(
-            f"endpoint {config.endpoint_url or type(backend).__name__} unreachable: "
-            f"all {config.k_samples} samples for query {query.id} failed after retries"
+            f"backend unreachable: all {config.k_samples} samples for query {query.id} failed after retries, "
+            f"the last with: {outcomes[-1]}"
         )
     # One of each per query: under another candidate list the same run
     # text names other docs.

@@ -60,6 +60,17 @@ def test_a_path_the_cli_does_not_read_is_config_error(tmp_path, key):
         _load(tmp_path, f"paths: {{{key}: {tmp_path / 'q.txt'}}}\n")
 
 
+@pytest.mark.parametrize("text", ["profile: {distill: {k_samples: 2}}\n", "seeed: 3\n", "promt_template: foo.yaml\n"],
+                         ids=["profile", "seeed", "promt_template"])
+def test_an_unknown_top_level_key_is_config_error(tmp_path, text):
+    """A misspelt key would otherwise be ignored: `profile` would sample K=16."""
+    key = text.split(":")[0]
+    with pytest.raises(ConfigError, match=rf"unknown config key '{key}'; a config takes only \['endpoint', "
+                                          r"'profiles', 'prompt_template', 'paths', 'mock', 'seed', "
+                                          r"'tokenizer_mode', 'think_markers'\]"):
+        _load(tmp_path, text)
+
+
 def test_config_that_is_not_utf8_is_config_error(tmp_path):
     path = tmp_path / "config.yaml"
     path.write_bytes(b"seed: 1\nendpoint: {model: caf\xe9}\n")

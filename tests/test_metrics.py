@@ -138,9 +138,10 @@ class TestRedundancy:
         rng = random.Random(11)
         for _ in range(200):
             seq = _seq([rng.choice("ABCD") for _ in range(rng.randint(0, 9))])
+            # t*: the 1-based position of the last element no earlier one equals.
+            t_star = max((i + 1 for i, r in enumerate(seq) if r not in seq[:i]), default=0)
             rm = redundancy_metrics(seq)
-            assert (rm.seq_len, rm.t_star, rm.mor) == (len(seq), redundancy_metrics(seq).t_star,
-                                                    multi_occurrence_ratio(seq))
+            assert (rm.seq_len, rm.t_star, rm.mor) == (len(seq), t_star, multi_occurrence_ratio(seq))
             assert rm.trr == tail_repeat_ratio(seq)  # the same float, not an approximation
 
     @settings(max_examples=examples(300))

@@ -25,6 +25,7 @@ from rerank_distill.models import (
     SamplingConfig,
     TrajectorySample,
     _exact_types,
+    _Value,
     text_types,
 )
 from rerank_distill.sampling import GenerationResult, MockMode, MockProfile, PromptTemplate
@@ -269,7 +270,7 @@ _VALUE_TYPES = [
     (TrajectorySample, lambda: ("q1", 2, "raw", "reasoning", Ranking((("a",), ("b",))),
                                 (Ranking((("b", "a"),)), Ranking((("a",), ("b",)))),
                                 7, "approximated", 0.5, True, 1.0, None, "hash"), True),
-    (SamplingConfig, lambda: (16, 0.7, 0.95, 8192, "http://host/v1", "teacher", 7, 2), True),
+    (SamplingConfig, lambda: (16, 0.7, 0.95, 8192, "teacher", 7, 2), True),
     (QueryFilterStats, lambda: ("q1", 4, 3, 0.5, 10.0, (1, 3), True), True),
     (DistillationRecord, lambda: (Query("q1", "x"), CandidateSet("q1", (CandidateDoc("d1", "a"),)),
                                   "target", 0.5, 10, "hash"), True),
@@ -285,6 +286,14 @@ _VALUE_TYPES = [
 ]
 
 
+def test_every_value_type_has_a_contract_entry():
+    """models, sampling and config are all imported here, so each value
+    type of the package is a subclass of _Value."""
+    covered = {cls for cls, _, _ in _VALUE_TYPES}
+    missing = [cls.__qualname__ for cls in _Value.__subclasses__() if cls not in covered]
+    assert not missing, f"value types with no _VALUE_TYPES entry: {missing}"
+
+
 @pytest.mark.parametrize("cls, make_args, hashable", _VALUE_TYPES, ids=[t[0].__name__ for t in _VALUE_TYPES])
 def test_value_type_contract(cls, make_args, hashable):
     """Every value type of the package is built by position or keyword
@@ -293,6 +302,8 @@ def test_value_type_contract(cls, make_args, hashable):
     names = list(get_type_hints(cls))
     assert list(inspect.signature(cls).parameters) == names
     value, same = cls(*make_args()), cls(**dict(zip(names, make_args())))
+    # A name an __init__ binds before its fill would be set as a field too.
+    assert list(vars(value)) == list(vars(same)) == names + (["_hash"] if cls is Ranking else [])
     values = tuple(getattr(value, name) for name in names)
     assert values == make_args()
     assert value is not same and value == same and not value != same

@@ -37,7 +37,7 @@ from conftest import graded_qrels, make_query, make_universe
 
 def config(**overrides):
     base = dict(k_samples=3, temperature=0.7, top_p=0.95, max_tokens=8192,
-                seed=7, max_in_flight=4, endpoint_url="", model_name="mock-model")
+                seed=7, max_in_flight=4, model_name="mock-model")
     base.update(overrides)
     return SamplingConfig(**base)
 
@@ -225,9 +225,7 @@ class TestSampleTrajectories:
                 raise TransportError("endpoint http://down.example: timed out")
 
         with pytest.raises(BackendUnreachableError, match="http://down.example|unreachable"):
-            sample_trajectories(
-                make_query(), make_universe(3),
-                config(k_samples=4, endpoint_url="http://down.example"), AlwaysDown())
+            sample_trajectories(make_query(), make_universe(3), config(k_samples=4), AlwaysDown())
 
     def test_partial_failures_become_invalid_samples(self):
         class FlakyBackend(GenerationBackend):
