@@ -20,7 +20,6 @@ from .metrics import (
     tail_repeat_ratio,
 )
 from .models import (
-    CandidateDoc,
     CandidateSet,
     DistillationRecord,
     EvalReport,
@@ -60,7 +59,6 @@ from .sampling import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CandidateDoc",
     "CandidateSet",
     "DistillationRecord",
     "EvalReport",

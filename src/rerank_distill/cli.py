@@ -348,18 +348,20 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Sample, score, filter, and analyze listwise-reranker reasoning traces.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sample", parents=[], help="draw K trajectories per query and persist them")
-    p.add_argument("--topics", required=True, help="tab-separated qid<TAB>query text")
-    p.add_argument("--run-file", default=None, help="TREC run file with first-stage candidates")
-    p.add_argument("--corpus", default=None, help="tab-separated docid<TAB>passage text")
-    p.add_argument("--config", default=None)
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--topics", required=True, help="tab-separated qid<TAB>query text")
+    inputs.add_argument("--run-file", default=None, help="TREC run file with first-stage candidates")
+    inputs.add_argument("--corpus", default=None, help="tab-separated docid<TAB>passage text")
+    inputs.add_argument("--config", default=None)
+    inputs.add_argument("--depth", type=int, default=10, help="candidate list depth")
+    inputs.add_argument("--template", default=None, help="prompt template path (default: packaged)")
+
+    p = sub.add_parser("sample", parents=[inputs], help="draw K trajectories per query and persist them")
     p.add_argument("--out", required=True, help="samples JSONL to write")
     p.add_argument("--backend", choices=("mock", "http"), default="mock")
     p.add_argument("--profile", default="distill", help="sampling profile name (distill or eval)")
-    p.add_argument("--depth", type=int, default=10, help="candidate list depth")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--qrels", default=None, help="lets the mock backend target grade-aware orderings")
-    p.add_argument("--template", default=None, help="prompt template path (default: packaged)")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("evaluate", help="score samples against qrels and emit an eval report")
@@ -370,16 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bucket-count", type=int, default=10)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("build-corpus", help="filter scored samples into an SFT corpus")
+    p = sub.add_parser("build-corpus", parents=[inputs], help="filter scored samples into an SFT corpus")
     p.add_argument("--samples", required=True, help="scored samples JSONL")
-    p.add_argument("--topics", required=True)
-    p.add_argument("--run-file", default=None)
-    p.add_argument("--corpus", default=None)
-    p.add_argument("--config", default=None)
-    p.add_argument("--depth", type=int, default=10)
     p.add_argument("--out", required=True, help="SFT corpus JSONL to write")
     p.add_argument("--stats", default=None, help="filter stats JSON (default: <out>.stats.json)")
-    p.add_argument("--template", default=None)
     p.set_defaults(func=cmd_build_corpus)
 
     p = sub.add_parser("analyze-redundancy", help="per-sample TRR/MOR plus model averages")

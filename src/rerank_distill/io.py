@@ -29,7 +29,6 @@ from typing import TextIO
 from .errors import ConfigError, ParseError
 from .models import (
     SAMPLE_FIELD_TYPES,
-    CandidateDoc,
     CandidateSet,
     DistillationRecord,
     EvalReport,
@@ -218,12 +217,13 @@ def candidates_from_run(run: Mapping[str, Sequence[str]], texts: Mapping[str, st
     """Join a run's doc lists with passage texts into CandidateSets."""
     out: dict[str, CandidateSet] = {}
     for qid in sorted(run):
-        docs = []
-        for doc_id in run[qid]:
-            if doc_id not in texts:
-                raise ConfigError(f"passage text for doc {doc_id!r} (query {qid!r}) not found in corpus file")
-            docs.append(CandidateDoc(doc_id=doc_id, text=texts[doc_id]))
-        out[qid] = CandidateSet(query_id=qid, docs=tuple(docs))
+        doc_ids = tuple(run[qid])
+        try:
+            passages = tuple(map(texts.__getitem__, doc_ids))
+        except KeyError as exc:
+            raise ConfigError(
+                f"passage text for doc {exc.args[0]!r} (query {qid!r}) not found in corpus file") from None
+        out[qid] = CandidateSet(query_id=qid, doc_ids=doc_ids, texts=passages)
     return out
 
 
@@ -384,7 +384,7 @@ def _decode_ranking(groups: object, decoded: dict[tuple, Ranking], field: str) -
 _JSON_STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
 _BEFORE_FINAL = re.compile(r'(\{"coverage": (?:null|NaN|-?Infinity|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?), '
                            rf'"error": (?:null|{_JSON_STRING})), "final_ranking": ')
-_BEFORE_SEQUENCE = re.compile(rf'(, "prompt_hash": (?:null|{_JSON_STRING}), "query_id": ({_JSON_STRING})), '
+_BEFORE_SEQUENCE = re.compile(rf'(, "prompt_hash": (?:null|{_JSON_STRING}), "query_id": {_JSON_STRING}), '
                               r'"ranking_sequence": \[')
 # The members of a line with its two rankings cut out: the other fields and
 # "schema_version".
@@ -403,12 +403,14 @@ def _inner_text(line: str, start: int, end: int) -> str | None:
     return None
 
 
-def _cut_rankings(line: str) -> tuple[str, str | None, list[str], tuple[int, int, int, int]] | None:
+def _cut_rankings(line: str) -> tuple[dict, str | None, list[str]] | None:
     """A store line in the layout `write_samples` writes, cut at its two
-    ranking members: `(query id, final, sequence, cuts)`, the JSON text of
-    its query id, the inner text (`_inner_text`) of its final ranking or
-    None, a list of the inner texts of its rankings, and where the two
-    members start and end. None for a line in another layout."""
+    ranking members: `(rest, final, sequence)`, the record the rest of the
+    line decodes to, without its "schema_version", the inner text
+    (`_inner_text`) of its final ranking or None, and a list of the inner
+    texts of its rankings. None for a line in another layout, and for one
+    whose rest does not decode to exactly the other fields and
+    "schema_version" 1."""
     head = _BEFORE_FINAL.match(line)
     middle = None if head is None else _BEFORE_SEQUENCE.search(line, head.end())
     if middle is None:
@@ -425,7 +427,15 @@ def _cut_rankings(line: str) -> tuple[str, str | None, list[str], tuple[int, int
         return None
     else:
         sequence = inner.split("]], [[")
-    return middle[2], final, sequence, (head.end(1), final_end, middle.end(1), sequence_end + 1)
+    try:
+        rest = json.loads(line[:head.end(1)] + line[final_end:middle.end(1)] + line[sequence_end + 1:])
+    except json.JSONDecodeError:
+        return None
+    # With the two rankings set, `from_fields` refuses any other key set of
+    # this size: a ranking key in the rest leaves one field missing.
+    if len(rest) != _SPLIT_KEY_COUNT or rest.pop("schema_version", None) != SAMPLES_SCHEMA_VERSION:
+        return None
+    return rest, final, sequence
 
 
 def _store_samples(path: str, lines: Iterable[str]) -> Iterator[tuple[int, str, TrajectorySample]]:
@@ -440,53 +450,40 @@ def _store_samples(path: str, lines: Iterable[str]) -> Iterator[tuple[int, str, 
     A line in the layout `write_samples` writes is read from its ranking
     texts (`_split_sample`), each decoded the first time its query states
     it. Any other line, and one that cannot be read so, is decoded whole
-    (`_decode_sample`), which words every error.
+    (`_decode_sample`), which words every error. On both routes the query
+    id is read from the decoded record: one id may be spelt two ways.
     """
     # No line's query: the first line starts a query.
     query_id = object()
     for line_no, line in enumerate(lines, start=1):
         if not line or line.isspace():  # `not line.strip()`, without copying the line
             continue
-        cut, record = _cut_rankings(line), None
-        if cut is not None:
-            try:  # compare values: one id may be spelt two ways
-                line_query = _JSON.raw_decode(cut[0])[0]
-            except json.JSONDecodeError:
-                cut = None
-        if cut is None:
-            record = _store_record(path, line_no, line)
-            line_query = record.get("query_id")
+        cut = _cut_rankings(line)
+        record = _store_record(path, line_no, line) if cut is None else cut[0]
+        line_query = record.get("query_id")
         if line_query != query_id:
             query_id, by_text, decoded = line_query, {}, {}
-        sample = None if cut is None else _split_sample(line, cut, by_text, decoded)
+        sample = None if cut is None else _split_sample(cut, by_text, decoded)
         if sample is None:
-            if record is None:
+            if cut is not None:
                 record = _store_record(path, line_no, line)
             sample = _decode_sample(path, line_no, record, decoded)
         yield line_no, line, sample
 
 
-def _split_sample(line: str, cut: tuple, by_text: dict[str, Ranking],
-                  decoded: dict[tuple, Ranking]) -> TrajectorySample | None:
-    """The sample of a line `_cut_rankings` cut, read from the rest of it
+def _split_sample(cut: tuple, by_text: dict[str, Ranking], decoded: dict[tuple, Ranking]) -> TrajectorySample | None:
+    """The sample of a line `_cut_rankings` cut, read from its decoded rest
     and its ranking texts; each text `by_text` lacks is decoded through
-    `decoded` and added to it. None if the rest does not decode to exactly
-    the other fields and "schema_version" 1, or if it and the texts do not
-    make a valid sample.
+    `decoded` and added to it. None if they do not make a valid sample.
 
-    Once the rest decodes so, the line is JSON, and decodes to this record
-    with the rankings decoded, if and only if `[[<text>]]` is one JSON
-    value for each ranking text. A doc id that holds the text `]], [[`
-    splits its ranking in the wrong place, and such a line fails that
-    check.
+    Once the rest decodes to the other fields, the line is JSON, and
+    decodes to this record with the rankings decoded, if and only if
+    `[[<text>]]` is one JSON value for each ranking text. A doc id that
+    holds the text `]], [[` splits its ranking in the wrong place, and such
+    a line fails that check.
     """
-    _, final, sequence, (final_start, final_end, sequence_start, sequence_end) = cut
+    record, final, sequence = cut
     try:
-        record = json.loads(line[:final_start] + line[final_end:sequence_start] + line[sequence_end:])
-        # With the two rankings set, `from_fields` refuses any other key set
-        # of this size: a ranking key in the rest leaves one field missing.
-        if len(record) != _SPLIT_KEY_COUNT or record.pop("schema_version", None) != SAMPLES_SCHEMA_VERSION:
-            return None
         for text in sequence if final is None else (final, *sequence):
             if text not in by_text:
                 groups, end = _JSON.raw_decode(f"[[{text}]]")

@@ -89,47 +89,34 @@ class Query(_Value):
             raise ValueError("Query.id must be non-empty")
 
 
-class CandidateDoc(_Value):
-    """One candidate passage."""
-
-    doc_id: str
-    text: str
-
-    def __init__(self, doc_id: str, text: str) -> None:
-        _fill(self, locals())
-
-    def __post_init__(self) -> None:
-        if not self.doc_id:
-            raise ValueError("CandidateDoc.doc_id must be non-empty")
-
-
 class CandidateSet(_Value):
     """The ordered first-stage candidate list for one query.
 
     Candidate order is load-bearing: prompts address passages by 1-based
-    position, so position i in `docs` is the alias [i].
+    position, so alias [i] is `doc_ids[i-1]`, whose text is `texts[i-1]`.
     """
 
     query_id: str
-    docs: tuple[CandidateDoc, ...]
+    doc_ids: tuple[str, ...]
+    texts: tuple[str, ...]
 
-    def __init__(self, query_id: str, docs: tuple[CandidateDoc, ...]) -> None:
+    def __init__(self, query_id: str, doc_ids: tuple[str, ...], texts: tuple[str, ...]) -> None:
         _fill(self, locals())
 
     def __post_init__(self) -> None:
-        if len(self.docs) < 1:
+        ids = self.doc_ids
+        if len(ids) < 1:
             raise ValueError(f"CandidateSet for {self.query_id!r} must contain at least one doc")
-        ids = [d.doc_id for d in self.docs]
+        if len(self.texts) != len(ids):
+            raise ValueError(f"CandidateSet for {self.query_id!r} has {len(ids)} doc_ids but {len(self.texts)} texts")
+        if not all(ids):
+            raise ValueError(f"CandidateSet for {self.query_id!r} has an empty doc_id")
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise ValueError(f"CandidateSet for {self.query_id!r} has duplicate doc_ids: {dupes}")
 
     def __len__(self) -> int:
-        return len(self.docs)
-
-    @property
-    def doc_ids(self) -> tuple[str, ...]:
-        return tuple(d.doc_id for d in self.docs)
+        return len(self.doc_ids)
 
 
 class Qrels(_Value):

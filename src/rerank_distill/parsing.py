@@ -63,8 +63,8 @@ def _parse_run(run_text: str, universe: CandidateSet) -> Ranking | None:
     Returns None when fewer than two distinct in-universe identifiers
     survive discarding and de-duplication.
     """
-    docs = universe.docs
-    n = len(docs)
+    doc_ids = universe.doc_ids
+    n = len(doc_ids)
     groups: list[tuple[str, ...]] = []
     seen: set[int] = set()
     # Without whitespace the run reads "[a]>[b]=[c]...": drop the outer
@@ -75,7 +75,7 @@ def _parse_run(run_text: str, universe: CandidateSet) -> Ranking | None:
             alias = _alias(digits)
             if 1 <= alias <= n and alias not in seen:
                 seen.add(alias)
-                group.append(docs[alias - 1].doc_id)
+                group.append(doc_ids[alias - 1])
         if group:
             groups.append(tuple(group))
     if len(seen) < 2:
@@ -117,7 +117,7 @@ def repair_ranking(ranking: Ranking, universe: CandidateSet) -> Ranking:
     candidate, in original candidate order, as trailing singleton groups.
     A ranking that already mentions every candidate is returned as is."""
     mentioned = set(ranking.flatten())
-    tail = tuple((d.doc_id,) for d in universe.docs if d.doc_id not in mentioned)
+    tail = tuple((doc_id,) for doc_id in universe.doc_ids if doc_id not in mentioned)
     if not tail:
         return ranking
     return Ranking(groups=ranking.groups + tail)
@@ -231,7 +231,7 @@ def count_tokens(text: str) -> int:
 def render_ranking(ranking: Ranking, universe: CandidateSet) -> str:
     """Render a Ranking back to "[a] > [b] = [c]" syntax using 1-based
     candidate aliases. Inverse of parsing for rankings over `universe`."""
-    alias = {d.doc_id: i for i, d in enumerate(universe.docs, start=1)}
+    alias = dict(zip(universe.doc_ids, range(1, len(universe) + 1)))
     parts = []
     for group in ranking.groups:
         try:

@@ -111,7 +111,7 @@ def build_prompt(
     for placeholder in ("{passages}", "{query}"):
         if placeholder not in template.user:
             raise ConfigError(f"template {template.name!r} is missing the {placeholder} placeholder")
-    passages = "\n".join(f"[{i}] {doc.text}" for i, doc in enumerate(candidates.docs, start=1))
+    passages = "\n".join(f"[{i}] {text}" for i, text in enumerate(candidates.texts, start=1))
     try:
         user = template.user.format(passages=passages, query=query.text, num=len(candidates))
     except (KeyError, IndexError) as exc:
@@ -446,7 +446,7 @@ class _MockPlan:
         final = list(range(1, n + 1))
         if mode.quality != "forward" and qrels is not None:
             grade = qrels.judgments.get
-            grades = [grade((query_id, doc.doc_id), 0) for doc in candidates.docs]
+            grades = [grade((query_id, doc_id), 0) for doc_id in candidates.doc_ids]
             # By descending grade; the sort is stable, so equal grades keep
             # candidate order.
             final = [i + 1 for i in sorted(range(n), key=grades.__getitem__, reverse=True)]
@@ -519,11 +519,12 @@ class MockBackend(GenerationBackend):
     Each thread keeps the plans of the query it served last, one per mode
     of the profile, and reuses them while requests carry that query id and
     the same CandidateSet object. Identity, because hashing a CandidateSet
-    per request would cost about 2 us at 20 docs and 10 at 100, against
-    about 14 for a mock call from a plan; holding the set keeps its id from
-    being reused by another. So the plans need no lock, and there are at
-    most as many as threads times modes. Each thread also keeps one RNG,
-    which each of its draws reseeds.
+    costs 0.7 us at 20 docs and 1.3 at 100, and comparing it with an equal
+    one 1.0 and 1.3, against 0.03 for identity and about 11 for a mock call
+    from a plan (2-vCPU VM, Python 3.11.7, `timeit`, min of 7). Holding the
+    set keeps its id from being reused by another. So the plans need no
+    lock, and there are at most as many as threads times modes. Each thread
+    also keeps one RNG, which each of its draws reseeds.
     """
 
     waits = False

@@ -9,7 +9,7 @@ from hypothesis import settings
 
 from rerank_distill import io as rio
 from rerank_distill.io import atomic_write, iter_samples, write_samples
-from rerank_distill.models import CandidateDoc, CandidateSet, Qrels, Query, Ranking, TrajectorySample
+from rerank_distill.models import CandidateSet, Qrels, Query, Ranking, TrajectorySample
 
 
 # Hypothesis's default profile runs 100 examples a property, and "ci" ten
@@ -31,8 +31,8 @@ def examples(count: int) -> int:
 def make_universe(n: int, query_id: str = "q1") -> CandidateSet:
     """Candidate set whose doc_ids equal their 1-based alias, so parsed
     group structures can be compared against bracket numbers literally."""
-    docs = tuple(CandidateDoc(doc_id=str(i), text=f"passage {i}") for i in range(1, n + 1))
-    return CandidateSet(query_id=query_id, docs=docs)
+    doc_ids = tuple(str(i) for i in range(1, n + 1))
+    return CandidateSet(query_id=query_id, doc_ids=doc_ids, texts=tuple(f"passage {i}" for i in doc_ids))
 
 
 def write_store(samples: list[TrajectorySample], path) -> None:
@@ -50,7 +50,7 @@ def splits(line: str) -> bool:
     """Whether the store reader can read `line` from its cut-out ranking
     texts, as it reads every line in the layout `write_samples` writes."""
     cut = rio._cut_rankings(line)
-    return cut is not None and rio._split_sample(line, cut, {}, {}) is not None
+    return cut is not None and rio._split_sample(cut, {}, {}) is not None
 
 
 def make_query(query_id: str = "q1") -> Query:
@@ -60,7 +60,7 @@ def make_query(query_id: str = "q1") -> Query:
 def graded_qrels(query_id: str, grades: list[int], universe: CandidateSet) -> Qrels:
     """Grade universe docs in candidate order."""
     return Qrels(judgments={
-        (query_id, doc.doc_id): grade for doc, grade in zip(universe.docs, grades)
+        (query_id, doc_id): grade for doc_id, grade in zip(universe.doc_ids, grades)
     })
 
 

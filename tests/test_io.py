@@ -735,6 +735,18 @@ class TestSplitRecords:
         path = self.store(tmp_path, line)
         assert _read_through(path) == _general_read(path)
 
+    def test_a_query_id_spelt_two_ways_is_one_query(self, tmp_path):
+        """The query's rankings are kept across lines whose query ids differ
+        in spelling only: the id is read from the decoded record."""
+        first, second = TestSamples.encoded(make_sample(1)), TestSamples.encoded(make_sample(2))
+        second = second.replace('"query_id": "q1"', '"query_id": "\\u00711"')
+        assert splits(first) and splits(second)
+        path = self.store(tmp_path, first + second)
+        queries, error = _read_through(path)
+        assert error is None and len(queries) == 1
+        assert queries[0][2] == [0, 0, 2, 0, 0, 2]
+        assert (queries, error) == _general_read(path)
+
     @settings(max_examples=examples(100), deadline=None)
     @given(st.data())
     def test_every_line_the_writer_writes_is_split(self, data):

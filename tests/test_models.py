@@ -12,7 +12,6 @@ import pytest
 import rerank_distill
 from rerank_distill.config import EndpointSettings, PipelineConfig
 from rerank_distill.models import (
-    CandidateDoc,
     CandidateSet,
     DistillationRecord,
     EvalReport,
@@ -38,17 +37,24 @@ def test_query_requires_id():
         Query(id="", text="anything")
 
 
-def test_candidate_doc_requires_id():
-    with pytest.raises(ValueError):
-        CandidateDoc(doc_id="", text="t")
+def test_candidate_set_requires_doc_ids():
+    with pytest.raises(ValueError, match="empty doc_id"):
+        CandidateSet(query_id="q", doc_ids=("a", ""), texts=("t", "t"))
 
 
 def test_candidate_set_rejects_duplicates_and_empty():
-    d = CandidateDoc(doc_id="a", text="t")
     with pytest.raises(ValueError, match="duplicate"):
-        CandidateSet(query_id="q", docs=(d, d))
+        CandidateSet(query_id="q", doc_ids=("a", "a"), texts=("t", "t"))
     with pytest.raises(ValueError, match="at least one"):
-        CandidateSet(query_id="q", docs=())
+        CandidateSet(query_id="q", doc_ids=(), texts=())
+
+
+@pytest.mark.parametrize("doc_ids, texts", [(("a", "b"), ("t",)), (("a",), ("t", "u"))])
+def test_candidate_set_refuses_texts_of_another_length(doc_ids, texts):
+    """Alias [i] is doc_ids[i-1] with texts[i-1]: a text without its doc
+    id, or a doc id without its text, shifts every alias after it."""
+    with pytest.raises(ValueError, match=f"{len(doc_ids)} doc_ids but {len(texts)} texts"):
+        CandidateSet(query_id="q", doc_ids=doc_ids, texts=texts)
 
 
 def test_qrels_rejects_negative_grades():
@@ -263,8 +269,7 @@ def test_union_annotations_read_alike():
 # hashable).
 _VALUE_TYPES = [
     (Query, lambda: ("q1", "what is it"), True),
-    (CandidateDoc, lambda: ("d1", "a passage"), True),
-    (CandidateSet, lambda: ("q1", (CandidateDoc("d1", "a"), CandidateDoc("d2", "b"))), True),
+    (CandidateSet, lambda: ("q1", ("d1", "d2"), ("a", "b")), True),
     (Qrels, lambda: ({("q1", "d1"): 2, ("q1", "d2"): 0},), False),
     (Ranking, lambda: ((("a",), ("b", "c")),), True),
     (TrajectorySample, lambda: ("q1", 2, "raw", "reasoning", Ranking((("a",), ("b",))),
@@ -272,7 +277,7 @@ _VALUE_TYPES = [
                                 7, "approximated", 0.5, True, 1.0, None, "hash"), True),
     (SamplingConfig, lambda: (16, 0.7, 0.95, 8192, "teacher", 7, 2), True),
     (QueryFilterStats, lambda: ("q1", 4, 3, 0.5, 10.0, (1, 3), True), True),
-    (DistillationRecord, lambda: (Query("q1", "x"), CandidateSet("q1", (CandidateDoc("d1", "a"),)),
+    (DistillationRecord, lambda: (Query("q1", "x"), CandidateSet("q1", ("d1",), ("a",)),
                                   "target", 0.5, 10, "hash"), True),
     (RedundancyMetrics, lambda: (4, 3, 0.25, 0.5), True),
     (LengthBucket, lambda: (0.0, 10.0, 0.5, 3), True),

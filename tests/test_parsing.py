@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rerank_distill.models import Ranking
+from rerank_distill.models import CandidateSet, Ranking
 from rerank_distill.parsing import (
     _RANKING_RUN,
     count_tokens,
@@ -135,6 +135,16 @@ class TestParseFinalRanking:
         assert ranking.flatten() == ("3", "2", "1")
 
 
+class TestRenderRanking:
+    def test_aliases_follow_candidate_order(self):
+        universe = CandidateSet(query_id="q1", doc_ids=("d9", "d3", "d7"), texts=("a", "b", "c"))
+        assert render_ranking(Ranking(groups=(("d7", "d9"), ("d3",))), universe) == "[3] = [1] > [2]"
+
+    def test_a_doc_outside_the_candidate_set_is_named(self):
+        with pytest.raises(ValueError, match="doc_id '4' is not in the candidate set"):
+            render_ranking(Ranking(groups=(("1",), ("2", "4"))), make_universe(3))
+
+
 class TestSplitReasoning:
     def test_delimited(self):
         assert split_reasoning("<think>blah</think>[1] > [2]") == ("blah", "[1] > [2]")
@@ -229,7 +239,7 @@ def _reference_parse_run(run_text, universe):
             alias = int(m.group(1))
             if 1 <= alias <= len(universe) and alias not in seen:
                 seen.add(alias)
-                current.append(universe.docs[alias - 1].doc_id)
+                current.append(universe.doc_ids[alias - 1])
     if current:
         groups.append(tuple(current))
     return groups if len(seen) >= 2 else None

@@ -15,7 +15,7 @@ from rerank_distill.errors import (
 )
 from rerank_distill.metrics import ndcg_at_k
 from rerank_distill import parsing, sampling
-from rerank_distill.models import CandidateDoc, CandidateSet, Qrels, Ranking, SamplingConfig, TrajectorySample
+from rerank_distill.models import CandidateSet, Qrels, Ranking, SamplingConfig, TrajectorySample
 from rerank_distill.sampling import (
     GenerationBackend,
     GenerationRequest,
@@ -118,7 +118,7 @@ class TestMockGenerate:
         for n in (1, 2, 20):
             universe = make_universe(n)
             # Tied grades and unjudged docs, so the grade order's tie-break shows.
-            grades = {("q1", doc.doc_id): i * 7 % 4 for i, doc in enumerate(universe.docs) if i * 7 % 4}
+            grades = {("q1", doc_id): i * 7 % 4 for i, doc_id in enumerate(universe.doc_ids) if i * 7 % 4}
             for qrels in (None, Qrels(judgments={**grades, ("q2", "1"): 3})):
                 for quality in ("ideal", "worst", "shuffled", "forward"):
                     for restatements in range(3):
@@ -154,8 +154,8 @@ class TestMockBackendPlans:
         q1, q2 = make_universe(5, "q1"), make_universe(4, "q2")
         # The same query id over other docs: a stale plan would rank these
         # by q1's grades and name the wrong aliases.
-        q1_again = CandidateSet(query_id="q1", docs=tuple(
-            CandidateDoc(doc_id=str(i), text=f"passage {i}") for i in (9, 3, 7, 1)))
+        q1_again = CandidateSet(query_id="q1", doc_ids=("9", "3", "7", "1"),
+                                texts=("passage 9", "passage 3", "passage 7", "passage 1"))
         qrels = Qrels(judgments={("q1", "1"): 1, ("q1", "4"): 3, ("q1", "7"): 2, ("q2", "3"): 2})
         assert self.expected(q1_again, 2, qrels) != self.expected(q1, 2, qrels)
         backend = MockBackend(self.PROFILE, qrels)
@@ -296,8 +296,8 @@ class TestSampleTrajectories:
                 return GenerationResult("[2] > [1]", None, "stop", 0)
 
         def universe(query_id, prefix):
-            docs = tuple(CandidateDoc(doc_id=f"{prefix}{i}", text=f"passage {i}") for i in (1, 2))
-            return CandidateSet(query_id=query_id, docs=docs)
+            return CandidateSet(query_id=query_id, doc_ids=(f"{prefix}1", f"{prefix}2"),
+                                texts=("passage 1", "passage 2"))
 
         first = sample_trajectories(make_query("q1"), universe("q1", "a"), config(k_samples=2), SameText())
         second = sample_trajectories(make_query("q2"), universe("q2", "b"), config(k_samples=2), SameText())
