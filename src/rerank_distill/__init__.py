@@ -42,6 +42,7 @@ from .parsing import (
     split_reasoning,
 )
 from .sampling import (
+    EndpointSettings,
     GenerationBackend,
     GenerationResult,
     HttpChatBackend,
@@ -61,6 +62,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CandidateSet",
     "DistillationRecord",
+    "EndpointSettings",
     "EvalReport",
     "GenerationBackend",
     "GenerationResult",

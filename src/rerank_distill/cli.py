@@ -60,16 +60,7 @@ def _backend_for(args, config: PipelineConfig) -> GenerationBackend:
     if args.backend == "mock":
         qrels = rio.read_qrels(args.qrels) if getattr(args, "qrels", None) else None
         return MockBackend(profile=config.mock, qrels=qrels)
-    ep = config.endpoint
-    if not ep.url:
-        raise ConfigError("http backend selected but endpoint.url is not configured")
-    return HttpChatBackend(
-        ep.url,
-        auth_env=ep.auth_env,
-        timeout_s=ep.timeout_s,
-        max_retries=ep.max_retries,
-        backoff_base_s=ep.backoff_base_s,
-    )
+    return HttpChatBackend(config.endpoint)
 
 
 def _candidate_files(args, config: PipelineConfig) -> tuple[str, str]:

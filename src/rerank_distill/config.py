@@ -16,12 +16,14 @@ from __future__ import annotations
 import math
 import os
 import re
-from typing import Mapping, get_type_hints
+from typing import Mapping, TypeVar, get_type_hints
 
 from .errors import ConfigError
 from .models import SamplingConfig, _fill, _Value, text_types, type_message
 from .parsing import THINK_MARKERS
-from .sampling import MockMode, MockProfile
+from .sampling import EndpointSettings, MockMode, MockProfile
+
+_T = TypeVar("_T")
 
 _ENV_PATTERN = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
@@ -38,19 +40,6 @@ _FIXED_KEYS = {"tokenizer_mode": "auto", "think_markers": list(THINK_MARKERS)}
 # Any other key is refused, not ignored: `qrels` would load and the mock
 # would then rank without them.
 _PATH_KEYS = ("corpus", "run")
-
-
-class EndpointSettings(_Value):
-    url: str
-    model: str
-    auth_env: str | None
-    timeout_s: float
-    max_retries: int
-    backoff_base_s: float
-
-    def __init__(self, url: str = "", model: str = "", auth_env: str | None = None, timeout_s: float = 120.0,
-                 max_retries: int = 3, backoff_base_s: float = 0.5) -> None:
-        _fill(self, locals())
 
 
 class PipelineConfig(_Value):
@@ -97,15 +86,8 @@ class PipelineConfig(_Value):
             raise ConfigError(f"unknown sampling profile {profile!r}; have {sorted(self.profiles)}")
         settings = {**DEFAULT_PROFILES.get(profile, DEFAULT_PROFILES["distill"]),
                     **_mapping(self.profiles[profile], f"sampling profile {profile!r}")}
-        _check_types(settings, SamplingConfig, f"profiles.{profile}.")
-        try:
-            return SamplingConfig(
-                model_name=self.endpoint.model,
-                seed=seed if seed is not None else self.seed,
-                **settings,
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid sampling profile {profile!r}: {exc}") from None
+        return _build(SamplingConfig, settings, f"profiles.{profile}.", f"sampling profile {profile!r}",
+                      model_name=self.endpoint.model, seed=seed if seed is not None else self.seed)
 
 
 def _mapping(value: object, what: str) -> Mapping:
@@ -149,21 +131,16 @@ def _check_types(settings: Mapping, cls: type, prefix: str) -> None:
             raise ConfigError(f"{prefix}{name} must be a finite number, got {value!r}")
 
 
-def _endpoint_settings(raw: Mapping) -> EndpointSettings:
-    _check_types(raw, EndpointSettings, "endpoint.")
+def _build(cls: type[_T], settings: Mapping, prefix: str, section: str, **given: object) -> _T:
+    """The value `cls(**given, **settings)`, built from one config section:
+    a setting of a type its field does not take is refused by
+    `_check_types`, and a TypeError or ValueError from the constructor, as
+    an unknown key, becomes a ConfigError that names `section`."""
+    _check_types(settings, cls, prefix)
     try:
-        return EndpointSettings(**raw)
-    except TypeError as exc:
-        raise ConfigError(f"invalid endpoint section: {exc}") from None
-
-
-def _mock_profile(raw: Mapping) -> MockProfile:
-    modes = []
-    for i, mode in enumerate(raw.get("modes", [{}])):
-        mode = _mapping(mode, f"mock.modes[{i}]")
-        _check_types(mode, MockMode, f"mock.modes[{i}].")
-        modes.append(MockMode(**mode))
-    return MockProfile(modes=tuple(modes))
+        return cls(**given, **settings)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {section}: {exc}") from None
 
 
 def load_config(path: str | None) -> PipelineConfig:
@@ -175,13 +152,14 @@ def load_config(path: str | None) -> PipelineConfig:
 
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh) or {}
+            raw = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8 text ({exc.reason})") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from None
+    raw = {} if raw is None else raw  # an empty document; 0, false, [] and '' are refused below
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a mapping at top level")
     # Any other key is refused, not ignored: a misspelt `profiles` or `seed`
@@ -192,14 +170,17 @@ def load_config(path: str | None) -> PipelineConfig:
             raise ConfigError(f"unknown config key {key!r}; a config takes only {keys}")
     raw = _interpolate(raw)
 
-    endpoint = _endpoint_settings(_mapping(raw.get("endpoint"), "endpoint section"))
+    endpoint = _build(EndpointSettings, _mapping(raw.get("endpoint"), "endpoint section"), "endpoint.",
+                      "endpoint section")
     for key, fixed in _FIXED_KEYS.items():
         if key in raw and raw[key] != fixed:
             raise ConfigError(f"{key} must be {fixed!r}, the only supported value, got {raw[key]!r}")
-    try:
-        mock = _mock_profile(_mapping(raw.get("mock"), "mock section"))
-    except TypeError as exc:
-        raise ConfigError(f"invalid mock section: {exc}") from None
+    modes = _mapping(raw.get("mock"), "mock section").get("modes", [{}])
+    if not isinstance(modes, list):
+        raise ConfigError(f"mock.modes must be a list, got {type(modes).__name__}")
+    mock = MockProfile(modes=tuple(
+        _build(MockMode, _mapping(mode, f"mock.modes[{i}]"), f"mock.modes[{i}].", "mock section")
+        for i, mode in enumerate(modes)))
 
     return PipelineConfig(
         endpoint=endpoint,

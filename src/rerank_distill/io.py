@@ -184,6 +184,8 @@ def read_topics(path: str) -> list[Query]:
             if "\t" not in line:
                 raise ParseError("expected qid<TAB>text", path, line_no)
             qid, text = line.split("\t", 1)
+            if not qid:
+                raise ParseError("empty query id", path, line_no)
             if qid in seen:
                 raise ParseError(f"duplicate query id {qid!r}", path, line_no)
             seen.add(qid)

@@ -17,6 +17,7 @@ than through `importlib.resources`, which from Python 3.12 on imports
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -58,7 +59,10 @@ class GenerationResult(_Value):
 
 class PromptTemplate(_Value):
     """Versioned prompt artifact. The user text must contain the
-    {passages} and {query} placeholders; {num} is optional."""
+    {passages} and {query} placeholders; {num} is optional. A template
+    that lacks one, names another or is not a format string is a
+    ConfigError that names it, raised when it is built, so `build_prompt`
+    only renders."""
 
     name: str
     system: str
@@ -67,10 +71,23 @@ class PromptTemplate(_Value):
     def __init__(self, name: str, system: str, user: str) -> None:
         _fill(self, locals())
 
+    def __post_init__(self) -> None:
+        for placeholder in ("{passages}", "{query}"):
+            if placeholder not in self.user:
+                raise ConfigError(f"template {self.name!r} is missing the {placeholder} placeholder")
+        try:
+            self.user.format(passages="", query="", num=1)
+        except (KeyError, IndexError) as exc:
+            raise ConfigError(f"template {self.name!r} uses an unknown placeholder: {exc}") from None
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise ConfigError(f"template {self.name!r} does not render: {exc}") from None
 
+
+@functools.cache
 def default_template() -> PromptTemplate:
     """The template shipped with the package, read from the `templates`
-    package data beside this module."""
+    package data beside this module once per process: a template is
+    immutable, so every call returns the same one."""
     import yaml
 
     path = os.path.join(os.path.dirname(__file__), "templates", "listwise_v1.yaml")
@@ -106,19 +123,10 @@ def build_prompt(
     Passages are enumerated "[i] <text>" in candidate order (1-based);
     rendering is deterministic.
     """
-    if len(candidates) < 1:
-        raise ValueError("cannot build a prompt over an empty candidate set")
-    for placeholder in ("{passages}", "{query}"):
-        if placeholder not in template.user:
-            raise ConfigError(f"template {template.name!r} is missing the {placeholder} placeholder")
     passages = "\n".join(f"[{i}] {text}" for i, text in enumerate(candidates.texts, start=1))
-    try:
-        user = template.user.format(passages=passages, query=query.text, num=len(candidates))
-    except (KeyError, IndexError) as exc:
-        raise ConfigError(f"template {template.name!r} uses an unknown placeholder: {exc}") from None
     return [
         {"role": "system", "content": template.system},
-        {"role": "user", "content": user},
+        {"role": "user", "content": template.user.format(passages=passages, query=query.text, num=len(candidates))},
     ]
 
 
@@ -188,17 +196,46 @@ class GenerationBackend(ABC):
         outstanding. Nothing to release by default."""
 
 
+class EndpointSettings(_Value):
+    """What `HttpChatBackend` reads: the URL, the model name, the variable
+    naming its bearer token, the timeout and the retry policy. Checked
+    here, so a config with a setting out of range fails when it loads,
+    whichever backend samples; only the HTTP backend needs a URL."""
+
+    url: str
+    model: str
+    auth_env: str | None
+    timeout_s: float
+    max_retries: int
+    backoff_base_s: float
+
+    def __init__(self, url: str = "", model: str = "", auth_env: str | None = None, timeout_s: float = 120.0,
+                 max_retries: int = 3, backoff_base_s: float = 0.5) -> None:
+        _fill(self, locals())
+
+    def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise ConfigError(f"endpoint max_retries must be >= 0, got {self.max_retries}")
+        for name, seconds in (("backoff_base_s", self.backoff_base_s), ("timeout_s", self.timeout_s)):
+            if not math.isfinite(seconds):
+                raise ConfigError(f"endpoint {name} must be a finite number, got {seconds}")
+        if self.backoff_base_s < 0:
+            raise ConfigError(f"endpoint backoff_base_s must be >= 0, got {self.backoff_base_s}")
+        if self.timeout_s <= 0:
+            raise ConfigError(f"endpoint timeout_s must be > 0, got {self.timeout_s}")
+
+
 class HttpChatBackend(GenerationBackend):
-    """Chat-completions client: POSTs {model, messages, temperature, top_p,
-    max_tokens[, seed]} and reads the generated text plus
-    usage.completion_tokens.
+    """Chat-completions client for `endpoint.url`: POSTs {model, messages,
+    temperature, top_p, max_tokens[, seed]} and reads the generated text
+    plus usage.completion_tokens.
 
     Transient failures (timeouts, connection errors, a reply body cut off
     mid-transfer, HTTP 429 and 5xx) are retried with exponential backoff up
-    to `max_retries`; other failures are not retried. A 429 or 503 whose
-    Retry-After header gives a number of seconds waits that long instead of
-    the backoff delay. Bearer auth comes
-    from the environment variable named in `auth_env`, when given.
+    to `endpoint.max_retries`; other failures are not retried. A 429 or 503
+    whose Retry-After header gives a number of seconds waits that long
+    instead of the backoff delay. Bearer auth comes from the environment
+    variable named in `endpoint.auth_env`, when given.
 
     Without an injected `session`, each thread that calls `generate` gets
     its own `requests.Session`: a Session is not documented as thread-safe.
@@ -209,42 +246,21 @@ class HttpChatBackend(GenerationBackend):
     is most of the package's import time, and only this backend uses it.
     """
 
-    def __init__(
-        self,
-        endpoint_url: str,
-        *,
-        auth_env: str | None = None,
-        timeout_s: float = 120.0,
-        max_retries: int = 3,
-        backoff_base_s: float = 0.5,
-        session: requests.Session | None = None,
-        sleep: Callable[[float], None] = time.sleep,
-    ):
-        if not endpoint_url:
-            raise ConfigError("HTTP backend requires an endpoint URL")
-        if max_retries < 0:
-            raise ConfigError(f"endpoint max_retries must be >= 0, got {max_retries}")
-        for name, seconds in (("backoff_base_s", backoff_base_s), ("timeout_s", timeout_s)):
-            if not math.isfinite(seconds):
-                raise ConfigError(f"endpoint {name} must be a finite number, got {seconds}")
-        if backoff_base_s < 0:
-            raise ConfigError(f"endpoint backoff_base_s must be >= 0, got {backoff_base_s}")
-        if timeout_s <= 0:
-            raise ConfigError(f"endpoint timeout_s must be > 0, got {timeout_s}")
-        self.endpoint_url = endpoint_url
-        self.timeout_s = timeout_s
-        self.max_retries = max_retries
-        self.backoff_base_s = backoff_base_s
+    def __init__(self, endpoint: EndpointSettings, *, session: requests.Session | None = None,
+                 sleep: Callable[[float], None] = time.sleep):
+        if not endpoint.url:
+            raise ConfigError("http backend selected but endpoint.url is not configured")
+        self.endpoint = endpoint
         self._session = session
         self._thread_sessions = threading.local()
         self._made_sessions: list[requests.Session] = []
         self._made_lock = threading.Lock()
         self._sleep = sleep
         self._headers = {"Content-Type": "application/json"}
-        if auth_env:
-            token = os.environ.get(auth_env)
+        if endpoint.auth_env:
+            token = os.environ.get(endpoint.auth_env)
             if token is None:
-                raise ConfigError(f"auth environment variable {auth_env!r} is not set")
+                raise ConfigError(f"auth environment variable {endpoint.auth_env!r} is not set")
             self._headers["Authorization"] = f"Bearer {token}"
 
     def generate(self, request: GenerationRequest) -> GenerationResult:
@@ -260,32 +276,29 @@ class HttpChatBackend(GenerationBackend):
         import requests
 
         session = self._session or self._thread_session()
+        endpoint = self.endpoint
         last_error: TransportError | None = None
         retry_after: float | None = None
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(endpoint.max_retries + 1):
             if attempt > 0:
-                self._sleep(self.backoff_base_s * 2 ** (attempt - 1) if retry_after is None else retry_after)
+                self._sleep(endpoint.backoff_base_s * 2 ** (attempt - 1) if retry_after is None else retry_after)
             retry_after = None
             started = time.monotonic()
             try:
-                response = session.post(
-                    self.endpoint_url, json=payload, headers=self._headers, timeout=self.timeout_s,
-                )
+                response = session.post(endpoint.url, json=payload, headers=self._headers, timeout=endpoint.timeout_s)
             except (requests.Timeout, requests.ConnectionError, requests.exceptions.ChunkedEncodingError) as exc:
-                last_error = TransportError(f"{self.endpoint_url}: {exc}")
+                last_error = TransportError(f"{endpoint.url}: {exc}")
                 logger.warning("transient transport failure (attempt %d): %s", attempt + 1, exc)
                 continue
             if response.status_code == 429 or response.status_code >= 500:
-                last_error = TransportError(f"{self.endpoint_url}: HTTP {response.status_code}")
+                last_error = TransportError(f"{endpoint.url}: HTTP {response.status_code}")
                 logger.warning("transient HTTP %d (attempt %d)", response.status_code, attempt + 1)
                 if response.status_code in (429, 503):
                     retry_after = _retry_after_s(response.headers.get("Retry-After"))
                 continue
             latency_ms = int((time.monotonic() - started) * 1000)
             if response.status_code != 200:
-                raise MalformedResponseError(
-                    f"{self.endpoint_url}: HTTP {response.status_code}: {response.text[:200]}"
-                )
+                raise MalformedResponseError(f"{endpoint.url}: HTTP {response.status_code}: {response.text[:200]}")
             return self._parse_response(response, latency_ms)
         assert last_error is not None
         raise last_error
@@ -315,9 +328,9 @@ class HttpChatBackend(GenerationBackend):
             choice = body["choices"][0]
             text = choice["message"]["content"]
         except (ValueError, LookupError, TypeError) as exc:
-            raise MalformedResponseError(f"{self.endpoint_url}: unexpected response shape: {exc}") from None
+            raise MalformedResponseError(f"{self.endpoint.url}: unexpected response shape: {exc}") from None
         if not isinstance(text, str):
-            raise MalformedResponseError(f"{self.endpoint_url}: message content is not text")
+            raise MalformedResponseError(f"{self.endpoint.url}: message content is not text")
         finish = choice.get("finish_reason")
         usage = body.get("usage")
         completion_tokens = usage.get("completion_tokens") if isinstance(usage, dict) else None

@@ -140,6 +140,8 @@ class TestPipelineStages:
         ("profiles: [1, 2]", "profiles section must be a mapping, got list"),
         ("mock: x", "mock section must be a mapping, got str"),
         ("paths: [1, 2]", "paths section must be a mapping, got list"),
+        ("mock: {modes: 3}", "mock.modes must be a list, got int"),
+        ("mock: {modes: {quality: worst}}", "mock.modes must be a list, got dict"),
     ])
     def test_non_mapping_config_section_is_config_error(self, workspace, capsys, section, message):
         tmp_path, paths = workspace
@@ -301,6 +303,32 @@ class TestPipelineStages:
         assert [line for line in err.splitlines() if line.startswith("error:")] == [
             f"error: prompt template {template} is not valid YAML: while parsing a flow node"]
         assert "Traceback" not in err
+        assert not (tmp_path / "out.jsonl").exists()
+
+    @pytest.mark.parametrize("stage", ["sample", "build-corpus"])
+    @pytest.mark.parametrize("flag, text, message", [
+        ("--config", "endpoint: {max_retries: -1}\n", "endpoint max_retries must be >= 0, got -1"),
+        ("--template", 'name: stray\nsystem: s\nuser: "{passages} {query} {"\n',
+         "template 'stray' does not render: Single '{' encountered in format string"),
+    ], ids=["endpoint", "template"])
+    def test_a_bad_endpoint_setting_or_template_is_refused_when_loaded(self, workspace, capsys, stage, flag, text,
+                                                                       message):
+        """By every stage that loads it, with the mock backend too, before
+        any output is written."""
+        tmp_path, paths = workspace
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text)
+        (tmp_path / "s.jsonl").write_text("")
+        inputs = {"--topics": paths["topics"], "--run-file": paths["run"], "--corpus": paths["corpus"],
+                  "--config": paths["config"], "--depth": "8", flag: str(bad)}
+        inputs = [arg for pair in inputs.items() for arg in pair]
+        argv = {"sample": ["sample", *inputs, "--backend", "mock", "--out", str(tmp_path / "out.jsonl")],
+                "build-corpus": ["build-corpus", "--samples", str(tmp_path / "s.jsonl"), *inputs,
+                                 "--out", str(tmp_path / "out.jsonl")]}[stage]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [f"error: {message}"]
         assert not (tmp_path / "out.jsonl").exists()
 
     def test_report_repeated_tag_is_validation_error(self, tmp_path, capsys):
@@ -1343,3 +1371,20 @@ def test_no_stage_imports_dataclasses_or_inspect(tmp_path):
     assert probe_imports(stages, watched=("dataclasses", "inspect")) == [
         ["import rerank_distill", []], ["import rerank_distill.cli", []],
         *([stage[0], []] for stage in stages)]
+
+
+_STAGE_INPUTS = ("--topics", "--run-file", "--corpus", "--config", "--depth", "--template")
+
+
+@pytest.mark.parametrize("command", [[], ["sample"], ["evaluate"], ["build-corpus"], ["analyze-redundancy"],
+                                     ["report"]], ids=lambda command: " ".join(command) or "top-level")
+def test_every_help_renders(command, capsys):
+    """argparse formats a help text only when asked for it. `sample` and
+    `build-corpus` list the inputs they declare together."""
+    with pytest.raises(SystemExit) as exited:
+        main([*command, "--help"])
+    assert exited.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(" ".join(["usage: rerank-distill", *command]))
+    listed = [flag for flag in _STAGE_INPUTS if f"  {flag} " in out]
+    assert listed == (list(_STAGE_INPUTS) if command in (["sample"], ["build-corpus"]) else [])

@@ -71,6 +71,18 @@ def test_an_unknown_top_level_key_is_config_error(tmp_path, text):
         _load(tmp_path, text)
 
 
+@pytest.mark.parametrize("text", ["0\n", "false\n", "[]\n", "''\n", "- a\n"])
+def test_a_top_level_that_is_not_a_mapping_is_config_error(tmp_path, text):
+    """Falsy documents included: they are no more a config than `- a`."""
+    with pytest.raises(ConfigError, match=r"config .*config\.yaml must be a mapping at top level"):
+        _load(tmp_path, text)
+
+
+@pytest.mark.parametrize("text", ["", "# nothing set\n"])
+def test_an_empty_document_is_the_default_config(tmp_path, text):
+    assert _load(tmp_path, text) == load_config(None)
+
+
 def test_config_that_is_not_utf8_is_config_error(tmp_path):
     path = tmp_path / "config.yaml"
     path.write_bytes(b"seed: 1\nendpoint: {model: caf\xe9}\n")
@@ -111,6 +123,17 @@ def test_endpoint_setting_of_another_type_is_config_error(tmp_path, setting, mes
         _load(tmp_path, f"endpoint: {{{setting}}}\n")
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("max_retries: -1", "endpoint max_retries must be >= 0, got -1"),
+    ("backoff_base_s: -0.5", "endpoint backoff_base_s must be >= 0, got -0.5"),
+    ("timeout_s: 0", "endpoint timeout_s must be > 0, got 0"),
+])
+def test_out_of_range_endpoint_setting_is_refused_at_load(tmp_path, setting, message):
+    """With no URL too: the config is refused whichever backend samples."""
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        _load(tmp_path, f"endpoint: {{{setting}}}\n")
+
+
 def test_endpoint_numbers_may_be_ints(tmp_path):
     endpoint = _load(tmp_path, "endpoint: {timeout_s: 30, backoff_base_s: 0, auth_env: null}\n").endpoint
     assert (endpoint.timeout_s, endpoint.backoff_base_s, endpoint.auth_env) == (30, 0, None)
@@ -139,6 +162,20 @@ def test_sampling_floats_may_be_ints(tmp_path):
     config = _load(tmp_path, "profiles: {eval: {temperature: 0, top_p: 1}}\nseed: null\n")
     sampling = config.sampling_config("eval")
     assert (sampling.temperature, sampling.top_p, config.seed) == (0, 1, None)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("endpoint: {retries: 2}", r"^invalid endpoint section: .*unexpected keyword argument 'retries'"),
+    ("mock: {modes: [{quality: worst, loops: 2}]}", r"^invalid mock section: .*unexpected keyword argument 'loops'"),
+    ("mock: {modes: [{quality: best}]}", "^unknown mock quality 'best'"),
+    ("mock: {modes: []}", "^mock profile needs at least one mode$"),
+    ("profiles: {distill: {k_samples: 0}}", r"^invalid sampling profile 'distill': "),
+    ("profiles: {distill: {top_k: 40}}", r"^invalid sampling profile 'distill': .*unexpected keyword argument 'top_k'"),
+])
+def test_a_section_that_does_not_build_is_config_error(tmp_path, text, message):
+    """Each message names the section, or the field, at fault."""
+    with pytest.raises(ConfigError, match=message):
+        _load(tmp_path, text + "\n")
 
 
 def test_null_mock_mode_is_the_default_mode(tmp_path):

@@ -175,6 +175,12 @@ class TestTopicsAndCorpus:
         with pytest.raises(ParseError, match=r":2: duplicate query id"):
             read_topics(str(p))
 
+    def test_empty_topic_id_names_the_file_and_line(self, tmp_path):
+        p = tmp_path / "topics.tsv"
+        p.write_text("q1\ta\n\tquery text\n")
+        with pytest.raises(ParseError, match=r"topics\.tsv:2: empty query id$"):
+            read_topics(str(p))
+
     def test_corpus_texts_and_join(self, tmp_path):
         p = tmp_path / "corpus.tsv"
         p.write_text("dA\tfirst passage\ndB\tsecond passage\n")

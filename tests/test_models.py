@@ -10,7 +10,7 @@ from typing import Optional, get_type_hints
 import pytest
 
 import rerank_distill
-from rerank_distill.config import EndpointSettings, PipelineConfig
+from rerank_distill.config import PipelineConfig
 from rerank_distill.models import (
     CandidateSet,
     DistillationRecord,
@@ -27,7 +27,7 @@ from rerank_distill.models import (
     _Value,
     text_types,
 )
-from rerank_distill.sampling import GenerationResult, MockMode, MockProfile, PromptTemplate
+from rerank_distill.sampling import EndpointSettings, GenerationResult, MockMode, MockProfile, PromptTemplate
 
 from conftest import make_query, make_universe
 

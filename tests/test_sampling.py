@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -17,6 +18,7 @@ from rerank_distill.metrics import ndcg_at_k
 from rerank_distill import parsing, sampling
 from rerank_distill.models import CandidateSet, Qrels, Ranking, SamplingConfig, TrajectorySample
 from rerank_distill.sampling import (
+    EndpointSettings,
     GenerationBackend,
     GenerationRequest,
     GenerationResult,
@@ -60,14 +62,12 @@ class TestBuildPrompt:
         assert a == b
 
     def test_missing_placeholder_rejected(self):
-        bad = PromptTemplate(name="bad", system="s", user="no slots here")
         with pytest.raises(ConfigError, match="placeholder"):
-            build_prompt(make_query(), make_universe(2), bad)
+            PromptTemplate(name="bad", system="s", user="no slots here")
 
     def test_unknown_placeholder_rejected(self):
-        bad = PromptTemplate(name="bad", system="s", user="{passages} {query} {wat}")
         with pytest.raises(ConfigError, match="unknown placeholder"):
-            build_prompt(make_query(), make_universe(2), bad)
+            PromptTemplate(name="bad", system="s", user="{passages} {query} {wat}")
 
 
 class TestMockGenerate:
@@ -268,7 +268,8 @@ class TestSampleTrajectories:
 
     @pytest.mark.parametrize("completion_tokens", [True, -3, 4.0, "9"])
     def test_count_that_is_not_a_non_negative_int_is_approximated(self, completion_tokens):
-        backend = HttpChatBackend("http://x.example/v1", session=_ReplySession(_FakeResponse(usage=completion_tokens)))
+        backend = HttpChatBackend(EndpointSettings("http://x.example/v1"),
+                                  session=_ReplySession(_FakeResponse(usage=completion_tokens)))
         [sample] = sample_trajectories(make_query(), make_universe(3), config(k_samples=1), backend)
         assert sample == TrajectorySample(
             query_id="q1", sample_index=1, raw_text="[1] > [2]", reasoning_text="",
@@ -549,7 +550,7 @@ class TestHttpChatBackend:
     def test_wire_protocol_fields_and_usage(self, http_endpoint, closing, monkeypatch):
         url, handler = http_endpoint
         monkeypatch.setenv("RD_TOKEN", "sekrit")
-        backend = closing(HttpChatBackend(url, auth_env="RD_TOKEN"))
+        backend = closing(HttpChatBackend(EndpointSettings(url, auth_env="RD_TOKEN")))
         result = backend.generate(_request(seed=3))
         assert result.raw_text == "thinking... [1] > [2]"
         assert result.endpoint_token_count == 42
@@ -561,7 +562,7 @@ class TestHttpChatBackend:
     def test_transient_statuses_are_retried(self, http_endpoint, closing):
         url, handler = http_endpoint
         handler.script = [(429, {"error": "slow down"}), (500, {"error": "oops"})]
-        backend = closing(HttpChatBackend(url, max_retries=3, sleep=lambda s: None))
+        backend = closing(HttpChatBackend(EndpointSettings(url, max_retries=3), sleep=lambda s: None))
         result = backend.generate(_request())
         assert result.raw_text
         assert len(handler.requests_seen) == 3
@@ -569,7 +570,7 @@ class TestHttpChatBackend:
     def test_retry_exhaustion_is_transport_error(self, http_endpoint, closing):
         url, handler = http_endpoint
         handler.script = [(503, {})] * 10
-        backend = closing(HttpChatBackend(url, max_retries=2, sleep=lambda s: None))
+        backend = closing(HttpChatBackend(EndpointSettings(url, max_retries=2), sleep=lambda s: None))
         with pytest.raises(TransportError, match="HTTP 503"):
             backend.generate(_request())
         assert len(handler.requests_seen) == 3  # initial try + 2 retries
@@ -577,7 +578,7 @@ class TestHttpChatBackend:
     def test_non_transient_status_not_retried(self, http_endpoint, closing):
         url, handler = http_endpoint
         handler.script = [(400, {"error": "bad request"})]
-        backend = closing(HttpChatBackend(url, max_retries=5, sleep=lambda s: None))
+        backend = closing(HttpChatBackend(EndpointSettings(url, max_retries=5), sleep=lambda s: None))
         with pytest.raises(MalformedResponseError, match="HTTP 400"):
             backend.generate(_request())
         assert len(handler.requests_seen) == 1
@@ -585,13 +586,13 @@ class TestHttpChatBackend:
     def test_malformed_body_rejected(self, http_endpoint, closing):
         url, handler = http_endpoint
         handler.script = [(200, {"not": "a chat response"})]
-        backend = closing(HttpChatBackend(url, sleep=lambda s: None))
+        backend = closing(HttpChatBackend(EndpointSettings(url), sleep=lambda s: None))
         with pytest.raises(MalformedResponseError, match="shape"):
             backend.generate(_request())
 
     def test_connection_refused_becomes_transport_error(self, closing):
-        backend = closing(HttpChatBackend("http://127.0.0.1:1/never", max_retries=1,
-                                          timeout_s=0.2, sleep=lambda s: None))
+        backend = closing(HttpChatBackend(EndpointSettings("http://127.0.0.1:1/never", max_retries=1, timeout_s=0.2),
+                                          sleep=lambda s: None))
         with pytest.raises(TransportError):
             backend.generate(_request())
 
@@ -608,7 +609,7 @@ class TestHttpChatBackend:
                 return _FakeResponse()
 
         monkeypatch.setattr(requests, "Session", RecordingSession)
-        backend = HttpChatBackend("http://x.example/v1", sleep=lambda s: None)
+        backend = HttpChatBackend(EndpointSettings("http://x.example/v1"), sleep=lambda s: None)
         _generate_from_two_threads(backend)
         assert len(made) == 2
         assert [len(session.threads) for session in made] == [1, 1]
@@ -627,7 +628,7 @@ class TestHttpChatBackend:
                 self.closed = True
 
         monkeypatch.setattr(requests, "Session", ClosableSession)
-        backend = HttpChatBackend("http://x.example/v1", sleep=lambda s: None)
+        backend = HttpChatBackend(EndpointSettings("http://x.example/v1"), sleep=lambda s: None)
         _generate_from_two_threads(backend)
         backend.close()
         assert [session.closed for session in made] == [True, True]
@@ -640,7 +641,7 @@ class TestHttpChatBackend:
             def close(self):
                 raise AssertionError("the backend closed a session it did not make")
 
-        backend = HttpChatBackend("http://x.example/v1", session=InjectedSession(_FakeResponse()))
+        backend = HttpChatBackend(EndpointSettings("http://x.example/v1"), session=InjectedSession(_FakeResponse()))
         backend.generate(_request())
         backend.close()
 
@@ -656,7 +657,7 @@ class TestHttpChatBackend:
 
         session = DropsFirstBody(_FakeResponse())
         sleeps = []
-        backend = HttpChatBackend("http://x.example/v1", max_retries=3, backoff_base_s=0.25,
+        backend = HttpChatBackend(EndpointSettings("http://x.example/v1", max_retries=3, backoff_base_s=0.25),
                                   session=session, sleep=sleeps.append)
         assert backend.generate(_request()).raw_text == "[1] > [2]"
         assert session.posts == 2
@@ -671,7 +672,8 @@ class TestHttpChatBackend:
                 raise requests.exceptions.ChunkedEncodingError("connection broken mid-body")
 
         session = DropsEveryBody(_FakeResponse())
-        backend = HttpChatBackend("http://x.example/v1", max_retries=2, session=session, sleep=lambda s: None)
+        backend = HttpChatBackend(EndpointSettings("http://x.example/v1", max_retries=2), session=session,
+                                  sleep=lambda s: None)
         with pytest.raises(TransportError, match="connection broken mid-body"):
             backend.generate(_request())
         assert session.posts == 3  # initial try + 2 retries
@@ -682,7 +684,7 @@ class TestHttpChatBackend:
             def json(self):
                 return {**super().json(), "usage": usage}
 
-        backend = HttpChatBackend("http://x.example/v1", session=_ReplySession(UsageResponse()))
+        backend = HttpChatBackend(EndpointSettings("http://x.example/v1"), session=_ReplySession(UsageResponse()))
         result = backend.generate(_request())
         assert result.raw_text == "[1] > [2]"
         assert result.endpoint_token_count is None
@@ -700,7 +702,7 @@ class TestHttpChatBackend:
                 return _FakeResponse()
 
         shared = SharedSession()
-        _generate_from_two_threads(HttpChatBackend("http://x.example/v1", session=shared))
+        _generate_from_two_threads(HttpChatBackend(EndpointSettings("http://x.example/v1"), session=shared))
         assert made == []
         assert len(shared.threads) == 2
 
@@ -723,14 +725,14 @@ class TestHttpChatBackend:
                 return self.replies.pop(0) if self.replies else _FakeResponse()
 
         sleeps = []
-        backend = HttpChatBackend("http://x.example/v1", max_retries=3, backoff_base_s=0.25,
+        backend = HttpChatBackend(EndpointSettings("http://x.example/v1", max_retries=3, backoff_base_s=0.25),
                                   session=ScriptedSession(), sleep=sleeps.append)
         assert backend.generate(_request()).raw_text == "[1] > [2]"
         assert sleeps == slept
 
     def test_missing_auth_env_fails_fast(self):
         with pytest.raises(ConfigError, match="NOT_A_REAL_VAR"):
-            HttpChatBackend("http://x.example", auth_env="NOT_A_REAL_VAR")
+            HttpChatBackend(EndpointSettings("http://x.example", auth_env="NOT_A_REAL_VAR"))
 
     @pytest.mark.parametrize("setting, message", [
         ({"max_retries": -1}, "max_retries must be >= 0, got -1"),
@@ -742,7 +744,7 @@ class TestHttpChatBackend:
     ])
     def test_out_of_range_retry_settings_are_config_errors(self, setting, message):
         with pytest.raises(ConfigError, match=message):
-            HttpChatBackend("http://x.example", **setting)
+            EndpointSettings("http://x.example", **setting)
 
 
 GOLDEN_K3_DIGEST = "a26f7753903d2966a9b8b1c71f2f305dc2b2de95c156f59ba31c722e1a2ac66a"
@@ -754,6 +756,30 @@ def test_template_that_is_not_utf8_is_config_error(tmp_path):
     path.write_bytes(b'name: t\nsystem: "caf\xe9"\nuser: "{passages} {query}"\n')
     with pytest.raises(ConfigError, match=r"prompt template .*template\.yaml is not UTF-8 text"):
         load_template(str(path))
+
+
+@pytest.mark.parametrize("user, message", [
+    ("{passages} {query} {", "does not render: Single '{' encountered in format string"),
+    ("{passages} {query} }", "does not render: Single '}' encountered in format string"),
+    ("{passages} {query} {num:q}", "does not render: Unknown format code 'q'"),
+    ("{passages} {query} {0}", "uses an unknown placeholder"),
+    ("{passages} {extra}", "is missing the {query} placeholder"),
+])
+def test_a_template_that_does_not_render_is_refused_when_loaded(tmp_path, user, message):
+    """Before any prompt is built, as a ConfigError that names the template."""
+    path = tmp_path / "template.yaml"
+    path.write_text(f"name: stray\nsystem: s\nuser: {json.dumps(user)}\n")
+    with pytest.raises(ConfigError, match=rf"^template 'stray' {re.escape(message)}"):
+        load_template(str(path))
+
+
+def test_the_packaged_template_is_read_once():
+    assert default_template() is default_template()
+
+
+def test_http_backend_without_url_is_config_error():
+    with pytest.raises(ConfigError, match="endpoint.url is not configured"):
+        HttpChatBackend(EndpointSettings(model="teacher"))
 
 
 def test_only_the_mock_never_waits():
