@@ -51,11 +51,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _template_for(config: PipelineConfig, override: str | None) -> PromptTemplate:
-    path = override or config.prompt_template
-    return load_template(path) if path else default_template()
-
-
 def _backend_for(args, config: PipelineConfig) -> GenerationBackend:
     if args.backend == "mock":
         qrels = rio.read_qrels(args.qrels) if getattr(args, "qrels", None) else None
@@ -63,29 +58,25 @@ def _backend_for(args, config: PipelineConfig) -> GenerationBackend:
     return HttpChatBackend(config.endpoint)
 
 
-def _candidate_files(args, config: PipelineConfig) -> tuple[str, str]:
-    """The run file and passage corpus a stage reads: its flags', else the
-    config's paths."""
-    run_path = args.run_file or config.paths.get("run")
-    if not run_path:
-        raise ConfigError("no run file given (use --run-file or paths.run in the config)")
-    corpus_path = args.corpus or config.paths.get("corpus")
-    if not corpus_path:
-        raise ConfigError("no passage corpus given (use --corpus or paths.corpus in the config)")
-    return run_path, corpus_path
-
-
-def _load_candidates(args, config: PipelineConfig) -> dict[str, rio.CandidateSet]:
-    run_path, corpus_path = _candidate_files(args, config)
-    run = rio.read_run(run_path, depth=args.depth)
-    texts = rio.read_corpus_texts(corpus_path, {doc_id for docs in run.values() for doc_id in docs})
-    return rio.candidates_from_run(run, texts)
+def _read_inputs(args, config: PipelineConfig) -> tuple[dict[str, rio.Query], dict[str, rio.CandidateSet],
+                                                     PromptTemplate]:
+    """What `sample` and `build-corpus` both read: the topics by id, each
+    query's candidates to `--depth` from the run file and corpus, and the
+    prompt template (`--template`, else the config's, else the packaged
+    one). The template is read first: a bad one fails before the corpus
+    is read."""
+    path = args.template or config.prompt_template
+    template = load_template(path) if path else default_template()
+    queries = {q.id: q for q in rio.read_topics(args.topics)}
+    run = rio.read_run(args.run_file, depth=args.depth)
+    texts = rio.read_corpus_texts(args.corpus, {doc_id for docs in run.values() for doc_id in docs})
+    return queries, rio.candidates_from_run(run, texts), template
 
 
 def _stage_inputs(args, config: PipelineConfig) -> list[tuple[str, str | None]]:
     """(flag, path) of each input `sample` and `build-corpus` share: the
     topics, run file, corpus, config and template."""
-    return [("--topics", args.topics), *zip(("--run-file", "--corpus"), _candidate_files(args, config)),
+    return [("--topics", args.topics), ("--run-file", args.run_file), ("--corpus", args.corpus),
             ("--config", args.config), ("--template", args.template or config.prompt_template)]
 
 
@@ -94,9 +85,7 @@ def cmd_sample(args) -> int:
     _distinct_files("--out", args.out, _stage_inputs(args, config) + [("--qrels", args.qrels)])
     sampling_config = config.sampling_config(args.profile, seed=args.seed)
     backend = _backend_for(args, config)
-    template = _template_for(config, args.template)
-    queries = {q.id: q for q in rio.read_topics(args.topics)}
-    candidates = _load_candidates(args, config)
+    queries, candidates, template = _read_inputs(args, config)
 
     missing = sorted(set(candidates) - set(queries))
     if missing:
@@ -239,9 +228,7 @@ def cmd_build_corpus(args) -> int:
     inputs = [("--samples", args.samples)] + _stage_inputs(args, config)
     _distinct_files("--out", args.out, [("--stats", stats_out)] + inputs)
     _distinct_files("--stats", stats_out, inputs)
-    queries = {q.id: q for q in rio.read_topics(args.topics)}
-    candidates = _load_candidates(args, config)
-    template = _template_for(config, args.template)
+    queries, candidates, template = _read_inputs(args, config)
 
     records, stats = [], []
     for _, samples in rio.iter_samples(args.samples):
@@ -301,9 +288,9 @@ def cmd_report(args) -> int:
     check_bucket_count(args.bucket_count)
     inputs = []
     for spec_arg in args.inputs:
-        if "=" not in spec_arg:
+        tag, eq, path = spec_arg.partition("=")
+        if not tag or not eq:
             raise ConfigError(f"report inputs must be tag=path, got {spec_arg!r}")
-        tag, path = spec_arg.split("=", 1)
         _distinct_files("--out", args.out, [(spec_arg, path)])
         if any(tag == seen for seen, _ in inputs):
             raise ConfigError(f"report tag {tag!r} is given twice")
@@ -341,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     inputs = argparse.ArgumentParser(add_help=False)
     inputs.add_argument("--topics", required=True, help="tab-separated qid<TAB>query text")
-    inputs.add_argument("--run-file", default=None, help="TREC run file with first-stage candidates")
-    inputs.add_argument("--corpus", default=None, help="tab-separated docid<TAB>passage text")
+    inputs.add_argument("--run-file", required=True, help="TREC run file with first-stage candidates")
+    inputs.add_argument("--corpus", required=True, help="tab-separated docid<TAB>passage text")
     inputs.add_argument("--config", default=None)
     inputs.add_argument("--depth", type=int, default=10, help="candidate list depth")
     inputs.add_argument("--template", default=None, help="prompt template path (default: packaged)")

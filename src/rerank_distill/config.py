@@ -36,48 +36,34 @@ DEFAULT_PROFILES: dict[str, dict] = {
 # would ask for another token length or reasoning split than the one stored.
 _FIXED_KEYS = {"tokenizer_mode": "auto", "think_markers": list(THINK_MARKERS)}
 
-# The inputs the CLI takes from the `paths` section when no flag names them.
-# Any other key is refused, not ignored: `qrels` would load and the mock
-# would then rank without them.
-_PATH_KEYS = ("corpus", "run")
-
 
 class PipelineConfig(_Value):
-    """A loaded config. An endpoint, profiles, paths or mock of None stands
-    for its default: `EndpointSettings()`, a copy of `DEFAULT_PROFILES`, no
-    paths and `MockProfile()`."""
+    """A loaded config. An endpoint, profiles or mock of None stands for its
+    default: `EndpointSettings()`, a copy of `DEFAULT_PROFILES` and
+    `MockProfile()`."""
 
     endpoint: EndpointSettings
     profiles: Mapping[str, Mapping]
     prompt_template: str | None
-    paths: Mapping[str, str]
     mock: MockProfile
     seed: int | None
 
     def __init__(self, endpoint: EndpointSettings | None = None, profiles: Mapping[str, Mapping] | None = None,
-                 prompt_template: str | None = None, paths: Mapping[str, str] | None = None,
-                 mock: MockProfile | None = None, seed: int | None = None) -> None:
+                 prompt_template: str | None = None, mock: MockProfile | None = None,
+                 seed: int | None = None) -> None:
         endpoint = EndpointSettings() if endpoint is None else endpoint
         profiles = dict(DEFAULT_PROFILES) if profiles is None else profiles
-        paths = {} if paths is None else paths
         mock = MockProfile() if mock is None else mock
         _fill(self, locals())
 
     def __post_init__(self) -> None:
-        # os.path.exists takes an int as a file descriptor, so a path must be
-        # a string before it is looked up.
+        # os.path.exists takes an int as a file descriptor, so the template
+        # path must be a string before it is looked up.
         _check_types({"seed": self.seed, "prompt_template": self.prompt_template}, PipelineConfig, "")
         for name in self.profiles:
             self.sampling_config(name)  # raises ConfigError on invalid profiles
         if self.prompt_template is not None and not os.path.exists(self.prompt_template):
             raise ConfigError(f"prompt template file does not exist: {self.prompt_template}")
-        for key, path in self.paths.items():
-            if key not in _PATH_KEYS:
-                raise ConfigError(f"unknown configured path {key!r}; the paths section takes only {list(_PATH_KEYS)}")
-            if not isinstance(path, str):
-                raise ConfigError(f"configured path {key!r} must be a path string, got {type(path).__name__}")
-            if not os.path.exists(path):
-                raise ConfigError(f"configured path {key!r} does not exist: {path}")
 
     def sampling_config(self, profile: str, seed: int | None = None) -> SamplingConfig:
         """The named profile's settings over the built-in ones of the same
@@ -186,7 +172,6 @@ def load_config(path: str | None) -> PipelineConfig:
         endpoint=endpoint,
         profiles={**DEFAULT_PROFILES, **_mapping(raw.get("profiles"), "profiles section")},
         prompt_template=raw.get("prompt_template"),
-        paths=dict(_mapping(raw.get("paths"), "paths section")),
         mock=mock,
         seed=raw.get("seed"),
     )

@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import logging
+import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -139,7 +141,6 @@ class TestPipelineStages:
         ("profiles: {distill: [1, 2]}", "sampling profile 'distill' must be a mapping, got list"),
         ("profiles: [1, 2]", "profiles section must be a mapping, got list"),
         ("mock: x", "mock section must be a mapping, got str"),
-        ("paths: [1, 2]", "paths section must be a mapping, got list"),
         ("mock: {modes: 3}", "mock.modes must be a list, got int"),
         ("mock: {modes: {quality: worst}}", "mock.modes must be a list, got dict"),
     ])
@@ -169,6 +170,21 @@ class TestPipelineStages:
     def test_missing_required_flag_is_exit_1(self, workspace, capsys):
         code = main(["sample", "--topics", "t.tsv"])
         assert code == 1
+
+    @pytest.mark.parametrize("stage", ["sample", "build-corpus"])
+    @pytest.mark.parametrize("flag", ["--run-file", "--corpus"])
+    def test_run_file_and_corpus_are_required_flags(self, workspace, capsys, stage, flag):
+        """The config names no data file, so a stage without either flag
+        has nothing to read its candidates from."""
+        tmp_path, paths = workspace
+        given = {"--topics": paths["topics"], "--run-file": paths["run"], "--corpus": paths["corpus"],
+                 "--config": paths["config"], "--out": str(tmp_path / "out.jsonl")}
+        if stage == "build-corpus":
+            given["--samples"] = str(tmp_path / "s.jsonl")
+        del given[flag]
+        assert main([stage, *(part for item in given.items() for part in item)]) == 1
+        assert f"error: the following arguments are required: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "out.jsonl").exists()
 
     def test_http_backend_without_endpoint_is_config_error(self, workspace):
         tmp_path, paths = workspace
@@ -331,6 +347,14 @@ class TestPipelineStages:
         assert [line for line in err.splitlines() if line.startswith("error:")] == [f"error: {message}"]
         assert not (tmp_path / "out.jsonl").exists()
 
+    @pytest.mark.parametrize("spec", ["eval.json", "=eval.json"])
+    def test_report_input_without_a_tag_is_validation_error(self, tmp_path, monkeypatch, capsys, spec):
+        monkeypatch.chdir(tmp_path)
+        write_report(aggregate_report({"q1": (0.5, 10)}), "eval.json")
+        assert main(["report", spec, "--out", "m.json"]) == 1
+        assert f"error: report inputs must be tag=path, got {spec!r}" in capsys.readouterr().err
+        assert not Path("m.json").exists()
+
     def test_report_repeated_tag_is_validation_error(self, tmp_path, capsys):
         from rerank_distill.io import write_report
         a = {"kind": "eval", "per_query": {"q1": {"ndcg10": 0.5, "gen_len": 10}},
@@ -395,6 +419,9 @@ class TestPipelineStages:
     # Written at 6 decimal places, the per-query values average 0.3333335
     # and the mean reads 0.333334, as on eval-wide's own eval report.
     @example({"q1": (0.3333334, 10), "q2": (0.3333336, 20)})
+    # Each value sits half-way at the 7th decimal: written, they average
+    # 0.726532 and the mean reads 0.726533, one unit apart plus float error.
+    @example({"q0": (0.4962215, 2850), "q1": (0.9568435, 1826)})
     def test_report_reads_every_eval_report_evaluate_writes(self, per_query):
         with tempfile.TemporaryDirectory() as tmp:
             path, out = f"{tmp}/eval.json", f"{tmp}/m.json"
@@ -1388,3 +1415,28 @@ def test_every_help_renders(command, capsys):
     assert out.startswith(" ".join(["usage: rerank-distill", *command]))
     listed = [flag for flag in _STAGE_INPUTS if f"  {flag} " in out]
     assert listed == (list(_STAGE_INPUTS) if command in (["sample"], ["build-corpus"]) else [])
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def quickstart_commands() -> list[list[str]]:
+    """The arguments of each `rerank-distill` command in the README's
+    "Pipeline quickstart" bash block, its continuation lines joined."""
+    section = (REPO / "README.md").read_text(encoding="utf-8").split("## Pipeline quickstart\n", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("rerank-distill ")]
+
+
+def test_readme_quickstart_runs_as_written(tmp_path, monkeypatch):
+    """Each command of the quickstart, run in order in a directory that
+    holds the input files it names and the example config."""
+    monkeypatch.chdir(tmp_path)
+    write_pipeline_workspace(tmp_path)
+    (tmp_path / "configs").mkdir()
+    shutil.copy(REPO / "configs" / "example.yaml", tmp_path / "configs")
+    commands = quickstart_commands()
+    for argv in commands:
+        assert main(argv) == 0, argv
+    assert {argv[0] for argv in commands} == {"sample", "evaluate", "build-corpus", "analyze-redundancy", "report"}

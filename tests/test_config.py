@@ -24,9 +24,8 @@ def test_new_profile_starts_from_distill(tmp_path):
 
 
 def test_null_sections_are_empty(tmp_path):
-    config = _load(tmp_path, "profiles: {distill: null}\nmock: null\npaths: null\n")
+    config = _load(tmp_path, "profiles: {distill: null}\nmock: null\n")
     assert config.sampling_config("distill").k_samples == DEFAULT_PROFILES["distill"]["k_samples"]
-    assert config.paths == {}
 
 
 def test_mock_name_is_ignored(tmp_path):
@@ -37,36 +36,22 @@ def test_mock_name_is_ignored(tmp_path):
 @pytest.mark.parametrize("text, message", [
     # os.path.exists(0) and os.path.exists(1) test file descriptors, which are open.
     ("prompt_template: 0\n", "prompt_template must be str or null, got int"),
-    ("paths: {run: 1}\n", "configured path 'run' must be a path string, got int"),
 ])
 def test_non_string_path_is_config_error(tmp_path, text, message):
     with pytest.raises(ConfigError, match=message):
         _load(tmp_path, text)
 
 
-def test_run_and_corpus_paths_load(tmp_path):
-    for name in ("run.txt", "corpus.tsv"):
-        (tmp_path / name).write_text("")
-    config = _load(tmp_path, f"paths: {{run: {tmp_path / 'run.txt'}, corpus: {tmp_path / 'corpus.tsv'}}}\n")
-    assert config.paths == {"run": str(tmp_path / "run.txt"), "corpus": str(tmp_path / "corpus.tsv")}
-
-
-@pytest.mark.parametrize("key", ["qrels", "topics", "Run"])
-def test_a_path_the_cli_does_not_read_is_config_error(tmp_path, key):
-    """The file exists, but no stage would read it from the config."""
-    (tmp_path / "q.txt").write_text("")
-    with pytest.raises(ConfigError, match=rf"unknown configured path '{key}'; the paths section takes only "
-                                          r"\['corpus', 'run'\]"):
-        _load(tmp_path, f"paths: {{{key}: {tmp_path / 'q.txt'}}}\n")
-
-
-@pytest.mark.parametrize("text", ["profile: {distill: {k_samples: 2}}\n", "seeed: 3\n", "promt_template: foo.yaml\n"],
-                         ids=["profile", "seeed", "promt_template"])
+@pytest.mark.parametrize("text", ["profile: {distill: {k_samples: 2}}\n", "seeed: 3\n", "promt_template: foo.yaml\n",
+                                  "paths: {run: run.txt, corpus: corpus.tsv}\n"],
+                         ids=["profile", "seeed", "promt_template", "paths"])
 def test_an_unknown_top_level_key_is_config_error(tmp_path, text):
-    """A misspelt key would otherwise be ignored: `profile` would sample K=16."""
+    """A misspelt key would otherwise be ignored: `profile` would sample K=16.
+    A config names no data file: `paths` would leave the stages reading the
+    files their flags name."""
     key = text.split(":")[0]
     with pytest.raises(ConfigError, match=rf"unknown config key '{key}'; a config takes only \['endpoint', "
-                                          r"'profiles', 'prompt_template', 'paths', 'mock', 'seed', "
+                                          r"'profiles', 'prompt_template', 'mock', 'seed', "
                                           r"'tokenizer_mode', 'think_markers'\]"):
         _load(tmp_path, text)
 

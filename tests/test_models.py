@@ -287,7 +287,7 @@ _VALUE_TYPES = [
     (MockMode, lambda: ("worst", 2, 1, 1), True),
     (MockProfile, lambda: ((MockMode(), MockMode("shuffled")),), True),
     (EndpointSettings, lambda: ("http://host/v1", "teacher", "KEY", 30.0, 2, 0.25), True),
-    (PipelineConfig, lambda: (EndpointSettings(), {"distill": {"k_samples": 2}}, None, {}, MockProfile(), 3), False),
+    (PipelineConfig, lambda: (EndpointSettings(), {"distill": {"k_samples": 2}}, None, MockProfile(), 3), False),
 ]
 
 

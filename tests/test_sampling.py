@@ -714,6 +714,10 @@ class TestHttpChatBackend:
         ([(500, "7")], [0.25]),
         ([(429, "Wed, 21 Oct 2015 07:28:00 GMT")], [0.25]),
         ([(429, "-1")], [0.25]),
+        # A delay that is not finite would put the worker to sleep forever.
+        ([(429, "inf")], [0.25]),
+        ([(503, "nan")], [0.25]),
+        ([(429, "1e999")], [0.25]),
     ])
     def test_numeric_retry_after_replaces_the_backoff_delay(self, replies, slept):
         class ScriptedSession:
