@@ -15,7 +15,7 @@ from rerank_distill.models import CandidateSet, Qrels, Query, Ranking, Trajector
 # Hypothesis's default profile runs 100 examples a property, and "ci" ten
 # times that. The store-reader, store-writer and sample-constructor
 # properties of tests/test_io.py, the Pareto-target property of
-# tests/test_distill.py, the redundancy-reference properties of
+# tests/test_distill.py, the redundancy- and eval-reference properties of
 # tests/test_cli.py, and every property of tests/test_parsing.py (token
 # counting, the ranking-run pattern) and tests/test_metrics.py (the
 # redundancy bundle among them) scale their example counts by the loaded

@@ -1,16 +1,17 @@
-"""A reference reader of the sample store, and the redundancy report
-computed from what it reads, written to be read, not to be fast: one
-`json.loads` per line, one Ranking per distinct ranking of a query, the
-paper's TRR and MOR as brute-force oracles, and nothing of
+"""A reference reader of the sample store, and the redundancy and eval
+reports computed from what it reads, written to be read, not to be fast:
+one `json.loads` per line, one Ranking per distinct ranking of a query,
+the paper's nDCG, TRR and MOR as brute-force oracles, and nothing of
 `rerank_distill.io` or `rerank_distill.metrics`. `tests/test_io.py` checks
 that `io.iter_samples` reads every store as `read_queries` reads it, and
-`tests/test_cli.py` that `analyze-redundancy` writes the report
-`redundancy_report` computes.
+`tests/test_cli.py` that `analyze-redundancy`, `evaluate` and `report`
+write the reports `redundancy_report` and `eval_report` compute.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 
 from rerank_distill.errors import ParseError
@@ -124,3 +125,73 @@ def redundancy_report(path: str, model_tag: str) -> dict | None:
     }]
     return {"kind": "redundancy", "rows": rows, "per_sample": per_sample,
             "conventions": {"ranking_equality": "tie-aware", "empty_sequence_value": 0.0}}
+
+
+def oracle_ndcg(grades_in_rank_order, k=10) -> float:
+    """nDCG@k of grades listed in rank order: gain 2^g - 1, discount
+    log2(rank + 1), the ideal DCG from the same grades sorted; 0 when no
+    grade is positive."""
+    def dcg(grades):
+        return sum((2 ** g - 1) / math.log2(i + 2) for i, g in enumerate(grades[:k]))
+    ideal = dcg(sorted(grades_in_rank_order, reverse=True))
+    return dcg(grades_in_rank_order) / ideal if ideal else 0.0
+
+
+def read_grades(path: str) -> dict[tuple[str, str], int]:
+    """The grade of each (query id, doc id) in the "qid 0 docid grade"
+    qrels file at `path`; a repeated pair takes its last grade."""
+    grades = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                qid, _, doc_id, grade = line.split()
+                grades[(qid, doc_id)] = int(grade)
+    return grades
+
+
+def bucket_rows(per_query: dict[str, tuple[float, int]], bucket_count: int) -> list[dict]:
+    """The length-bucket curve of `(nDCG@10, length)` pairs: `bucket_count`
+    buckets of equal width from the shortest length to the longest, each
+    with its pairs' count and mean nDCG@10 (None for an empty bucket). A
+    length on a bucket's lower edge counts in that bucket, and the longest
+    in the last; equal lengths make one bucket."""
+    lens = [gen_len for _, gen_len in per_query.values()]
+    lo, hi = min(lens), max(lens)
+    if lo == hi:
+        edges = [(lo, hi)]
+    else:
+        edges = [(lo + i * (hi - lo) / bucket_count, lo + (i + 1) * (hi - lo) / bucket_count)
+                 for i in range(bucket_count)]
+    members = [[] for _ in edges]
+    for ndcg, gen_len in per_query.values():
+        # In exact integers: bucket i starts at lo + i * (hi - lo) / bucket_count.
+        index = max(i for i in range(len(edges)) if i * (hi - lo) <= (gen_len - lo) * bucket_count)
+        members[index].append(ndcg)
+    return [{"lo": float(a), "hi": float(b), "mean_ndcg10": sum(ndcgs) / len(ndcgs) if ndcgs else None,
+             "count": len(ndcgs)} for (a, b), ndcgs in zip(edges, members)]
+
+
+def eval_report(store: str, qrels: str, bucket_count: int) -> dict | None:
+    """The report `evaluate --qrels <qrels> --bucket-count <bucket_count>`
+    writes for the store at `store`: each query's lowest-index valid
+    sample, its nDCG@10 and generation length, their means and their
+    length-bucket curve. None when no query has a valid sample, where the
+    stage has nothing to report."""
+    grades = read_grades(qrels)
+    per_query = {}
+    for _, samples in read_queries(store):
+        valid = [s for s in samples if s.valid and s.final_ranking is not None]
+        if valid:
+            first = min(valid, key=lambda s: s.sample_index)
+            ranked = [doc_id for group in first.final_ranking.groups for doc_id in group]
+            ndcg = oracle_ndcg([grades.get((first.query_id, doc_id), 0) for doc_id in ranked])
+            per_query[first.query_id] = (ndcg, first.token_len)
+    if not per_query:
+        return None
+    return {
+        "kind": "eval",
+        "per_query": {qid: {"ndcg10": ndcg, "gen_len": gen_len} for qid, (ndcg, gen_len) in per_query.items()},
+        "mean_ndcg10": sum(ndcg for ndcg, _ in per_query.values()) / len(per_query),
+        "mean_len": sum(gen_len for _, gen_len in per_query.values()) / len(per_query),
+        "length_buckets": bucket_rows(per_query, bucket_count),
+    }

@@ -4,7 +4,6 @@ pass/fail line per criterion.
 """
 
 import json
-import math
 import random
 import time
 from pathlib import Path
@@ -24,17 +23,10 @@ from rerank_distill.models import Qrels, Ranking, TrajectorySample
 from rerank_distill.parsing import extract_rankings, parse_final_ranking, render_ranking
 
 from conftest import make_universe, random_ranking, read_store, write_pipeline_workspace
-from reference import oracle_mor, oracle_trr
+from reference import oracle_mor, oracle_ndcg, oracle_trr
 
 
 # --- independent oracles ------------------------------------------------------
-
-def oracle_ndcg(grades_in_rank_order, k=10):
-    def dcg(grades):
-        return sum((2 ** g - 1) / math.log2(i + 2) for i, g in enumerate(grades[:k]))
-    ideal = dcg(sorted(grades_in_rank_order, reverse=True))
-    return dcg(grades_in_rank_order) / ideal if ideal else 0.0
-
 
 def oracle_filter(pairs):
     """Enumerate the efficient set and the argmin target by brute force."""

@@ -552,6 +552,36 @@ class TestRedundancyReference:
         assert _close(got, want)
 
 
+class TestEvalReference:
+    """`evaluate` writes the eval report tests/reference.py computes from
+    the store with brute-force nDCG, and `report` draws its length curve."""
+
+    @settings(max_examples=examples(60), deadline=None)
+    @given(st.data())
+    def test_a_mock_store_scores_as_the_reference(self, data):
+        bucket_count = data.draw(st.integers(1, 14))
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            paths, depth, seed = data.draw(_mock_workspaces(root))
+            qrels = ["--qrels", paths["qrels"]] if data.draw(st.booleans()) else []
+            store, report, merged = (str(root / name) for name in ("s.jsonl", "eval.json", "comparison.json"))
+            assert main(["sample", "--topics", paths["topics"], "--run-file", paths["run"],
+                         "--corpus", paths["corpus"], "--config", paths["config"], *qrels,
+                         "--depth", str(depth), "--backend", "mock", "--seed", str(seed), "--out", store]) == 0
+            want = reference.eval_report(store, paths["qrels"], bucket_count)
+            code = main(["evaluate", "--samples", store, "--qrels", paths["qrels"], "--out", report,
+                         "--bucket-count", str(bucket_count)])
+            if want is None:
+                assert code == 1
+                return
+            assert code == 0
+            assert _close(read_report(report), want)
+            assert main(["report", f"mock={report}", "--bucket-count", str(bucket_count), "--out", merged]) == 0
+            rows = [{"tag": "mock", "mean_ndcg10": want["mean_ndcg10"], "mean_len": want["mean_len"]}]
+            assert _close(read_report(merged),
+                          {"kind": "comparison", "rows": rows, "curves": {"mock": want["length_buckets"]}})
+
+
 def route_backend(monkeypatch, generate, base=GenerationBackend):
     """Send every request the `sample` stage makes through
     `generate(inner, request)`, where `inner` is the backend the CLI built.
