@@ -23,7 +23,6 @@ from .models import (
     CandidateSet,
     DistillationRecord,
     EvalReport,
-    LengthBucket,
     Qrels,
     Query,
     QueryFilterStats,
@@ -67,7 +66,6 @@ __all__ = [
     "GenerationBackend",
     "GenerationResult",
     "HttpChatBackend",
-    "LengthBucket",
     "MockBackend",
     "MockMode",
     "MockProfile",

@@ -215,8 +215,9 @@ def cmd_evaluate(args) -> int:
                            len(skipped), skipped)
         # Inside the block: a run whose report cannot be built or written
         # leaves the scored store as it was.
-        report = aggregate_report(per_query, bucket_count=args.bucket_count)
-        rio.write_report(report, args.out, format="json")
+        report = aggregate_report(per_query)
+        rio.write_report(rio.eval_report_payload(report, length_buckets(report.per_query, args.bucket_count)),
+                         args.out, format="json")
     print(f"scored {n_scored} samples -> {scored_out}")
     print(f"report: mean nDCG@10 {report.mean_ndcg10:.4f}, mean length {report.mean_len:.1f} -> {args.out}")
     return 0
@@ -311,8 +312,7 @@ def cmd_report(args) -> int:
     # Each file's stored means: a mean of its 6-decimal per-query values
     # can round otherwise.
     rows = [{"tag": tag, "mean_ndcg10": report.mean_ndcg10, "mean_len": report.mean_len} for tag, report in inputs]
-    curves = {tag: rio.length_bucket_rows(length_buckets(report.per_query, args.bucket_count))
-              for tag, report in inputs}
+    curves = {tag: length_buckets(report.per_query, args.bucket_count) for tag, report in inputs}
     merged = {"kind": "comparison", "rows": rows, "curves": curves}
     rio.write_report(merged, args.out, format=args.format)
     for row in rows:

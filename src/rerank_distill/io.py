@@ -32,7 +32,6 @@ from .models import (
     CandidateSet,
     DistillationRecord,
     EvalReport,
-    LengthBucket,
     Qrels,
     Query,
     QueryFilterStats,
@@ -654,7 +653,9 @@ def _canonical_json(value: object, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__} in a report")
 
 
-def eval_report_payload(report: EvalReport) -> dict:
+def eval_report_payload(report: EvalReport, length_buckets: Sequence[Mapping[str, object]]) -> dict:
+    """The eval report of `report` with its length-bucket rows, as
+    `metrics.length_buckets` builds them."""
     return {
         "kind": "eval",
         "per_query": {
@@ -663,13 +664,8 @@ def eval_report_payload(report: EvalReport) -> dict:
         },
         "mean_ndcg10": report.mean_ndcg10,
         "mean_len": report.mean_len,
-        "length_buckets": length_bucket_rows(report.length_buckets),
+        "length_buckets": length_buckets,
     }
-
-
-def length_bucket_rows(buckets: Iterable[LengthBucket]) -> list[dict]:
-    """Length buckets as report rows, for eval reports and comparison curves."""
-    return [{"lo": b.lo, "hi": b.hi, "mean_ndcg10": b.mean_ndcg10, "count": b.count} for b in buckets]
 
 
 def redundancy_report(
@@ -709,44 +705,25 @@ def filter_stats_report(stats: Sequence[QueryFilterStats], retention_rate: float
     }
 
 
+_REPORT_KINDS = ("eval", "redundancy", "filter_stats", "comparison")
+# The kinds `--format csv` writes, each a table of its `rows`, and the
+# columns it takes from each row.
 _CSV_COLUMNS = {
-    "eval": ("query_id", "ndcg10", "gen_len"),
     "redundancy": ("model_tag", "avg_trr", "avg_mor"),
-    "filter_stats": ("query_id", "n_sampled", "n_valid", "mean_score", "mean_len",
-                     "efficient_indices", "retained"),
     "comparison": ("tag", "mean_ndcg10", "mean_len"),
 }
 
 
 def _csv_cell(value: object) -> object:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    if isinstance(value, (list, tuple)):
-        return ";".join(str(v) for v in value)
-    return value
+    return f"{value:.6f}" if isinstance(value, float) else value
 
 
-def _csv_rows(payload: Mapping) -> Iterable[Sequence[object]]:
-    kind = payload["kind"]
-    if kind == "eval":
-        for qid in sorted(payload["per_query"]):
-            entry = payload["per_query"][qid]
-            yield (qid, entry["ndcg10"], entry["gen_len"])
-    elif kind in ("redundancy", "filter_stats", "comparison"):
-        for row in payload["rows"]:
-            yield tuple(row[col] for col in _CSV_COLUMNS[kind])
-    else:
-        raise ValueError(f"no CSV layout for report kind {kind!r}")
-
-
-def write_report(report: EvalReport | Mapping, path: str, format: str = "json") -> None:
-    """Serialize a report. JSON output is canonical (sorted keys, floats at
-    6 decimal places); CSV uses the documented per-kind column layout."""
-    payload = eval_report_payload(report) if isinstance(report, EvalReport) else dict(report)
+def write_report(payload: Mapping, path: str, format: str = "json") -> None:
+    """Serialize a report payload. JSON output is canonical (sorted keys,
+    floats at 6 decimal places); CSV writes the documented columns of a
+    `redundancy` or `comparison` report's rows."""
     kind = payload.get("kind")
-    if kind not in _CSV_COLUMNS:
+    if kind not in _REPORT_KINDS:
         raise ValueError(f"unknown report kind {kind!r}")
     if kind == "eval" and not payload.get("per_query"):
         raise ValueError("eval report has an empty per_query map")
@@ -754,13 +731,16 @@ def write_report(report: EvalReport | Mapping, path: str, format: str = "json") 
         with atomic_write(path) as fh:
             fh.write(_canonical_json(payload) + "\n")
     elif format == "csv":
+        columns = _CSV_COLUMNS.get(kind)
+        if columns is None:
+            raise ValueError(f"no CSV layout for report kind {kind!r}")
         import csv
 
         with atomic_write(path, newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(_CSV_COLUMNS[kind])
-            for row in _csv_rows(payload):
-                writer.writerow([_csv_cell(v) for v in row])
+            writer.writerow(columns)
+            for row in payload["rows"]:
+                writer.writerow([_csv_cell(row[column]) for column in columns])
     else:
         raise ValueError(f"unknown report format {format!r} (expected json or csv)")
 
@@ -778,8 +758,8 @@ def read_report(path: str) -> dict:
 
 
 def read_eval_report(path: str) -> EvalReport:
-    """The EvalReport in the eval report file at `path`, the inverse of
-    `eval_report_payload` but for the length buckets, which it leaves out."""
+    """The EvalReport in the eval report file at `path`: what
+    `eval_report_payload` wrote but the length buckets."""
     payload = read_report(path)
     if payload["kind"] != "eval":
         raise ParseError(f"a {payload['kind']!r} report, not an eval report", path)

@@ -13,7 +13,6 @@ from typing import Mapping, Sequence
 
 from .models import (
     EvalReport,
-    LengthBucket,
     Qrels,
     Ranking,
     RedundancyMetrics,
@@ -112,21 +111,15 @@ def attach_scores(samples: Sequence[TrajectorySample], qrels: Qrels) -> list[flo
     return out
 
 
-def aggregate_report(per_query: Mapping[str, tuple[float, int]], bucket_count: int = 10) -> EvalReport:
+def aggregate_report(per_query: Mapping[str, tuple[float, int]]) -> EvalReport:
     """The report of each query's `(nDCG@10, generation length)`: the
-    per-query values in query id order, their means, and an equal-width
-    length-bucket curve (mean nDCG per bucket)."""
+    per-query values in query id order and their means."""
     if not per_query:
         raise ValueError("cannot aggregate an empty run")
     per_query = dict(sorted(per_query.items()))
     ndcgs = [v[0] for v in per_query.values()]
     lens = [v[1] for v in per_query.values()]
-    return EvalReport(
-        per_query=per_query,
-        mean_ndcg10=sum(ndcgs) / len(ndcgs),
-        mean_len=sum(lens) / len(lens),
-        length_buckets=length_buckets(per_query, bucket_count),
-    )
+    return EvalReport(per_query=per_query, mean_ndcg10=sum(ndcgs) / len(ndcgs), mean_len=sum(lens) / len(lens))
 
 
 def check_bucket_count(bucket_count: int) -> None:
@@ -136,12 +129,12 @@ def check_bucket_count(bucket_count: int) -> None:
         raise ValueError(f"bucket_count must be >= 1, got {bucket_count}")
 
 
-def length_buckets(
-    per_query: Mapping[str, tuple[float, int]],
-    bucket_count: int,
-) -> tuple[LengthBucket, ...]:
-    """Partition the observed length range into `bucket_count` equal-width
-    buckets; every bucket is half-open except the last, which is closed.
+def length_buckets(per_query: Mapping[str, tuple[float, int]], bucket_count: int) -> list[dict]:
+    """The length-quality curve as report rows, `{"lo", "hi",
+    "mean_ndcg10", "count"}`: the observed length range in `bucket_count`
+    equal-width buckets, each with its queries' count and mean nDCG@10
+    (None for an empty one). Every bucket is half-open except the last,
+    which is closed.
 
     A zero-width range (all lengths equal) collapses to a single bucket.
     """
@@ -149,9 +142,8 @@ def length_buckets(
     lens = [v[1] for v in per_query.values()]
     lo, hi = float(min(lens)), float(max(lens))
     if lo == hi:
-        points = list(per_query.values())
-        ndcgs = [p[0] for p in points]
-        return (LengthBucket(lo=lo, hi=hi, mean_ndcg10=sum(ndcgs) / len(ndcgs), count=len(points)),)
+        ndcgs = [v[0] for v in per_query.values()]
+        return [{"lo": lo, "hi": hi, "mean_ndcg10": sum(ndcgs) / len(ndcgs), "count": len(ndcgs)}]
     width = (hi - lo) / bucket_count
     sums = [0.0] * bucket_count
     counts = [0] * bucket_count
@@ -162,8 +154,6 @@ def length_buckets(
         idx = min(int((gen_len - lo) * bucket_count / (hi - lo)), bucket_count - 1)
         sums[idx] += ndcg
         counts[idx] += 1
-    buckets = []
-    for i in range(bucket_count):
-        mean = sums[i] / counts[i] if counts[i] else None
-        buckets.append(LengthBucket(lo=lo + i * width, hi=lo + (i + 1) * width, mean_ndcg10=mean, count=counts[i]))
-    return tuple(buckets)
+    return [{"lo": lo + i * width, "hi": lo + (i + 1) * width,
+             "mean_ndcg10": sums[i] / counts[i] if counts[i] else None, "count": counts[i]}
+            for i in range(bucket_count)]

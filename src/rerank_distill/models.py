@@ -395,30 +395,18 @@ class RedundancyMetrics(_Value):
             raise ValueError(f"mor {self.mor} out of range")
 
 
-class LengthBucket(_Value):
-    """One equal-width generation-length bucket with its mean quality."""
-
-    lo: float
-    hi: float
-    mean_ndcg10: float | None
-    count: int
-
-    def __init__(self, lo: float, hi: float, mean_ndcg10: float | None, count: int) -> None:
-        _fill(self, locals())
-
-
 class EvalReport(_Value):
-    """Per-query quality/length results plus their aggregate view. Member
-    types are checked as `text_types` reads the annotations; each mean must
-    match the per-query values to a report file's 6-decimal resolution."""
+    """Each query's `(nDCG@10, generation length)` and their means. Member
+    types are checked as `text_types` reads the annotations; an nDCG@10
+    lies in [0, 1], a length is not negative, and each mean must match the
+    per-query values to a report file's 6-decimal resolution. A mean
+    stored as an int is held as the float it equals."""
 
     per_query: Mapping[str, tuple[float, int]]
     mean_ndcg10: float
     mean_len: float
-    length_buckets: tuple[LengthBucket, ...]
 
-    def __init__(self, per_query: Mapping[str, tuple[float, int]], mean_ndcg10: float, mean_len: float,
-                 length_buckets: tuple[LengthBucket, ...] = ()) -> None:
+    def __init__(self, per_query: Mapping[str, tuple[float, int]], mean_ndcg10: float, mean_len: float) -> None:
         _fill(self, locals())
 
     def __post_init__(self) -> None:
@@ -430,6 +418,11 @@ class EvalReport(_Value):
             for name, value, kinds in zip(("ndcg10", "gen_len"), pair, _PAIR_TYPES):
                 if type(value) not in kinds:
                     raise ValueError(type_message(f"member per_query[{qid!r}][{name!r}]", value, kinds))
+            ndcg, gen_len = pair
+            if not 0.0 <= ndcg <= 1.0:
+                raise ValueError(f"member per_query[{qid!r}]['ndcg10'] must lie in [0, 1], got {ndcg}")
+            if gen_len < 0:
+                raise ValueError(f"member per_query[{qid!r}]['gen_len'] must be >= 0, got {gen_len}")
         for index, name in enumerate(("mean_ndcg10", "mean_len")):
             value, kinds = getattr(self, name), text_types(_REPORT_HINTS[name])
             if type(value) not in kinds:
@@ -438,6 +431,8 @@ class EvalReport(_Value):
             # Each value and the mean, rounded to 6 decimals, can sit one unit apart plus float error.
             if not math.isclose(value, mean, abs_tol=1e-6 + 1e-9):
                 raise ValueError(f"member {name!r} is {value}, but the per_query values average {mean}")
+            # A report renders an int without decimals: 10 and 10.0 are one mean.
+            self.__dict__[name] = float(value)
 
 
 _REPORT_HINTS = get_type_hints(EvalReport)

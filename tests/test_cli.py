@@ -21,8 +21,8 @@ import rerank_distill
 from rerank_distill import cli
 from rerank_distill.cli import main
 from rerank_distill.errors import TransportError
-from rerank_distill.io import read_report, write_report
-from rerank_distill.metrics import aggregate_report
+from rerank_distill.io import eval_report_payload, read_report, write_report
+from rerank_distill.metrics import aggregate_report, length_buckets
 from rerank_distill.models import Ranking, TrajectorySample
 from rerank_distill.sampling import GenerationBackend, MockBackend
 
@@ -41,6 +41,12 @@ GOLDEN_DIGESTS = {
     "redundancy": "05ac8dc40a5bad2db745b547413a4a4031b37a47427abe78a73073ec20a4ee6d",
     "merged": "5c69071a4c821bdb28a048bb9d1eae45a3a60ee20ed9dee4365047d59088e502",
 }
+
+
+def write_eval_report(per_query, path, bucket_count=10):
+    """Write the eval report `evaluate` writes for `per_query`."""
+    report = aggregate_report(per_query)
+    write_report(eval_report_payload(report, length_buckets(report.per_query, bucket_count)), str(path))
 
 
 @pytest.fixture
@@ -350,7 +356,7 @@ class TestPipelineStages:
     @pytest.mark.parametrize("spec", ["eval.json", "=eval.json"])
     def test_report_input_without_a_tag_is_validation_error(self, tmp_path, monkeypatch, capsys, spec):
         monkeypatch.chdir(tmp_path)
-        write_report(aggregate_report({"q1": (0.5, 10)}), "eval.json")
+        write_eval_report({"q1": (0.5, 10)}, "eval.json")
         assert main(["report", spec, "--out", "m.json"]) == 1
         assert f"error: report inputs must be tag=path, got {spec!r}" in capsys.readouterr().err
         assert not Path("m.json").exists()
@@ -398,6 +404,33 @@ class TestPipelineStages:
         assert f"error: {path}: eval report member 'mean_ndcg10' is 0.9" in err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("pair, message", [
+        ((float("inf"), 10), "per_query['q1']['ndcg10'] must lie in [0, 1], got inf"),
+        ((7.5, 10), "per_query['q1']['ndcg10'] must lie in [0, 1], got 7.5"),
+        ((0.5, -3), "per_query['q1']['gen_len'] must be >= 0, got -3"),
+    ], ids=["infinite-ndcg10", "ndcg10-above-one", "negative-gen_len"])
+    def test_report_refuses_an_eval_report_member_out_of_range(self, tmp_path, capsys, pair, message):
+        """Each with the mean it makes, so only its range is wrong."""
+        path = tmp_path / "a.json"
+        ndcg10, gen_len = pair
+        path.write_text(json.dumps({"kind": "eval", "per_query": {"q1": {"ndcg10": ndcg10, "gen_len": gen_len}},
+                                    "mean_ndcg10": ndcg10, "mean_len": gen_len}))
+        assert main(["report", f"a={path}", "--out", str(tmp_path / "m.json")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: eval report member {message}\n"
+        assert not (tmp_path / "m.json").exists()
+
+    def test_report_renders_a_mean_stored_as_an_int_as_evaluate_writes_it(self, tmp_path):
+        written, by_hand = tmp_path / "written.json", tmp_path / "by-hand.json"
+        write_eval_report({"q1": (0.5, 10)}, written)
+        payload = read_report(str(written))
+        assert (payload["mean_ndcg10"], payload["mean_len"]) == (0.5, 10.0)
+        by_hand.write_text(json.dumps({**payload, "mean_len": 10}))
+        for path in (written, by_hand):
+            assert main(["report", f"a={path}", "--out", str(path.with_suffix(".m.json"))]) == 0
+        merged = (tmp_path / "written.m.json").read_bytes()
+        assert b'"mean_len": 10.000000' in merged
+        assert (tmp_path / "by-hand.m.json").read_bytes() == merged
+
     def test_report_on_a_file_that_is_not_json_names_the_file_and_line(self, tmp_path, capsys):
         good, bad = tmp_path / "good.json", tmp_path / "bad.json"
         good.write_text(json.dumps({"kind": "eval", "per_query": {"q": {"ndcg10": 0.5, "gen_len": 10}},
@@ -425,7 +458,7 @@ class TestPipelineStages:
     def test_report_reads_every_eval_report_evaluate_writes(self, per_query):
         with tempfile.TemporaryDirectory() as tmp:
             path, out = f"{tmp}/eval.json", f"{tmp}/m.json"
-            write_report(aggregate_report(per_query), path)
+            write_eval_report(per_query, path)
             assert main(["report", f"a={path}", "--out", out]) == 0
             [row], stored = read_report(out)["rows"], read_report(path)
             assert (row["mean_ndcg10"], row["mean_len"]) == (stored["mean_ndcg10"], stored["mean_len"])

@@ -34,7 +34,6 @@ from rerank_distill.io import (
 from rerank_distill.models import (
     DistillationRecord,
     EvalReport,
-    LengthBucket,
     Qrels,
     QueryFilterStats,
     SAMPLE_FIELD_TYPES,
@@ -869,11 +868,10 @@ class TestSftCorpus:
 
 class TestReports:
     def _eval_report(self):
-        return EvalReport(
-            per_query={"q1": (0.4, 100), "q2": (0.8, 300)},
-            mean_ndcg10=0.6, mean_len=200.0,
-            length_buckets=(LengthBucket(lo=100.0, hi=200.0, mean_ndcg10=0.4, count=1),
-                            LengthBucket(lo=200.0, hi=300.0, mean_ndcg10=0.8, count=1)),
+        return eval_report_payload(
+            EvalReport(per_query={"q1": (0.4, 100), "q2": (0.8, 300)}, mean_ndcg10=0.6, mean_len=200.0),
+            [{"lo": 100.0, "hi": 200.0, "mean_ndcg10": 0.4, "count": 1},
+             {"lo": 200.0, "hi": 300.0, "mean_ndcg10": 0.8, "count": 1}],
         )
 
     def test_json_is_canonical_and_fixed_precision(self, tmp_path):
@@ -890,7 +888,7 @@ class TestReports:
         p = tmp_path / "r.json"
         report = EvalReport(per_query={"q": (0.123456789, 10)},
                             mean_ndcg10=0.123456789, mean_len=10.0)
-        write_report(report, str(p))
+        write_report(eval_report_payload(report, []), str(p))
         assert read_report(str(p))["mean_ndcg10"] == pytest.approx(0.123456789, abs=1e-6)
 
     def test_eval_report_reads_back_what_it_wrote(self, tmp_path):
@@ -928,13 +926,6 @@ class TestReports:
             with pytest.raises(ValueError, match="non-finite float"):
                 write_report({"kind": "comparison", "rows": [{"x": bad}]}, str(p))
 
-    def test_eval_csv_columns(self, tmp_path):
-        p = tmp_path / "r.csv"
-        write_report(self._eval_report(), str(p), format="csv")
-        lines = p.read_text().splitlines()
-        assert lines[0] == "query_id,ndcg10,gen_len"
-        assert lines[1] == "q1,0.400000,100"
-
     def test_redundancy_table_layout(self, tmp_path):
         payload = redundancy_report(rows=[{"model_tag": "teacher", "avg_trr": 0.21,
                                            "avg_mor": 0.293, "n_traces": 5}])
@@ -944,14 +935,13 @@ class TestReports:
         assert lines[0] == "model_tag,avg_trr,avg_mor"
         assert lines[1] == "teacher,0.210000,0.293000"
 
-    def test_filter_stats_csv(self, tmp_path):
+    def test_csv_is_refused_for_a_kind_that_is_not_a_table(self, tmp_path):
         stats = [QueryFilterStats(query_id="q1", n_sampled=4, n_valid=3, mean_score=0.5,
                                   mean_len=120.0, efficient_indices=(1, 3), retained=True)]
-        p = tmp_path / "s.csv"
-        write_report(filter_stats_report(stats, retention_rate=1.0), str(p), format="csv")
-        lines = p.read_text().splitlines()
-        assert lines[0] == "query_id,n_sampled,n_valid,mean_score,mean_len,efficient_indices,retained"
-        assert lines[1] == "q1,4,3,0.500000,120.000000,1;3,true"
+        for payload in (self._eval_report(), filter_stats_report(stats, retention_rate=1.0)):
+            with pytest.raises(ValueError, match=f"no CSV layout for report kind '{payload['kind']}'"):
+                write_report(payload, str(tmp_path / "r.csv"), format="csv")
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_per_query_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty per_query"):
@@ -966,11 +956,10 @@ class TestReports:
             write_report({"kind": "mystery"}, str(tmp_path / "r.json"))
 
     def test_none_bucket_mean_serializes_as_null(self, tmp_path):
-        report = EvalReport(
-            per_query={"a": (0.5, 100), "b": (0.5, 400)},
-            mean_ndcg10=0.5, mean_len=250.0,
-            length_buckets=(LengthBucket(lo=100.0, hi=250.0, mean_ndcg10=0.5, count=2),
-                            LengthBucket(lo=250.0, hi=400.0, mean_ndcg10=None, count=0)),
+        report = eval_report_payload(
+            EvalReport(per_query={"a": (0.5, 100), "b": (0.5, 400)}, mean_ndcg10=0.5, mean_len=250.0),
+            [{"lo": 100.0, "hi": 250.0, "mean_ndcg10": 0.5, "count": 2},
+             {"lo": 250.0, "hi": 400.0, "mean_ndcg10": None, "count": 0}],
         )
         p = tmp_path / "r.json"
         write_report(report, str(p))

@@ -217,8 +217,7 @@ class TestAggregateReport:
     def test_single_ideal_query(self):
         universe = make_universe(3)
         qrels = graded_qrels("q1", [3, 2, 0], universe)
-        report = aggregate_report({"q1": (ndcg_at_k(strict_ranking(["1", "2", "3"]), qrels, "q1"), 100)},
-                                  bucket_count=2)
+        report = aggregate_report({"q1": (ndcg_at_k(strict_ranking(["1", "2", "3"]), qrels, "q1"), 100)})
         assert report.mean_ndcg10 == 1.0
         assert report.mean_len == 100
         assert report.per_query["q1"] == (1.0, 100)
@@ -229,26 +228,26 @@ class TestAggregateReport:
             "a": (ndcg_at_k(strict_ranking(["2", "1"]), qrels, "a"), 100),   # relevant doc second
             "b": (ndcg_at_k(strict_ranking(["1", "2"]), qrels, "b"), 300),   # relevant doc first
         }
-        report = aggregate_report(per_query, bucket_count=2)
+        report = aggregate_report(per_query)
         expected_a = brute_force_ndcg([0, 1], 10)
         assert report.mean_ndcg10 == pytest.approx((expected_a + 1.0) / 2)
         assert report.mean_len == 200
 
     def test_per_query_in_query_id_order(self):
-        report = aggregate_report({"b": (0.5, 300), "a": (1.0, 100)}, bucket_count=2)
+        report = aggregate_report({"b": (0.5, 300), "a": (1.0, 100)})
         assert list(report.per_query.items()) == [("a", (1.0, 100)), ("b", (0.5, 300))]
 
     def test_bucket_rule(self):
-        report = aggregate_report({"a": (1.0, 100), "b": (1.0, 300)}, bucket_count=2)
-        (b0, b1) = report.length_buckets
-        assert (b0.lo, b0.hi, b0.count) == (100.0, 200.0, 1)
-        assert (b1.lo, b1.hi, b1.count) == (200.0, 300.0, 1)
+        assert length_buckets({"a": (1.0, 100), "b": (0.5, 300)}, 2) == [
+            {"lo": 100.0, "hi": 200.0, "mean_ndcg10": 1.0, "count": 1},
+            {"lo": 200.0, "hi": 300.0, "mean_ndcg10": 0.5, "count": 1}]
 
     def test_length_on_a_lower_edge_is_in_that_bucket(self):
         # (109 - 100) / (18 / 14) is 6.999... in floats; 109 is bucket 7's lower edge.
         buckets = length_buckets({"a": (0.1, 100), "b": (0.2, 109), "c": (0.3, 118)}, 14)
-        assert [i for i, b in enumerate(buckets) if b.count] == [0, 7, 13]
-        assert buckets[7].mean_ndcg10 == 0.2
+        assert [i for i, b in enumerate(buckets) if b["count"]] == [0, 7, 13]
+        assert buckets[7]["mean_ndcg10"] == 0.2
+        assert buckets[1]["mean_ndcg10"] is None
 
     @settings(max_examples=examples(300))
     @given(st.lists(st.integers(min_value=0, max_value=100_000), min_size=2, max_size=8, unique=True),
@@ -263,13 +262,13 @@ class TestAggregateReport:
         expected = [0] * bucket_count
         for length in lengths:
             expected[min(math.floor(Fraction(length - lo) * bucket_count / (hi - lo)), bucket_count - 1)] += 1
-        assert [b.count for b in length_buckets(per_query, bucket_count)] == expected
+        assert [b["count"] for b in length_buckets(per_query, bucket_count)] == expected
 
     def test_degenerate_single_length(self):
         buckets = length_buckets({"a": (0.5, 100), "b": (0.7, 100)}, 4)
         assert len(buckets) == 1
-        assert buckets[0].count == 2
-        assert buckets[0].mean_ndcg10 == pytest.approx(0.6)
+        assert (buckets[0]["lo"], buckets[0]["hi"], buckets[0]["count"]) == (100.0, 100.0, 2)
+        assert buckets[0]["mean_ndcg10"] == pytest.approx(0.6)
 
     @pytest.mark.parametrize("lengths", [(100, 100), (100, 200)])
     @pytest.mark.parametrize("bucket_count", [0, -2])
@@ -279,7 +278,7 @@ class TestAggregateReport:
 
     def test_empty_run_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            aggregate_report({}, bucket_count=2)
+            aggregate_report({})
 
 
 class TestAttachScores:

@@ -1,5 +1,6 @@
 import copy
 import inspect
+import math
 import os
 import pickle
 import subprocess
@@ -15,7 +16,6 @@ from rerank_distill.models import (
     CandidateSet,
     DistillationRecord,
     EvalReport,
-    LengthBucket,
     Qrels,
     Query,
     QueryFilterStats,
@@ -260,6 +260,30 @@ def test_eval_report_takes_an_int_where_a_float_belongs():
     assert EvalReport({"a": (1, 10)}, 1, 10).mean_len == 10
 
 
+def test_eval_report_holds_an_int_mean_as_the_float_it_equals():
+    report = EvalReport({"a": (1, 10)}, 1, 10)
+    assert (report.mean_ndcg10, report.mean_len) == (1.0, 10.0)
+    assert type(report.mean_ndcg10) is type(report.mean_len) is float
+
+
+@pytest.mark.parametrize("pair, message", [
+    ((math.inf, 10), r"member per_query\['a'\]\['ndcg10'\] must lie in \[0, 1\], got inf"),
+    ((-math.inf, 10), r"\['ndcg10'\] must lie in \[0, 1\], got -inf"),
+    ((math.nan, 10), r"\['ndcg10'\] must lie in \[0, 1\], got nan"),
+    ((7.5, 10), r"\['ndcg10'\] must lie in \[0, 1\], got 7.5"),
+    ((-0.25, 10), r"\['ndcg10'\] must lie in \[0, 1\], got -0.25"),
+    ((0.5, -3), r"member per_query\['a'\]\['gen_len'\] must be >= 0, got -3"),
+])
+def test_eval_report_refuses_a_member_out_of_range(pair, message):
+    with pytest.raises(ValueError, match=message):
+        EvalReport({"a": pair}, *pair)
+
+
+@pytest.mark.parametrize("pair", [(0, 0), (0.0, 0), (1, 5), (1.0, 5)])
+def test_eval_report_takes_the_ends_of_each_range(pair):
+    EvalReport({"a": pair}, *pair)
+
+
 def test_union_annotations_read_alike():
     assert _exact_types(Optional[int]) == _exact_types(int | None) == (int, type(None))
     assert text_types(Optional[float]) == (int, float, type(None))
@@ -280,8 +304,7 @@ _VALUE_TYPES = [
     (DistillationRecord, lambda: (Query("q1", "x"), CandidateSet("q1", ("d1",), ("a",)),
                                   "target", 0.5, 10, "hash"), True),
     (RedundancyMetrics, lambda: (4, 3, 0.25, 0.5), True),
-    (LengthBucket, lambda: (0.0, 10.0, 0.5, 3), True),
-    (EvalReport, lambda: ({"q1": (0.5, 10)}, 0.5, 10.0, (LengthBucket(0.0, 10.0, 0.5, 1),)), False),
+    (EvalReport, lambda: ({"q1": (0.5, 10)}, 0.5, 10.0), False),
     (GenerationResult, lambda: ("text", 5, "stop", 12), True),
     (PromptTemplate, lambda: ("v1", "system", "{query} {passages}"), True),
     (MockMode, lambda: ("worst", 2, 1, 1), True),
