@@ -1,11 +1,13 @@
-"""A reference reader of the sample store, and the redundancy and eval
-reports computed from what it reads, written to be read, not to be fast:
-one `json.loads` per line, one Ranking per distinct ranking of a query,
-the paper's nDCG, TRR and MOR as brute-force oracles, and nothing of
-`rerank_distill.io` or `rerank_distill.metrics`. `tests/test_io.py` checks
-that `io.iter_samples` reads every store as `read_queries` reads it, and
-`tests/test_cli.py` that `analyze-redundancy`, `evaluate` and `report`
-write the reports `redundancy_report` and `eval_report` compute.
+"""A reference reader of the sample store, and the redundancy, eval and
+filter reports computed from what it reads, written to be read, not to be
+fast: one `json.loads` per line, one Ranking per distinct ranking of a
+query, the paper's nDCG, TRR, MOR and corpus filter as brute-force
+oracles, and nothing of `rerank_distill.io`, `rerank_distill.metrics` or
+`rerank_distill.distill`. `tests/test_io.py` checks that
+`io.iter_samples` reads every store as `read_queries` reads it, and
+`tests/test_cli.py` that `analyze-redundancy`, `evaluate`, `report` and
+`build-corpus` write the reports `redundancy_report`, `eval_report` and
+`filter_report` compute.
 """
 
 from __future__ import annotations
@@ -195,3 +197,60 @@ def eval_report(store: str, qrels: str, bucket_count: int) -> dict | None:
         "mean_len": sum(gen_len for _, gen_len in per_query.values()) / len(per_query),
         "length_buckets": bucket_rows(per_query, bucket_count),
     }
+
+
+def oracle_filter(pairs):
+    """Enumerate the efficient set and the argmin target by brute force.
+
+    `pairs` holds one `(score, length)` per valid sample. Returns the mean
+    score, the mean length, the positions in `pairs` of the samples scoring
+    at or above the mean while strictly shorter than the mean, and the
+    position of the target: the shortest of them, ties broken by the
+    higher score, then the earlier position (None when none survives)."""
+    mu_s = sum(s for s, _ in pairs) / len(pairs)
+    mu_l = sum(l for _, l in pairs) / len(pairs)
+    survivors = [i for i, (s, l) in enumerate(pairs) if s >= mu_s and l < mu_l]
+    target = None
+    for i in survivors:
+        if target is None:
+            target = i
+            continue
+        s_i, l_i = pairs[i]
+        s_t, l_t = pairs[target]
+        if (l_i, -s_i, i) < (l_t, -s_t, target):
+            target = i
+    return mu_s, mu_l, survivors, target
+
+
+def filter_report(store: str, qrels: str) -> tuple[dict, list[tuple[str, str]]]:
+    """The filter-stats report `build-corpus` writes for the store at
+    `store` once `evaluate --qrels <qrels>` has scored it, and the
+    `(query id, target text)` of each retained query, in query id order.
+
+    Each valid sample is scored with `oracle_ndcg`; those scoring above 0
+    go to `oracle_filter` in store order, which is sample index order in
+    a store `sample` writes, so a tie on length and score goes to the
+    lower sample index."""
+    grades = read_grades(qrels)
+    rows, targets = [], []
+    for _, samples in read_queries(store):
+        valid = []
+        for s in samples:
+            if s.valid and s.final_ranking is not None:
+                ranked = [doc_id for group in s.final_ranking.groups for doc_id in group]
+                score = oracle_ndcg([grades.get((s.query_id, doc_id), 0) for doc_id in ranked])
+                if score > 0:
+                    valid.append((s, score))
+        if valid:
+            mean_score, mean_len, survivors, target = oracle_filter([(score, s.token_len) for s, score in valid])
+        else:
+            mean_score, mean_len, survivors, target = 0.0, 0.0, [], None
+        query_id = samples[0].query_id
+        rows.append({"query_id": query_id, "n_sampled": len(samples), "n_valid": len(valid),
+                     "mean_score": mean_score, "mean_len": mean_len,
+                     "efficient_indices": [valid[i][0].sample_index for i in survivors],
+                     "retained": target is not None})
+        if target is not None:
+            targets.append((query_id, valid[target][0].raw_text))
+    rate = sum(row["retained"] for row in rows) / len(rows) if rows else 0.0
+    return {"kind": "filter_stats", "retention_rate": rate, "rows": rows}, targets

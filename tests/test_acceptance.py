@@ -23,27 +23,10 @@ from rerank_distill.models import Qrels, Ranking, TrajectorySample
 from rerank_distill.parsing import extract_rankings, parse_final_ranking, render_ranking
 
 from conftest import make_universe, random_ranking, read_store, write_pipeline_workspace
-from reference import oracle_mor, oracle_ndcg, oracle_trr
+from reference import oracle_filter, oracle_mor, oracle_ndcg, oracle_trr
 
 
 # --- independent oracles ------------------------------------------------------
-
-def oracle_filter(pairs):
-    """Enumerate the efficient set and the argmin target by brute force."""
-    mu_s = sum(s for s, _ in pairs) / len(pairs)
-    mu_l = sum(l for _, l in pairs) / len(pairs)
-    survivors = [i for i, (s, l) in enumerate(pairs) if s >= mu_s and l < mu_l]
-    target = None
-    for i in survivors:
-        if target is None:
-            target = i
-            continue
-        s_i, l_i = pairs[i]
-        s_t, l_t = pairs[target]
-        if (l_i, -s_i, i) < (l_t, -s_t, target):
-            target = i
-    return mu_s, mu_l, survivors, target
-
 
 def strict(doc_ids):
     return Ranking(groups=tuple((d,) for d in doc_ids))

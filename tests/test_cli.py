@@ -615,6 +615,44 @@ class TestEvalReference:
                           {"kind": "comparison", "rows": rows, "curves": {"mock": want["length_buckets"]}})
 
 
+class TestFilterReference:
+    """`build-corpus` writes the filter stats tests/reference.py computes
+    from the store with brute-force nDCG and the paper's filter, and one
+    corpus line per retained query, in query id order, whose assistant
+    turn is that query's target."""
+
+    @settings(max_examples=examples(60), deadline=None)
+    @given(st.data())
+    def test_a_mock_store_filters_as_the_reference(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            paths, depth, seed = data.draw(_mock_workspaces(root))
+            qrels = ["--qrels", paths["qrels"]] if data.draw(st.booleans()) else []
+            store, scored, report, corpus, stats = (
+                str(root / name) for name in ("s.jsonl", "s.scored.jsonl", "eval.json", "corpus.jsonl", "stats.json"))
+            inputs = ["--topics", paths["topics"], "--run-file", paths["run"], "--corpus", paths["corpus"],
+                      "--config", paths["config"], "--depth", str(depth)]
+            assert main(["sample", *inputs, *qrels, "--backend", "mock", "--seed", str(seed), "--out", store]) == 0
+            code = main(["evaluate", "--samples", store, "--qrels", paths["qrels"], "--out", report,
+                         "--scored-out", scored])
+            if code == 1:
+                # Nothing to report: no sample is valid, so the store needs no score to be filtered.
+                assert reference.eval_report(store, paths["qrels"], 10) is None
+                scored = store
+            else:
+                assert code == 0
+            want_stats, want_targets = reference.filter_report(store, paths["qrels"])
+            assert main(["build-corpus", "--samples", scored, *inputs, "--out", corpus, "--stats", stats]) == 0
+            assert _close(read_report(stats), want_stats)
+            topics = dict(line.split("\t") for line in Path(paths["topics"]).read_text().splitlines())
+            lines = Path(corpus).read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line)["messages"] for line in lines[1:]]
+        assert [messages[-1] for messages in records] == [
+            {"role": "assistant", "content": text} for _, text in want_targets]
+        for messages, (query_id, _) in zip(records, want_targets):
+            assert f"Search query: {topics[query_id]}\n" in messages[1]["content"]
+
+
 def route_backend(monkeypatch, generate, base=GenerationBackend):
     """Send every request the `sample` stage makes through
     `generate(inner, request)`, where `inner` is the backend the CLI built.
