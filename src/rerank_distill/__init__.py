@@ -21,13 +21,10 @@ from .metrics import (
 )
 from .models import (
     CandidateSet,
-    DistillationRecord,
     EvalReport,
     Qrels,
     Query,
-    QueryFilterStats,
     Ranking,
-    RedundancyMetrics,
     SamplingConfig,
     TrajectorySample,
 )
@@ -60,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CandidateSet",
-    "DistillationRecord",
     "EndpointSettings",
     "EvalReport",
     "GenerationBackend",
@@ -72,10 +68,8 @@ __all__ = [
     "PromptTemplate",
     "Qrels",
     "Query",
-    "QueryFilterStats",
     "Ranking",
     "RankingPatternMatch",
-    "RedundancyMetrics",
     "SamplingConfig",
     "TrajectorySample",
     "aggregate_report",

@@ -58,34 +58,31 @@ def _backend_for(args, config: PipelineConfig) -> GenerationBackend:
     return HttpChatBackend(config.endpoint)
 
 
-def _read_inputs(args, config: PipelineConfig) -> tuple[dict[str, rio.Query], dict[str, rio.CandidateSet],
-                                                     PromptTemplate]:
+def _read_inputs(args) -> tuple[dict[str, rio.Query], dict[str, rio.CandidateSet], PromptTemplate]:
     """What `sample` and `build-corpus` both read: the topics by id, each
     query's candidates to `--depth` from the run file and corpus, and the
-    prompt template (`--template`, else the config's, else the packaged
-    one). The template is read first: a bad one fails before the corpus
-    is read."""
-    path = args.template or config.prompt_template
-    template = load_template(path) if path else default_template()
+    prompt template (`--template`, else the packaged one). The template is
+    read first: a bad one fails before the corpus is read."""
+    template = load_template(args.template) if args.template else default_template()
     queries = {q.id: q for q in rio.read_topics(args.topics)}
     run = rio.read_run(args.run_file, depth=args.depth)
     texts = rio.read_corpus_texts(args.corpus, {doc_id for docs in run.values() for doc_id in docs})
     return queries, rio.candidates_from_run(run, texts), template
 
 
-def _stage_inputs(args, config: PipelineConfig) -> list[tuple[str, str | None]]:
+def _stage_inputs(args) -> list[tuple[str, str | None]]:
     """(flag, path) of each input `sample` and `build-corpus` share: the
     topics, run file, corpus, config and template."""
     return [("--topics", args.topics), ("--run-file", args.run_file), ("--corpus", args.corpus),
-            ("--config", args.config), ("--template", args.template or config.prompt_template)]
+            ("--config", args.config), ("--template", args.template)]
 
 
 def cmd_sample(args) -> int:
     config = load_config(args.config)
-    _distinct_files("--out", args.out, _stage_inputs(args, config) + [("--qrels", args.qrels)])
+    _distinct_files("--out", args.out, _stage_inputs(args) + [("--qrels", args.qrels)])
     sampling_config = config.sampling_config(args.profile, seed=args.seed)
     backend = _backend_for(args, config)
-    queries, candidates, template = _read_inputs(args, config)
+    queries, candidates, template = _read_inputs(args)
 
     missing = sorted(set(candidates) - set(queries))
     if missing:
@@ -183,7 +180,6 @@ def _distinct_files(flag: str, path: str, others: list[tuple[str, str | None]]) 
 
 
 def cmd_evaluate(args) -> int:
-    check_bucket_count(args.bucket_count)
     scored_out = args.scored_out or str(Path(args.samples).with_suffix(".scored.jsonl"))
     _distinct_files("--out", args.out, [("--scored-out", scored_out), ("--samples", args.samples),
                                         ("--qrels", args.qrels)])
@@ -216,8 +212,9 @@ def cmd_evaluate(args) -> int:
         # Inside the block: a run whose report cannot be built or written
         # leaves the scored store as it was.
         report = aggregate_report(per_query)
-        rio.write_report(rio.eval_report_payload(report, length_buckets(report.per_query, args.bucket_count)),
-                         args.out, format="json")
+        # eval.json keeps a 10-bucket curve; `report` redraws it at any count.
+        rio.write_report(rio.eval_report_payload(report, length_buckets(report.per_query, 10)), args.out,
+                         format="json")
     print(f"scored {n_scored} samples -> {scored_out}")
     print(f"report: mean nDCG@10 {report.mean_ndcg10:.4f}, mean length {report.mean_len:.1f} -> {args.out}")
     return 0
@@ -225,29 +222,36 @@ def cmd_evaluate(args) -> int:
 
 def cmd_build_corpus(args) -> int:
     stats_out = args.stats or str(Path(args.out).with_suffix(".stats.json"))
-    config = load_config(args.config)
-    inputs = [("--samples", args.samples)] + _stage_inputs(args, config)
+    # The stage reads nothing of the config, but a bad one fails here as it
+    # does in `sample`.
+    load_config(args.config)
+    inputs = [("--samples", args.samples)] + _stage_inputs(args)
     _distinct_files("--out", args.out, [("--stats", stats_out)] + inputs)
     _distinct_files("--stats", stats_out, inputs)
-    queries, candidates, template = _read_inputs(args, config)
+    queries, candidates, template = _read_inputs(args)
 
-    records, stats = [], []
-    for _, samples in rio.iter_samples(args.samples):
-        qid = samples[0].query_id
-        if qid not in queries:
-            raise ConfigError(f"sampled query {qid!r} is missing from the topics file")
-        if qid not in candidates:
-            raise ConfigError(f"sampled query {qid!r} is missing from the run file")
-        query_records, query_stats = build_corpus({qid: (queries[qid], candidates[qid], samples)})
-        records += query_records
-        stats += query_stats
+    rows = []
 
-    rate = retention_rate(stats)
+    def targets():
+        for _, samples in rio.iter_samples(args.samples):
+            qid = samples[0].query_id
+            if qid not in queries:
+                raise ConfigError(f"sampled query {qid!r} is missing from the topics file")
+            if qid not in candidates:
+                raise ConfigError(f"sampled query {qid!r} is missing from the run file")
+            query_targets, query_rows = build_corpus({qid: (queries[qid], candidates[qid], samples)})
+            rows.extend(query_rows)
+            yield from query_targets
+
     with rio.atomic_write(args.out) as fh:
-        rio.write_sft_corpus(records, template, fh)
+        # Each target is written as soon as its query is filtered: a target
+        # is one of its query's samples, and the stage keeps no list of them.
+        rio.write_sft_corpus(targets(), template, fh)
+        rate = retention_rate(rows)
         # Inside the block: stats that cannot be written leave the corpus as it was.
-        rio.write_report(rio.filter_stats_report(stats, rate), stats_out, format="json")
-    print(f"corpus: {len(records)} records from {len(stats)} queries (retention {rate:.3f}) -> {args.out}")
+        rio.write_report(rio.filter_stats_report(rows, rate), stats_out, format="json")
+    retained = sum(row["retained"] for row in rows)
+    print(f"corpus: {retained} records from {len(rows)} queries (retention {rate:.3f}) -> {args.out}")
     print(f"filter stats -> {stats_out}")
     return 0
 
@@ -258,25 +262,19 @@ def cmd_analyze_redundancy(args) -> int:
     traced = []
     for _, samples in rio.iter_samples(args.samples):
         for sample in samples:
-            rm = redundancy_metrics(sample.ranking_sequence)
-            per_sample.append({
-                "query_id": sample.query_id,
-                "sample_index": sample.sample_index,
-                "seq_len": rm.seq_len,
-                "t_star": rm.t_star,
-                "trr": rm.trr,
-                "mor": rm.mor,
-            })
-            if rm.seq_len >= 1:
-                traced.append(rm)
+            row = {"query_id": sample.query_id, "sample_index": sample.sample_index,
+                   **redundancy_metrics(sample.ranking_sequence)}
+            per_sample.append(row)
+            if row["seq_len"] >= 1:
+                traced.append(row)
     if not per_sample:
         raise ConfigError(f"no samples in {args.samples}")
     if not traced:
         raise ConfigError("no sample contains any ranking statement; nothing to average")
     rows = [{
         "model_tag": args.model_tag,
-        "avg_trr": sum(m.trr for m in traced) / len(traced),
-        "avg_mor": sum(m.mor for m in traced) / len(traced),
+        "avg_trr": sum(row["trr"] for row in traced) / len(traced),
+        "avg_mor": sum(row["mor"] for row in traced) / len(traced),
         "n_traces": len(traced),
     }]
     rio.write_report(rio.redundancy_report(rows, per_sample), args.out, format=args.format)
@@ -347,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qrels", required=True)
     p.add_argument("--out", required=True, help="eval report JSON to write")
     p.add_argument("--scored-out", default=None, help="scored samples JSONL (default: <samples>.scored.jsonl)")
-    p.add_argument("--bucket-count", type=int, default=10)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("build-corpus", parents=[inputs], help="filter scored samples into an SFT corpus")

@@ -44,26 +44,20 @@ class PipelineConfig(_Value):
 
     endpoint: EndpointSettings
     profiles: Mapping[str, Mapping]
-    prompt_template: str | None
     mock: MockProfile
     seed: int | None
 
     def __init__(self, endpoint: EndpointSettings | None = None, profiles: Mapping[str, Mapping] | None = None,
-                 prompt_template: str | None = None, mock: MockProfile | None = None,
-                 seed: int | None = None) -> None:
+                 mock: MockProfile | None = None, seed: int | None = None) -> None:
         endpoint = EndpointSettings() if endpoint is None else endpoint
         profiles = dict(DEFAULT_PROFILES) if profiles is None else profiles
         mock = MockProfile() if mock is None else mock
         _fill(self, locals())
 
     def __post_init__(self) -> None:
-        # os.path.exists takes an int as a file descriptor, so the template
-        # path must be a string before it is looked up.
-        _check_types({"seed": self.seed, "prompt_template": self.prompt_template}, PipelineConfig, "")
+        _check_types({"seed": self.seed}, PipelineConfig, "")
         for name in self.profiles:
             self.sampling_config(name)  # raises ConfigError on invalid profiles
-        if self.prompt_template is not None and not os.path.exists(self.prompt_template):
-            raise ConfigError(f"prompt template file does not exist: {self.prompt_template}")
 
     def sampling_config(self, profile: str, seed: int | None = None) -> SamplingConfig:
         """The named profile's settings over the built-in ones of the same
@@ -171,7 +165,6 @@ def load_config(path: str | None) -> PipelineConfig:
     return PipelineConfig(
         endpoint=endpoint,
         profiles={**DEFAULT_PROFILES, **_mapping(raw.get("profiles"), "profiles section")},
-        prompt_template=raw.get("prompt_template"),
         mock=mock,
         seed=raw.get("seed"),
     )

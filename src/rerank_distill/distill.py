@@ -14,13 +14,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .models import (
-    CandidateSet,
-    DistillationRecord,
-    Query,
-    QueryFilterStats,
-    TrajectorySample,
-)
+from .models import CandidateSet, Query, TrajectorySample
 
 
 def valid_subset(samples: Sequence[TrajectorySample]) -> list[TrajectorySample]:
@@ -71,12 +65,15 @@ def select_target(efficient: Sequence[TrajectorySample]) -> TrajectorySample | N
 
 def build_corpus(
     per_query: Mapping[str, tuple[Query, CandidateSet, Sequence[TrajectorySample]]],
-) -> tuple[list[DistillationRecord], list[QueryFilterStats]]:
-    """Run the filter for each query: (records of the retained queries,
-    per-query stats), both sorted by query_id. A query with no survivor
-    has stats but no record."""
-    records: list[DistillationRecord] = []
-    stats: list[QueryFilterStats] = []
+) -> tuple[list[tuple[Query, CandidateSet, TrajectorySample]], list[dict]]:
+    """Run the filter for each query: the `(query, candidates, target)` of
+    each retained query, and each query's filter-stats row as
+    `corpus.stats.json` stores it (`query_id`, `n_sampled`, `n_valid`,
+    `mean_score`, `mean_len`, `efficient_indices`, `retained`), both in
+    query_id order. A query with no survivor has a row but no target, and
+    `mean_score` and `mean_len` 0.0 when none of its samples is valid."""
+    targets: list[tuple[Query, CandidateSet, TrajectorySample]] = []
+    rows: list[dict] = []
     for query_id in sorted(per_query):
         query, candidates, samples = per_query[query_id]
         valid = valid_subset(samples)
@@ -87,28 +84,21 @@ def build_corpus(
             mean_score, mean_len = 0.0, 0.0
             efficient = []
         target = select_target(efficient)
-        stats.append(QueryFilterStats(
-            query_id=query_id,
-            n_sampled=len(samples),
-            n_valid=len(valid),
-            mean_score=mean_score,
-            mean_len=mean_len,
-            efficient_indices=tuple(s.sample_index for s in efficient),
-            retained=target is not None,
-        ))
+        rows.append({
+            "query_id": query_id,
+            "n_sampled": len(samples),
+            "n_valid": len(valid),
+            "mean_score": mean_score,
+            "mean_len": mean_len,
+            "efficient_indices": [s.sample_index for s in efficient],
+            "retained": target is not None,
+        })
         if target is not None:
-            records.append(DistillationRecord(
-                query=query,
-                candidates=candidates,
-                target_text=target.raw_text,
-                target_score=target.score,  # type: ignore[arg-type]
-                target_len=target.token_len,
-                prompt_hash=target.prompt_hash,
-            ))
-    return records, stats
+            targets.append((query, candidates, target))
+    return targets, rows
 
 
-def retention_rate(stats: Sequence[QueryFilterStats]) -> float:
-    """Share of queries retained; 0.0 for none. Zero retention is a legal,
-    reported outcome."""
-    return sum(s.retained for s in stats) / len(stats) if stats else 0.0
+def retention_rate(rows: Sequence[Mapping[str, object]]) -> float:
+    """Share of queries retained, from `build_corpus`'s rows; 0.0 for none.
+    Zero retention is a legal, reported outcome."""
+    return sum(row["retained"] for row in rows) / len(rows) if rows else 0.0

@@ -30,11 +30,9 @@ from .errors import ConfigError, ParseError
 from .models import (
     SAMPLE_FIELD_TYPES,
     CandidateSet,
-    DistillationRecord,
     EvalReport,
     Qrels,
     Query,
-    QueryFilterStats,
     Ranking,
     TrajectorySample,
     field_type_error,
@@ -569,27 +567,34 @@ def _decode_sample(path: str, line_no: int, record: dict, decoded: dict[tuple, R
 
 # --- SFT corpus -----------------------------------------------------------------
 
-def write_sft_corpus(corpus: Sequence[DistillationRecord], template: PromptTemplate, out: TextIO) -> None:
-    """Write to the open file `out` one chat-schema JSON object per record:
-    the system+user prompt the target was sampled under, plus the target
-    text as the assistant turn.
+def write_sft_corpus(corpus: Iterable[tuple[Query, CandidateSet, TrajectorySample]], template: PromptTemplate,
+                     out: TextIO) -> None:
+    """Write to the open file `out` one chat-schema JSON object per
+    `(query, candidates, target)` triple, as `distill.build_corpus` returns
+    them: the system+user prompt the target was sampled under, plus the
+    target's `raw_text` as the assistant turn. Each triple is written as it
+    is drawn from `corpus`, which must be in ascending query id order.
 
     The first line is a version header; an empty corpus is that line alone.
-    Records whose stored prompt hash does not match the prompt rebuilt from
-    their query and candidates under `template` are rejected: that corpus
+    A target whose stored prompt hash does not match the prompt rebuilt
+    from its query and candidates under `template` is rejected: that corpus
     would pair targets with prompts the teacher never saw.
     """
     header = {"format": SFT_FORMAT, "version": SFT_VERSION, "template": template.name}
     out.write(json.dumps(header, sort_keys=True, ensure_ascii=False) + "\n")
-    for record in sorted(corpus, key=lambda r: r.query.id):
-        prompt = build_prompt(record.query, record.candidates, template)
-        if record.prompt_hash is not None and hash_messages(prompt) != record.prompt_hash:
+    previous = None
+    for query, candidates, target in corpus:
+        if previous is not None and query.id <= previous:
+            raise ValueError(f"corpus query {query.id!r} follows {previous!r}; give the corpus in query id order")
+        previous = query.id
+        prompt = build_prompt(query, candidates, template)
+        if target.prompt_hash is not None and hash_messages(prompt) != target.prompt_hash:
             raise ConfigError(
-                f"query {record.query.id!r}: the prompt rebuilt from the topics, run file, corpus, depth "
+                f"query {query.id!r}: the prompt rebuilt from the topics, run file, corpus, depth "
                 f"and template {template.name!r} is not the prompt that sampled it (hash mismatch); "
                 f"give the inputs the samples were drawn with"
             )
-        line = {"messages": prompt + [{"role": "assistant", "content": record.target_text}]}
+        line = {"messages": prompt + [{"role": "assistant", "content": target.raw_text}]}
         out.write(json.dumps(line, sort_keys=True, ensure_ascii=False) + "\n")
 
 
@@ -686,23 +691,10 @@ def redundancy_report(
     }
 
 
-def filter_stats_report(stats: Sequence[QueryFilterStats], retention_rate: float) -> dict:
-    return {
-        "kind": "filter_stats",
-        "retention_rate": retention_rate,
-        "rows": [
-            {
-                "query_id": s.query_id,
-                "n_sampled": s.n_sampled,
-                "n_valid": s.n_valid,
-                "mean_score": s.mean_score,
-                "mean_len": s.mean_len,
-                "efficient_indices": list(s.efficient_indices),
-                "retained": s.retained,
-            }
-            for s in stats
-        ],
-    }
+def filter_stats_report(rows: Sequence[Mapping[str, object]], retention_rate: float) -> dict:
+    """The filter-stats report: one row per query, as
+    `distill.build_corpus` returns them, and the share retained."""
+    return {"kind": "filter_stats", "retention_rate": retention_rate, "rows": list(rows)}
 
 
 _REPORT_KINDS = ("eval", "redundancy", "filter_stats", "comparison")

@@ -11,13 +11,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
-from .models import (
-    EvalReport,
-    Qrels,
-    Ranking,
-    RedundancyMetrics,
-    TrajectorySample,
-)
+from .models import EvalReport, Qrels, Ranking, TrajectorySample
 
 
 def ndcg_at_k(ranking: Ranking, qrels: Qrels, query_id: str, k: int = 10) -> float:
@@ -45,19 +39,20 @@ def tail_repeat_ratio(seq: Sequence[Ranking]) -> float:
 
     0.0 for sequences of length <= 1.
     """
-    return redundancy_metrics(seq).trr
+    return redundancy_metrics(seq)["trr"]
 
 
 def multi_occurrence_ratio(seq: Sequence[Ranking]) -> float:
     """Fraction of distinct rankings that occur more than once; 0.0 when
     the sequence is empty."""
-    return redundancy_metrics(seq).mor
+    return redundancy_metrics(seq)["mor"]
 
 
-def redundancy_metrics(seq: Sequence[Ranking]) -> RedundancyMetrics:
-    """T, t*, TRR and MOR for one trace, from one pass over it. t* is the
-    1-based position of the last ranking no earlier element equals (0 for
-    an empty sequence)."""
+def redundancy_metrics(seq: Sequence[Ranking]) -> dict[str, int | float]:
+    """`{"seq_len", "t_star", "trr", "mor"}` for one trace, from one pass
+    over it: T, t*, TRR and MOR, as `redundancy.json`'s per-sample rows
+    store them. t* is the 1-based position of the last ranking no earlier
+    element equals (0 for an empty sequence)."""
     counts: dict[Ranking, int] = {}
     t_star = 0
     for i, ranking in enumerate(seq, start=1):
@@ -66,12 +61,12 @@ def redundancy_metrics(seq: Sequence[Ranking]) -> RedundancyMetrics:
             t_star = i
         counts[ranking] = count + 1
     t = len(seq)
-    return RedundancyMetrics(
-        seq_len=t,
-        t_star=t_star,
-        trr=(t - t_star) / t if t > 1 else 0.0,
-        mor=sum(1 for c in counts.values() if c >= 2) / len(counts) if counts else 0.0,
-    )
+    return {
+        "seq_len": t,
+        "t_star": t_star,
+        "trr": (t - t_star) / t if t > 1 else 0.0,
+        "mor": sum(1 for c in counts.values() if c >= 2) / len(counts) if counts else 0.0,
+    }
 
 
 def length_normalized_nll(batch: Sequence[Sequence[float]]) -> float:

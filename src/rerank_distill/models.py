@@ -322,79 +322,6 @@ class SamplingConfig(_Value):
             raise ValueError("max_in_flight must be >= 1")
 
 
-class QueryFilterStats(_Value):
-    """Per-query accounting from the corpus filter.
-
-    `mean_score` / `mean_len` are 0.0 when `n_valid` is 0 (no valid samples
-    to average over).
-    """
-
-    query_id: str
-    n_sampled: int
-    n_valid: int
-    mean_score: float
-    mean_len: float
-    efficient_indices: tuple[int, ...]
-    retained: bool
-
-    def __init__(self, query_id: str, n_sampled: int, n_valid: int, mean_score: float, mean_len: float,
-                 efficient_indices: tuple[int, ...], retained: bool) -> None:
-        _fill(self, locals())
-
-    def __post_init__(self) -> None:
-        if self.n_valid > self.n_sampled:
-            raise ValueError("n_valid cannot exceed n_sampled")
-        if self.retained != bool(self.efficient_indices):
-            raise ValueError("retained must match efficient_indices being non-empty")
-
-
-class DistillationRecord(_Value):
-    """One retained (query, candidates, target trajectory) corpus triple."""
-
-    query: Query
-    candidates: CandidateSet
-    target_text: str
-    target_score: float
-    target_len: int
-    prompt_hash: str | None
-
-    def __init__(self, query: Query, candidates: CandidateSet, target_text: str, target_score: float,
-                 target_len: int, prompt_hash: str | None = None) -> None:
-        _fill(self, locals())
-
-    def __post_init__(self) -> None:
-        if self.target_score <= 0.0:
-            raise ValueError("target_score must be > 0")
-        if self.target_len < 0:
-            raise ValueError("target_len must be >= 0")
-
-
-class RedundancyMetrics(_Value):
-    """Redundancy diagnostics over one trace's ranking sequence."""
-
-    seq_len: int
-    t_star: int
-    trr: float
-    mor: float
-
-    def __init__(self, seq_len: int, t_star: int, trr: float, mor: float) -> None:
-        _fill(self, locals())
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.t_star <= self.seq_len:
-            raise ValueError("t_star must lie in [0, seq_len]")
-        if self.seq_len >= 1:
-            expected = (self.seq_len - self.t_star) / self.seq_len
-            if not math.isclose(self.trr, expected, rel_tol=0.0, abs_tol=1e-12):
-                raise ValueError(f"trr {self.trr} inconsistent with (T - t*)/T = {expected}")
-        elif self.trr != 0.0:
-            raise ValueError("trr must be 0 for an empty sequence")
-        if not 0.0 <= self.trr < 1.0 and self.seq_len >= 1:
-            raise ValueError(f"trr {self.trr} out of range")
-        if not 0.0 <= self.mor <= 1.0:
-            raise ValueError(f"mor {self.mor} out of range")
-
-
 class EvalReport(_Value):
     """Each query's `(nDCG@10, generation length)` and their means. Member
     types are checked as `text_types` reads the annotations; an nDCG@10

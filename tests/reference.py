@@ -174,11 +174,11 @@ def bucket_rows(per_query: dict[str, tuple[float, int]], bucket_count: int) -> l
 
 
 def eval_report(store: str, qrels: str, bucket_count: int) -> dict | None:
-    """The report `evaluate --qrels <qrels> --bucket-count <bucket_count>`
-    writes for the store at `store`: each query's lowest-index valid
-    sample, its nDCG@10 and generation length, their means and their
-    length-bucket curve. None when no query has a valid sample, where the
-    stage has nothing to report."""
+    """The report `evaluate --qrels <qrels>` writes for the store at
+    `store`, with its length-bucket curve at `bucket_count` buckets, where
+    `evaluate` draws 10: each query's lowest-index valid sample, its
+    nDCG@10 and generation length, their means and their curve. None when
+    no query has a valid sample, where the stage has nothing to report."""
     grades = read_grades(qrels)
     per_query = {}
     for _, samples in read_queries(store):

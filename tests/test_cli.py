@@ -43,10 +43,10 @@ GOLDEN_DIGESTS = {
 }
 
 
-def write_eval_report(per_query, path, bucket_count=10):
+def write_eval_report(per_query, path):
     """Write the eval report `evaluate` writes for `per_query`."""
     report = aggregate_report(per_query)
-    write_report(eval_report_payload(report, length_buckets(report.per_query, bucket_count)), str(path))
+    write_report(eval_report_payload(report, length_buckets(report.per_query, 10)), str(path))
 
 
 @pytest.fixture
@@ -299,12 +299,9 @@ class TestPipelineStages:
         assert f"error: bucket_count must be >= 1, got {bucket_count}" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
-    @pytest.mark.parametrize("stage", ["evaluate", "report"])
-    def test_bucket_count_below_one_is_refused_before_any_input_is_read(self, tmp_path, capsys, stage):
-        missing = str(tmp_path / "missing")
-        argv = {"evaluate": ["evaluate", "--samples", missing, "--qrels", missing],
-                "report": ["report", f"a={missing}"]}[stage]
-        assert main(argv + ["--bucket-count", "0", "--out", str(tmp_path / "out.json")]) == 1
+    def test_bucket_count_below_one_is_refused_before_any_input_is_read(self, tmp_path, capsys):
+        argv = ["report", f"a={tmp_path / 'missing'}", "--bucket-count", "0", "--out", str(tmp_path / "out.json")]
+        assert main(argv) == 1
         assert "error: bucket_count must be >= 1, got 0" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
@@ -587,7 +584,8 @@ class TestRedundancyReference:
 
 class TestEvalReference:
     """`evaluate` writes the eval report tests/reference.py computes from
-    the store with brute-force nDCG, and `report` draws its length curve."""
+    the store with brute-force nDCG, its length curve at 10 buckets, and
+    `report` redraws the curve at any count."""
 
     @settings(max_examples=examples(60), deadline=None)
     @given(st.data())
@@ -601,9 +599,8 @@ class TestEvalReference:
             assert main(["sample", "--topics", paths["topics"], "--run-file", paths["run"],
                          "--corpus", paths["corpus"], "--config", paths["config"], *qrels,
                          "--depth", str(depth), "--backend", "mock", "--seed", str(seed), "--out", store]) == 0
-            want = reference.eval_report(store, paths["qrels"], bucket_count)
-            code = main(["evaluate", "--samples", store, "--qrels", paths["qrels"], "--out", report,
-                         "--bucket-count", str(bucket_count)])
+            want = reference.eval_report(store, paths["qrels"], 10)
+            code = main(["evaluate", "--samples", store, "--qrels", paths["qrels"], "--out", report])
             if want is None:
                 assert code == 1
                 return
@@ -611,8 +608,9 @@ class TestEvalReference:
             assert _close(read_report(report), want)
             assert main(["report", f"mock={report}", "--bucket-count", str(bucket_count), "--out", merged]) == 0
             rows = [{"tag": "mock", "mean_ndcg10": want["mean_ndcg10"], "mean_len": want["mean_len"]}]
-            assert _close(read_report(merged),
-                          {"kind": "comparison", "rows": rows, "curves": {"mock": want["length_buckets"]}})
+            per_query = {qid: (row["ndcg10"], row["gen_len"]) for qid, row in want["per_query"].items()}
+            curve = reference.bucket_rows(per_query, bucket_count)
+            assert _close(read_report(merged), {"kind": "comparison", "rows": rows, "curves": {"mock": curve}})
 
 
 class TestFilterReference:

@@ -33,25 +33,17 @@ def test_mock_name_is_ignored(tmp_path):
     assert config.mock == MockProfile(modes=(MockMode(quality="worst"),))
 
 
-@pytest.mark.parametrize("text, message", [
-    # os.path.exists(0) and os.path.exists(1) test file descriptors, which are open.
-    ("prompt_template: 0\n", "prompt_template must be str or null, got int"),
-])
-def test_non_string_path_is_config_error(tmp_path, text, message):
-    with pytest.raises(ConfigError, match=message):
-        _load(tmp_path, text)
-
-
 @pytest.mark.parametrize("text", ["profile: {distill: {k_samples: 2}}\n", "seeed: 3\n", "promt_template: foo.yaml\n",
-                                  "paths: {run: run.txt, corpus: corpus.tsv}\n"],
-                         ids=["profile", "seeed", "promt_template", "paths"])
+                                  "paths: {run: run.txt, corpus: corpus.tsv}\n", "prompt_template: foo.yaml\n"],
+                         ids=["profile", "seeed", "promt_template", "paths", "prompt_template"])
 def test_an_unknown_top_level_key_is_config_error(tmp_path, text):
     """A misspelt key would otherwise be ignored: `profile` would sample K=16.
     A config names no data file: `paths` would leave the stages reading the
-    files their flags name."""
+    files their flags name, and `prompt_template` the template `--template`
+    names."""
     key = text.split(":")[0]
     with pytest.raises(ConfigError, match=rf"unknown config key '{key}'; a config takes only \['endpoint', "
-                                          r"'profiles', 'prompt_template', 'mock', 'seed', "
+                                          r"'profiles', 'mock', 'seed', "
                                           r"'tokenizer_mode', 'think_markers'\]"):
         _load(tmp_path, text)
 

@@ -107,34 +107,34 @@ class TestBuildCorpus:
         q2, u2 = make_query("b"), make_universe(2, "b")
         retained = [sample(1, 0.9, 50, qid="a"), sample(2, 0.5, 200, qid="a")]
         discarded = [sample(1, 0.6, 100, qid="b")]
-        records, stats = build_corpus({"a": (q, u, retained), "b": (q2, u2, discarded)})
-        assert retention_rate(stats) == 0.5
-        assert len(records) == 1
-        assert records[0].query.id == "a"
-        assert records[0].target_len == 50
+        targets, rows = build_corpus({"a": (q, u, retained), "b": (q2, u2, discarded)})
+        assert retention_rate(rows) == 0.5
+        assert targets == [(q, u, retained[0])]
 
     def test_all_empty_efficient_sets(self):
         q, u = make_query("a"), make_universe(2, "a")
-        records, stats = build_corpus({"a": (q, u, [sample(1, 0.6, 100, qid="a")])})
-        assert records == []
-        assert retention_rate(stats) == 0.0
-        assert stats[0].retained is False
+        targets, rows = build_corpus({"a": (q, u, [sample(1, 0.6, 100, qid="a")])})
+        assert targets == []
+        assert retention_rate(rows) == 0.0
+        assert rows == [{"query_id": "a", "n_sampled": 1, "n_valid": 1, "mean_score": 0.6, "mean_len": 100.0,
+                         "efficient_indices": [], "retained": False}]
 
     def test_stats_row_per_query_and_ordering(self):
         per_query = {}
         for qid in ("b", "a", "c"):
             per_query[qid] = (make_query(qid), make_universe(2, qid),
                               [sample(1, 0.9, 50, qid=qid), sample(2, 0.5, 300, qid=qid)])
-        records, stats = build_corpus(per_query)
-        assert [s.query_id for s in stats] == ["a", "b", "c"]
-        assert [r.query.id for r in records] == ["a", "b", "c"]
+        targets, rows = build_corpus(per_query)
+        assert [row["query_id"] for row in rows] == ["a", "b", "c"]
+        assert [query.id for query, _, _ in targets] == ["a", "b", "c"]
+        assert [row["efficient_indices"] for row in rows] == [[1]] * 3
 
     def test_no_valid_samples_gives_zero_means(self):
         q, u = make_query("a"), make_universe(2, "a")
-        _, stats = build_corpus({"a": (q, u, [sample(1, valid=False)])})
-        assert stats[0].n_valid == 0
-        assert stats[0].mean_score == 0.0
-        assert retention_rate(stats) == 0.0
+        _, rows = build_corpus({"a": (q, u, [sample(1, valid=False)])})
+        assert rows == [{"query_id": "a", "n_sampled": 1, "n_valid": 0, "mean_score": 0.0, "mean_len": 0.0,
+                         "efficient_indices": [], "retained": False}]
+        assert retention_rate(rows) == 0.0
 
 
 class TestFilterProperties:
@@ -205,12 +205,11 @@ class TestParetoTarget:
     def test_target_is_never_dominated(self, data):
         qids = data.draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
         per_query = {qid: (make_query(qid), make_universe(2, qid), data.draw(_query_samples(qid))) for qid in qids}
-        records, stats = build_corpus(per_query)
-        targets = {record.query.id: record for record in records}
-        assert [row.query_id for row in stats if row.retained] == sorted(targets)
-        for qid, record in targets.items():
+        triples, rows = build_corpus(per_query)
+        targets = {query.id: target for query, _, target in triples}
+        assert [row["query_id"] for row in rows if row["retained"]] == sorted(targets)
+        for qid, target in targets.items():
             samples = per_query[qid][2]
-            [target] = [s for s in samples if s.raw_text == record.target_text]
-            assert (target.score, target.token_len) == (record.target_score, record.target_len)
+            assert any(s is target for s in samples)
             scored = [s for s in samples if s.valid and s.score is not None]
             assert not any(dominates(s, target) for s in scored)

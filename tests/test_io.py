@@ -32,10 +32,8 @@ from rerank_distill.io import (
     write_sft_corpus,
 )
 from rerank_distill.models import (
-    DistillationRecord,
     EvalReport,
     Qrels,
-    QueryFilterStats,
     SAMPLE_FIELD_TYPES,
     Ranking,
     TrajectorySample,
@@ -819,13 +817,20 @@ class TestStoreReader:
         assert [ref() for ref in refs] == [None] * 6
 
 
+def _target(query_id: str, raw_text: str, prompt_hash: str | None) -> TrajectorySample:
+    """A valid scored sample of `query_id` whose text is `raw_text`."""
+    ranking = Ranking(groups=(("1",), ("2",)))
+    return TrajectorySample(query_id=query_id, sample_index=1, raw_text=raw_text, reasoning_text="",
+                            final_ranking=ranking, ranking_sequence=(ranking,), token_len=12,
+                            token_len_source="approximated", score=0.9, prompt_hash=prompt_hash)
+
+
 class TestSftCorpus:
     def _record(self, with_hash=True):
         query, universe = make_query(), make_universe(2)
         template = default_template()
         phash = hash_messages(build_prompt(query, universe, template)) if with_hash else None
-        return DistillationRecord(query=query, candidates=universe, target_text="reasoned [1] > [2]",
-                                  target_score=0.9, target_len=12, prompt_hash=phash), template
+        return (query, universe, _target(query.id, "reasoned [1] > [2]", phash)), template
 
     @staticmethod
     def _write(records, template) -> str:
@@ -858,12 +863,13 @@ class TestSftCorpus:
     def test_deterministic_and_sorted_by_query(self):
         template = default_template()
         records = []
-        for qid in ("zz", "aa"):
+        for qid in ("aa", "zz"):
             query, universe = make_query(qid), make_universe(2, qid)
-            records.append(DistillationRecord(
-                query=query, candidates=universe, target_text="t",
-                target_score=0.5, target_len=1, prompt_hash=None))
-        assert self._write(records, template) == self._write(list(reversed(records)), template)
+            records.append((query, universe, _target(qid, "t", None)))
+        assert self._write(records, template) == self._write(iter(records), template)
+        for unsorted in (list(reversed(records)), records[:1] * 2):
+            with pytest.raises(ValueError, match="give the corpus in query id order"):
+                self._write(unsorted, template)
 
 
 class TestReports:
@@ -936,9 +942,9 @@ class TestReports:
         assert lines[1] == "teacher,0.210000,0.293000"
 
     def test_csv_is_refused_for_a_kind_that_is_not_a_table(self, tmp_path):
-        stats = [QueryFilterStats(query_id="q1", n_sampled=4, n_valid=3, mean_score=0.5,
-                                  mean_len=120.0, efficient_indices=(1, 3), retained=True)]
-        for payload in (self._eval_report(), filter_stats_report(stats, retention_rate=1.0)):
+        rows = [{"query_id": "q1", "n_sampled": 4, "n_valid": 3, "mean_score": 0.5, "mean_len": 120.0,
+                 "efficient_indices": [1, 3], "retained": True}]
+        for payload in (self._eval_report(), filter_stats_report(rows, retention_rate=1.0)):
             with pytest.raises(ValueError, match=f"no CSV layout for report kind '{payload['kind']}'"):
                 write_report(payload, str(tmp_path / "r.csv"), format="csv")
         assert list(tmp_path.iterdir()) == []

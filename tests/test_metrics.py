@@ -129,10 +129,8 @@ class TestRedundancy:
         assert multi_occurrence_ratio(seq) == 0.5
 
     def test_metrics_bundle(self):
-        rm = redundancy_metrics(_seq("ABAA"))
-        assert (rm.seq_len, rm.t_star, rm.trr, rm.mor) == (4, 2, 0.5, 0.5)
-        rm0 = redundancy_metrics([])
-        assert (rm0.seq_len, rm0.t_star, rm0.trr, rm0.mor) == (0, 0, 0.0, 0.0)
+        assert redundancy_metrics(_seq("ABAA")) == {"seq_len": 4, "t_star": 2, "trr": 0.5, "mor": 0.5}
+        assert redundancy_metrics([]) == {"seq_len": 0, "t_star": 0, "trr": 0.0, "mor": 0.0}
 
     def test_bundle_finds_t_star_once_and_equals_the_separate_metrics(self):
         rng = random.Random(11)
@@ -141,8 +139,8 @@ class TestRedundancy:
             # t*: the 1-based position of the last element no earlier one equals.
             t_star = max((i + 1 for i, r in enumerate(seq) if r not in seq[:i]), default=0)
             rm = redundancy_metrics(seq)
-            assert (rm.seq_len, rm.t_star, rm.mor) == (len(seq), t_star, multi_occurrence_ratio(seq))
-            assert rm.trr == tail_repeat_ratio(seq)  # the same float, not an approximation
+            assert (rm["seq_len"], rm["t_star"], rm["mor"]) == (len(seq), t_star, multi_occurrence_ratio(seq))
+            assert rm["trr"] == tail_repeat_ratio(seq)  # the same float, not an approximation
 
     @settings(max_examples=examples(300))
     @given(st.data())
@@ -164,10 +162,8 @@ class TestRedundancy:
         trr = (t - t_star) / t if t > 1 else 0.0
         mor = len(recurring) / len(distinct) if distinct else 0.0
 
-        rm = redundancy_metrics(seq)
-        assert (rm.seq_len, rm.t_star, rm.trr, rm.mor) == (t, t_star, trr, mor)
-        assert (redundancy_metrics(seq).t_star, tail_repeat_ratio(seq), multi_occurrence_ratio(seq)) == \
-            (t_star, trr, mor)
+        assert redundancy_metrics(seq) == {"seq_len": t, "t_star": t_star, "trr": trr, "mor": mor}
+        assert (tail_repeat_ratio(seq), multi_occurrence_ratio(seq)) == (trr, mor)
 
     def test_trr_zero_iff_last_element_novel(self):
         rng = random.Random(5)

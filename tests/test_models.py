@@ -14,13 +14,10 @@ import rerank_distill
 from rerank_distill.config import PipelineConfig
 from rerank_distill.models import (
     CandidateSet,
-    DistillationRecord,
     EvalReport,
     Qrels,
     Query,
-    QueryFilterStats,
     Ranking,
-    RedundancyMetrics,
     SamplingConfig,
     TrajectorySample,
     _exact_types,
@@ -200,31 +197,6 @@ def test_sampling_config_invariants():
             SamplingConfig(**base)
 
 
-def test_query_filter_stats_consistency():
-    with pytest.raises(ValueError, match="n_valid"):
-        QueryFilterStats(query_id="q", n_sampled=2, n_valid=3, mean_score=0.5,
-                         mean_len=10.0, efficient_indices=(1,), retained=True)
-    with pytest.raises(ValueError, match="retained"):
-        QueryFilterStats(query_id="q", n_sampled=3, n_valid=3, mean_score=0.5,
-                         mean_len=10.0, efficient_indices=(), retained=True)
-
-
-def test_distillation_record_requires_positive_score():
-    with pytest.raises(ValueError, match="target_score"):
-        DistillationRecord(query=make_query(), candidates=make_universe(2),
-                           target_text="t", target_score=0.0, target_len=3)
-
-
-def test_redundancy_metrics_consistency():
-    RedundancyMetrics(seq_len=4, t_star=2, trr=0.5, mor=0.5)
-    with pytest.raises(ValueError, match="inconsistent"):
-        RedundancyMetrics(seq_len=4, t_star=2, trr=0.4, mor=0.5)
-    with pytest.raises(ValueError, match="t_star"):
-        RedundancyMetrics(seq_len=2, t_star=3, trr=0.0, mor=0.0)
-    with pytest.raises(ValueError, match="mor"):
-        RedundancyMetrics(seq_len=1, t_star=1, trr=0.0, mor=1.5)
-
-
 def test_eval_report_checks_means():
     per_query = {"a": (0.4, 100), "b": (0.8, 300)}
     EvalReport(per_query=per_query, mean_ndcg10=0.6, mean_len=200.0)
@@ -300,17 +272,13 @@ _VALUE_TYPES = [
                                 (Ranking((("b", "a"),)), Ranking((("a",), ("b",)))),
                                 7, "approximated", 0.5, True, 1.0, None, "hash"), True),
     (SamplingConfig, lambda: (16, 0.7, 0.95, 8192, "teacher", 7, 2), True),
-    (QueryFilterStats, lambda: ("q1", 4, 3, 0.5, 10.0, (1, 3), True), True),
-    (DistillationRecord, lambda: (Query("q1", "x"), CandidateSet("q1", ("d1",), ("a",)),
-                                  "target", 0.5, 10, "hash"), True),
-    (RedundancyMetrics, lambda: (4, 3, 0.25, 0.5), True),
     (EvalReport, lambda: ({"q1": (0.5, 10)}, 0.5, 10.0), False),
     (GenerationResult, lambda: ("text", 5, "stop", 12), True),
     (PromptTemplate, lambda: ("v1", "system", "{query} {passages}"), True),
     (MockMode, lambda: ("worst", 2, 1, 1), True),
     (MockProfile, lambda: ((MockMode(), MockMode("shuffled")),), True),
     (EndpointSettings, lambda: ("http://host/v1", "teacher", "KEY", 30.0, 2, 0.25), True),
-    (PipelineConfig, lambda: (EndpointSettings(), {"distill": {"k_samples": 2}}, None, MockProfile(), 3), False),
+    (PipelineConfig, lambda: (EndpointSettings(), {"distill": {"k_samples": 2}}, MockProfile(), 3), False),
 ]
 
 
