@@ -26,8 +26,6 @@ from rerank_distill.models import (
 )
 from rerank_distill.sampling import EndpointSettings, GenerationResult, MockMode, MockProfile, PromptTemplate
 
-from conftest import make_query, make_universe
-
 
 def test_query_requires_id():
     with pytest.raises(ValueError, match="non-empty"):
