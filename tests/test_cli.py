@@ -305,6 +305,15 @@ class TestPipelineStages:
         assert "error: bucket_count must be >= 1, got 0" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_evaluate_takes_no_bucket_count(self, tmp_path, capsys):
+        """`evaluate` draws eval.json's curve at 10 buckets; `report` redraws
+        it at its own `--bucket-count`."""
+        argv = ["evaluate", "--samples", str(tmp_path / "missing.jsonl"), "--qrels", str(tmp_path / "missing"),
+                "--bucket-count", "4", "--out", str(tmp_path / "eval.json")]
+        assert main(argv) == 1
+        assert "error: unrecognized arguments: --bucket-count 4" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("stage", ["sample", "build-corpus"])
     def test_template_that_is_not_yaml_is_validation_error(self, workspace, capsys, stage):
         tmp_path, paths = workspace

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -213,3 +214,65 @@ class TestParetoTarget:
             assert any(s is target for s in samples)
             scored = [s for s in samples if s.valid and s.score is not None]
             assert not any(dominates(s, target) for s in scored)
+
+
+def _per_query(data):
+    qids = data.draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    return {qid: (make_query(qid), make_universe(2, qid), data.draw(_query_samples(qid))) for qid in qids}
+
+
+class TestFilterStatsRows:
+    """`build_corpus`'s rows are `corpus.stats.json`'s rows, and what a row
+    says of its query holds of the query's samples and target."""
+
+    @settings(max_examples=examples(100), deadline=None)
+    @given(st.data())
+    def test_a_row_counts_its_valid_samples_among_the_sampled_ones(self, data):
+        per_query = _per_query(data)
+        _, rows = build_corpus(per_query)
+        for row in rows:
+            samples = per_query[row["query_id"]][2]
+            assert row["n_sampled"] == len(samples)
+            assert row["n_valid"] == len(valid_subset(samples)) <= row["n_sampled"]
+
+    @settings(max_examples=examples(100), deadline=None)
+    @given(st.data())
+    def test_a_row_is_retained_exactly_when_it_has_efficient_samples(self, data):
+        per_query = _per_query(data)
+        triples, rows = build_corpus(per_query)
+        targets = {query.id: target for query, _, target in triples}
+        for row in rows:
+            valid = {s.sample_index for s in valid_subset(per_query[row["query_id"]][2])}
+            assert set(row["efficient_indices"]) <= valid
+            assert row["retained"] == bool(row["efficient_indices"]) == (row["query_id"] in targets)
+            if row["retained"]:
+                assert targets[row["query_id"]].sample_index in row["efficient_indices"]
+
+    @settings(max_examples=examples(100), deadline=None)
+    @given(st.data())
+    def test_every_target_is_an_input_sample_scoring_above_zero(self, data):
+        per_query = _per_query(data)
+        triples, _ = build_corpus(per_query)
+        for query, candidates, target in triples:
+            given_query, given_candidates, samples = per_query[query.id]
+            assert query is given_query and candidates is given_candidates
+            assert any(s is target for s in samples)
+            assert target.valid and target.score > 0.0
+
+    def test_zero_scoring_samples_leave_a_query_unretained(self):
+        q, u = make_query("a"), make_universe(2, "a")
+        samples = [sample(1, 0.0, 10, qid="a"), sample(2, 0.0, 500, qid="a"), sample(3, 0.0, 900, qid="a")]
+        targets, rows = build_corpus({"a": (q, u, samples)})
+        assert targets == []
+        assert rows == [{"query_id": "a", "n_sampled": 3, "n_valid": 0, "mean_score": 0.0, "mean_len": 0.0,
+                         "efficient_indices": [], "retained": False}]
+
+    @settings(max_examples=examples(100), deadline=None)
+    @given(st.data())
+    def test_a_row_has_the_stats_file_keys_and_reads_back_from_json(self, data):
+        _, rows = build_corpus(_per_query(data))
+        for row in rows:
+            assert list(row) == ["query_id", "n_sampled", "n_valid", "mean_score", "mean_len",
+                                 "efficient_indices", "retained"]
+            assert [type(row[key]) for key in row] == [str, int, int, float, float, list, bool]
+            assert json.loads(json.dumps(row)) == row

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -164,6 +165,22 @@ class TestRedundancy:
 
         assert redundancy_metrics(seq) == {"seq_len": t, "t_star": t_star, "trr": trr, "mor": mor}
         assert (tail_repeat_ratio(seq), multi_occurrence_ratio(seq)) == (trr, mor)
+
+    def test_bundle_values_stay_within_their_ranges(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            rm = redundancy_metrics(_seq([rng.choice("ABCD") for _ in range(rng.randint(0, 9))]))
+            assert 0 <= rm["t_star"] <= rm["seq_len"]
+            assert (rm["t_star"] == 0) == (rm["seq_len"] == 0)
+            assert 0.0 <= rm["trr"] < 1.0 and 0.0 <= rm["mor"] <= 1.0
+            assert rm["trr"] == ((rm["seq_len"] - rm["t_star"]) / rm["seq_len"] if rm["seq_len"] > 1 else 0.0)
+
+    def test_bundle_has_the_report_row_keys_and_reads_back_from_json(self):
+        for labels in ("", "A", "ABAA", "ABC"):
+            rm = redundancy_metrics(_seq(labels))
+            assert list(rm) == ["seq_len", "t_star", "trr", "mor"]
+            assert [type(rm[key]) for key in rm] == [int, int, float, float]
+            assert json.loads(json.dumps(rm)) == rm
 
     def test_trr_zero_iff_last_element_novel(self):
         rng = random.Random(5)
